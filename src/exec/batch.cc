@@ -87,6 +87,7 @@ void Batch::Reset() {
   num_rows_ = 0;
   active_count_ = 0;
   arena_.Reset();
+  for (auto& col : columns_) col->set_dictionary(nullptr);
 }
 
 std::vector<Value> Batch::GetActiveRow(int64_t i) const {

@@ -13,6 +13,8 @@
 
 namespace vstore {
 
+class StringDictionary;
+
 // Rows per batch. The paper sizes batches so that one batch with a handful
 // of columns fits in L2 (~900 rows in SQL Server); we use the same number.
 constexpr int64_t kDefaultBatchSize = 900;
@@ -20,6 +22,12 @@ constexpr int64_t kDefaultBatchSize = 900;
 // A column of values within a batch: a fixed-capacity typed array plus a
 // byte-per-row validity mask. Strings are views into stable memory (segment
 // dictionaries or the batch's arena).
+//
+// A string vector may also carry a code lane: codes()[i] is row i's code in
+// dictionary(), the column store's shared primary dictionary the strings
+// were decoded from. Only the column-store scan and Project set a lane;
+// Batch::Reset clears it, so dictionary() == nullptr means "no lane".
+// Codes of inactive or null rows are unspecified.
 class ColumnVector {
  public:
   ColumnVector(DataType type, int64_t capacity);
@@ -36,6 +44,19 @@ class ColumnVector {
   const double* doubles() const { return doubles_.data(); }
   const std::string_view* strings() const { return strings_.data(); }
 
+  // Code lane (see the class comment). The codes array is allocated on the
+  // first mutable_codes() call, so vectors that never carry codes cost
+  // nothing.
+  uint64_t* mutable_codes() {
+    if (codes_.empty()) codes_.resize(static_cast<size_t>(capacity_));
+    return codes_.data();
+  }
+  const uint64_t* codes() const { return codes_.data(); }
+  const StringDictionary* dictionary() const { return dictionary_; }
+  void set_dictionary(const StringDictionary* dictionary) {
+    dictionary_ = dictionary;
+  }
+
   // validity()[i] == 1 when row i is non-null.
   uint8_t* mutable_validity() { return validity_.data(); }
   const uint8_t* validity() const { return validity_.data(); }
@@ -50,13 +71,14 @@ class ColumnVector {
   // adapter reuses vectors across schemas.
   void ResetType(DataType type);
 
-  // Resident bytes of the typed array + validity mask (string payloads
-  // live in the batch arena, accounted separately).
+  // Resident bytes of the typed array, code lane and validity mask (string
+  // payloads live in the batch arena, accounted separately).
   int64_t MemoryBytes() const {
     return static_cast<int64_t>(ints_.capacity() * sizeof(int64_t) +
                                 doubles_.capacity() * sizeof(double) +
                                 strings_.capacity() *
                                     sizeof(std::string_view) +
+                                codes_.capacity() * sizeof(uint64_t) +
                                 validity_.capacity());
   }
 
@@ -66,6 +88,8 @@ class ColumnVector {
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
   std::vector<std::string_view> strings_;
+  std::vector<uint64_t> codes_;
+  const StringDictionary* dictionary_ = nullptr;
   std::vector<uint8_t> validity_;
 };
 
@@ -107,7 +131,8 @@ class Batch {
   // producing operator when it refills the batch.
   Arena* arena() { return &arena_; }
 
-  // Clears row content for reuse (does not shrink allocations).
+  // Clears row content and every column's code lane for reuse (does not
+  // shrink allocations).
   void Reset();
 
   // Approximate resident bytes: column storage + active mask + the string

@@ -27,7 +27,12 @@ ExchangeOperator::ExchangeOperator(Schema output_schema,
   VSTORE_CHECK(degree_ > 0);
 }
 
-ExchangeOperator::~ExchangeOperator() { Close(); }
+ExchangeOperator::~ExchangeOperator() {
+  Close();
+  // The factory's captures (shared hash-join builds) hold pressure
+  // listeners on fragment trackers; release them while those still live.
+  factory_ = nullptr;
+}
 
 Status ExchangeOperator::OpenImpl() {
   cancelled_ = false;
@@ -140,7 +145,7 @@ void ExchangeOperator::RunFragment(int fragment) {
     ctx_->trace_recorder->EndSpan(fragment_span);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  ctx_->stats.MergeFrom(fctx->stats);
+  fragment_stats_.MergeFrom(fctx->stats);
   if (!status.ok() && first_error_.ok()) first_error_ = status;
   if (--active_producers_ == 0) queue_ready_.notify_all();
   else queue_ready_.notify_all();
@@ -180,6 +185,8 @@ void ExchangeOperator::CloseImpl() {
     if (t.joinable()) t.join();
   }
   workers_.clear();
+  ctx_->stats.MergeFrom(fragment_stats_);
+  fragment_stats_ = ExecStats();
   std::queue<std::unique_ptr<Batch>>().swap(queue_);
   current_.reset();
   // Workers are joined: every fragment operator (and its child tracker) is

@@ -92,6 +92,10 @@ class ExchangeOperator final : public BatchOperator {
   bool cancelled_ = false;
   Status first_error_;
 
+  // Finished fragments' ExecStats, summed under mu_ by the workers and
+  // folded into ctx_->stats by Close() once they are joined: operators
+  // above the exchange update ctx_->stats on the consumer thread meanwhile.
+  ExecStats fragment_stats_;
   // Node-wise sum of finished fragments' profiles, guarded by mu_ while
   // workers run; read from BuildProfile after Close() joined them.
   OperatorProfile fragment_profile_;

@@ -5,6 +5,7 @@
 
 #include "common/macros.h"
 #include "exec/spill.h"
+#include "storage/dictionary.h"
 
 namespace vstore {
 
@@ -61,6 +62,39 @@ struct StateRef {
   uint64_t& aux() { return *reinterpret_cast<uint64_t*>(base + 8); }
   int64_t& count() { return *reinterpret_cast<int64_t*>(base + 16); }
 };
+
+// Accumulator values folded in registers across a run of rows.
+template <typename T>
+T LoadAcc(StateRef s);
+template <>
+int64_t LoadAcc<int64_t>(StateRef s) {
+  return s.acc_i();
+}
+template <>
+double LoadAcc<double>(StateRef s) {
+  return s.acc_d();
+}
+template <>
+std::string_view LoadAcc<std::string_view>(StateRef s) {
+  return std::string_view(reinterpret_cast<const char*>(s.acc_i()), s.aux());
+}
+
+void StoreAcc(StateRef s, int64_t v, Arena*) { s.acc_i() = v; }
+void StoreAcc(StateRef s, double v, Arena*) { s.acc_d() = v; }
+// A string that changed points into the input batch: copy it into the
+// state arena, which outlives the batch.
+void StoreAcc(StateRef s, std::string_view v, Arena* arena) {
+  if (v.data() == reinterpret_cast<const char*>(s.acc_i())) return;
+  std::string_view stable = arena->CopyString(v);
+  s.acc_i() = reinterpret_cast<int64_t>(stable.data());
+  s.aux() = stable.size();
+}
+
+// Min/max of one value into `acc`; `count` is the values folded so far.
+template <typename T>
+void FoldMinMax(bool is_min, T v, int64_t count, T* acc) {
+  if (count == 0 || (is_min ? v < *acc : v > *acc)) *acc = v;
+}
 
 }  // namespace
 
@@ -166,6 +200,7 @@ HashAggregateOperator::HashAggregateOperator(BatchOperatorPtr input,
     pressure_listener_ = ctx_->memory_tracker->AddPressureListener(
         [this] { pressure_.store(true, std::memory_order_relaxed); });
   }
+  code_slots_reservation_.Reset(mem_.get());
 }
 
 HashAggregateOperator::~HashAggregateOperator() {
@@ -177,6 +212,7 @@ HashAggregateOperator::~HashAggregateOperator() {
 
 void HashAggregateOperator::ResetAggState(int64_t expected_rows) {
   entries_.clear();
+  std::fill(code_slots_.begin(), code_slots_.end(), nullptr);
   arena_ = std::make_unique<Arena>();
   arena_->SetMemoryTracker(mem_.get());
   table_ = std::make_unique<SerializedRowHashTable>(expected_rows);
@@ -209,6 +245,7 @@ std::string HashAggregateOperator::name() const {
 void HashAggregateOperator::AppendProfileCounters(
     OperatorProfile* node) const {
   node->counters.push_back({"rows_aggregated", rows_aggregated_});
+  node->counters.push_back({"rows_code_grouped", rows_code_grouped_});
   node->counters.push_back({"groups", groups_});
   if (spill_flushes_ > 0) {
     node->counters.push_back({"spill_flushes", spill_flushes_});
@@ -220,146 +257,109 @@ void HashAggregateOperator::InitState(uint8_t* state) const {
   std::memset(state, 0, kStateSlot * options_.aggregates.size());
 }
 
-void HashAggregateOperator::UpdateStateFromBatch(uint8_t* state,
-                                                 const Batch& batch,
-                                                 int64_t i) {
-  for (size_t a = 0; a < options_.aggregates.size(); ++a) {
-    const AggSpec& spec = options_.aggregates[a];
-    StateRef s{state + a * kStateSlot};
-    if (spec.fn == AggFn::kCountStar) {
-      ++s.count();
-      continue;
+template <typename T, typename Weight, typename Fold>
+void HashAggregateOperator::FoldRuns(size_t agg, Weight weight,
+                                     Fold fold) {
+  const int32_t* rows = order_.data();
+  const size_t off = agg * kStateSlot;
+  int32_t begin = 0;
+  for (const GroupRun& run : runs_) {
+    StateRef s{run.state + off};
+    T acc = LoadAcc<T>(s);
+    int64_t count = s.count();
+    for (int32_t k = begin; k < run.end; ++k) {
+      const int32_t i = rows[k];
+      const int64_t w = weight(i);
+      if (w == 0) continue;
+      fold(i, count, &acc);
+      count += w;
     }
-    const ColumnVector& cv = batch.column(spec.column);
-    if (!cv.validity()[i]) continue;
-    switch (static_cast<StateKind>(state_kinds_[a])) {
-      case StateKind::kCountOnly:
-        ++s.count();
-        break;
-      case StateKind::kSumInt:
-        s.acc_i() += cv.ints()[i];
-        ++s.count();
-        break;
-      case StateKind::kSumDouble:
-        s.acc_d() += cv.physical_type() == PhysicalType::kDouble
-                         ? cv.doubles()[i]
-                         : static_cast<double>(cv.ints()[i]);
-        ++s.count();
-        break;
-      case StateKind::kMinMaxInt: {
-        int64_t v = cv.ints()[i];
-        if (s.count() == 0 || (spec.fn == AggFn::kMin ? v < s.acc_i()
-                                                      : v > s.acc_i())) {
-          s.acc_i() = v;
-        }
-        ++s.count();
-        break;
+    StoreAcc(s, acc, arena_.get());
+    s.count() = count;
+    begin = run.end;
+  }
+}
+
+template <typename Weight>
+void HashAggregateOperator::FoldAggregate(size_t agg,
+                                          const ColumnVector* values,
+                                          Weight weight) {
+  const bool is_min = options_.aggregates[agg].fn == AggFn::kMin;
+  switch (static_cast<StateKind>(state_kinds_[agg])) {
+    case StateKind::kCountOnly:
+      FoldRuns<int64_t>(agg, weight, [](int32_t, int64_t, int64_t*) {});
+      break;
+    case StateKind::kSumInt: {
+      const int64_t* v = values->ints();
+      FoldRuns<int64_t>(agg, weight, [v](int32_t i, int64_t, int64_t* acc) {
+        *acc += v[i];
+      });
+      break;
+    }
+    case StateKind::kSumDouble:
+      if (values->physical_type() == PhysicalType::kDouble) {
+        const double* v = values->doubles();
+        FoldRuns<double>(agg, weight, [v](int32_t i, int64_t, double* acc) {
+          *acc += v[i];
+        });
+      } else {
+        const int64_t* v = values->ints();
+        FoldRuns<double>(agg, weight, [v](int32_t i, int64_t, double* acc) {
+          *acc += static_cast<double>(v[i]);
+        });
       }
-      case StateKind::kMinMaxDouble: {
-        double v = cv.doubles()[i];
-        if (s.count() == 0 || (spec.fn == AggFn::kMin ? v < s.acc_d()
-                                                      : v > s.acc_d())) {
-          s.acc_d() = v;
-        }
-        ++s.count();
-        break;
-      }
-      case StateKind::kMinMaxString: {
-        std::string_view v = cv.strings()[i];
-        std::string_view cur(reinterpret_cast<const char*>(s.acc_i()),
-                             s.aux());
-        if (s.count() == 0 ||
-            (spec.fn == AggFn::kMin ? v < cur : v > cur)) {
-          std::string_view stable = arena_->CopyString(v);
-          s.acc_i() = reinterpret_cast<int64_t>(stable.data());
-          s.aux() = stable.size();
-        }
-        ++s.count();
-        break;
-      }
+      break;
+    case StateKind::kMinMaxInt: {
+      const int64_t* v = values->ints();
+      FoldRuns<int64_t>(agg, weight,
+                        [v, is_min](int32_t i, int64_t count, int64_t* acc) {
+                          FoldMinMax(is_min, v[i], count, acc);
+                        });
+      break;
+    }
+    case StateKind::kMinMaxDouble: {
+      const double* v = values->doubles();
+      FoldRuns<double>(agg, weight,
+                       [v, is_min](int32_t i, int64_t count, double* acc) {
+                         FoldMinMax(is_min, v[i], count, acc);
+                       });
+      break;
+    }
+    case StateKind::kMinMaxString: {
+      const std::string_view* v = values->strings();
+      FoldRuns<std::string_view>(
+          agg, weight,
+          [v, is_min](int32_t i, int64_t count, std::string_view* acc) {
+            FoldMinMax(is_min, v[i], count, acc);
+          });
+      break;
     }
   }
 }
 
-void HashAggregateOperator::UpdateStateFromPartialBatch(uint8_t* state,
-                                                        const Batch& batch,
-                                                        int64_t i) {
-  const size_t num_keys = key_indices_.size();
+void HashAggregateOperator::FoldBatch(const Batch& batch, bool partial_input) {
+  const int num_keys = static_cast<int>(key_indices_.size());
   for (size_t a = 0; a < options_.aggregates.size(); ++a) {
-    const AggSpec& spec = options_.aggregates[a];
-    StateRef s{state + a * kStateSlot};
-    const ColumnVector& value_cv =
-        batch.column(static_cast<int>(num_keys + 2 * a));
-    const ColumnVector& count_cv =
-        batch.column(static_cast<int>(num_keys + 2 * a + 1));
-    int64_t count = count_cv.ints()[i];
-    if (count == 0) continue;
-    switch (static_cast<StateKind>(state_kinds_[a])) {
-      case StateKind::kCountOnly:
-        break;
-      case StateKind::kSumInt:
-        s.acc_i() += value_cv.ints()[i];
-        break;
-      case StateKind::kSumDouble:
-        s.acc_d() += value_cv.doubles()[i];
-        break;
-      case StateKind::kMinMaxInt: {
-        int64_t v = value_cv.ints()[i];
-        if (s.count() == 0 || (spec.fn == AggFn::kMin ? v < s.acc_i()
-                                                      : v > s.acc_i())) {
-          s.acc_i() = v;
-        }
-        break;
-      }
-      case StateKind::kMinMaxDouble: {
-        double v = value_cv.doubles()[i];
-        if (s.count() == 0 || (spec.fn == AggFn::kMin ? v < s.acc_d()
-                                                      : v > s.acc_d())) {
-          s.acc_d() = v;
-        }
-        break;
-      }
-      case StateKind::kMinMaxString: {
-        std::string_view v = value_cv.strings()[i];
-        std::string_view cur(reinterpret_cast<const char*>(s.acc_i()),
-                             s.aux());
-        if (s.count() == 0 ||
-            (spec.fn == AggFn::kMin ? v < cur : v > cur)) {
-          std::string_view stable = arena_->CopyString(v);
-          s.acc_i() = reinterpret_cast<int64_t>(stable.data());
-          s.aux() = stable.size();
-        }
-        break;
-      }
+    if (partial_input) {
+      // (value, count) pairs: each row carries `count` input values.
+      const int value_col = num_keys + 2 * static_cast<int>(a);
+      const int64_t* counts = batch.column(value_col + 1).ints();
+      FoldAggregate(a, &batch.column(value_col),
+                    [counts](int32_t i) { return counts[i]; });
+    } else if (options_.aggregates[a].fn == AggFn::kCountStar) {
+      FoldAggregate(a, nullptr, [](int32_t) { return int64_t{1}; });
+    } else {
+      const ColumnVector& values = batch.column(options_.aggregates[a].column);
+      const uint8_t* valid = values.validity();
+      FoldAggregate(a, &values,
+                    [valid](int32_t i) { return int64_t{valid[i]}; });
     }
-    s.count() += count;
   }
 }
 
 namespace {
 
 // GROUP BY key equality: nulls compare equal (one null group).
-bool GroupKeysEqual(const RowFormat& fmt, const uint8_t* a, const uint8_t* b,
-                    const std::vector<int>& keys) {
-  for (int k : keys) {
-    bool na = fmt.IsNull(a, k), nb = fmt.IsNull(b, k);
-    if (na != nb) return false;
-    if (na) continue;
-    switch (PhysicalTypeOf(fmt.column_type(k))) {
-      case PhysicalType::kInt64:
-        if (fmt.GetInt64(a, k) != fmt.GetInt64(b, k)) return false;
-        break;
-      case PhysicalType::kDouble:
-        if (fmt.GetDouble(a, k) != fmt.GetDouble(b, k)) return false;
-        break;
-      case PhysicalType::kString:
-        if (fmt.GetString(a, k) != fmt.GetString(b, k)) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 bool GroupKeysEqualBatch(const RowFormat& fmt, const uint8_t* row,
                          const std::vector<int>& row_keys, const Batch& batch,
                          int64_t i, const std::vector<int>& batch_cols) {
@@ -386,28 +386,138 @@ bool GroupKeysEqualBatch(const RowFormat& fmt, const uint8_t* row,
 
 }  // namespace
 
-Result<uint8_t*> HashAggregateOperator::GroupEntryFromBatch(const Batch& batch,
-                                                            int64_t i,
-                                                            uint64_t hash) {
+uint8_t* HashAggregateOperator::GroupStateFromBatch(
+    const Batch& batch, int64_t i, const std::vector<int>& key_cols,
+    uint64_t hash) {
   uint8_t* found = nullptr;
   table_->ForEachCandidate(hash, [&](const uint8_t* payload) {
     if (GroupKeysEqualBatch(*key_format_, payload, key_indices_, batch, i,
-                            options_.group_by)) {
+                            key_cols)) {
       found = const_cast<uint8_t*>(payload);
       return false;
     }
     return true;
   });
-  if (found != nullptr) return found;
+  if (found != nullptr) {
+    return entry_state(found - SerializedRowHashTable::kHeaderSize);
+  }
 
   uint8_t* entry = arena_->Allocate(entry_size());
   uint8_t* payload = entry + SerializedRowHashTable::kHeaderSize;
-  key_format_->WriteKeysFromBatch(payload, batch, i, options_.group_by,
-                                  arena_.get());
+  key_format_->WriteKeysFromBatch(payload, batch, i, key_cols, arena_.get());
   InitState(entry_state(entry));
   table_->Insert(entry, hash);
   entries_.push_back(entry);
-  return payload;
+  return entry_state(entry);
+}
+
+bool HashAggregateOperator::PrepareCodeCache(
+    const Batch& batch, const std::vector<int>& key_cols) {
+  lane_keys_.clear();
+  int64_t slots = 1;
+  for (int c : key_cols) {
+    const StringDictionary* dict = batch.column(c).dictionary();
+    if (dict == nullptr) return false;
+    const int64_t domain = dict->size() + 1;  // + the null slot
+    if (domain > kMaxCodeSlots / slots) return false;
+    slots *= domain;
+    lane_keys_.emplace_back(dict, domain);
+  }
+  if (code_slots_.empty() || lane_keys_ != code_keys_) {
+    code_keys_.swap(lane_keys_);
+    code_slots_.assign(static_cast<size_t>(slots), nullptr);
+    slot_runs_.assign(static_cast<size_t>(slots), -1);
+    code_slots_reservation_.Set(
+        slots * static_cast<int64_t>(sizeof(uint8_t*) + sizeof(int32_t)));
+  }
+  return true;
+}
+
+void HashAggregateOperator::ResolveGroups(const Batch& batch,
+                                          const std::vector<int>& key_cols) {
+  const int64_t n = batch.num_rows();
+  const uint8_t* active = batch.active();
+  order_.clear();
+  for (int64_t i = 0; i < n; ++i) {
+    if (active[i]) order_.push_back(static_cast<int32_t>(i));
+  }
+  const size_t m = order_.size();
+  runs_.clear();
+
+  if (PrepareCodeCache(batch, key_cols)) {
+    // Pack the key codes into one index: code + 1 per key (0 = null),
+    // mixed-radix over the key domains.
+    slot_ids_.assign(m, 0);
+    uint64_t stride = 1;
+    for (size_t k = 0; k < key_cols.size(); ++k) {
+      const ColumnVector& cv = batch.column(key_cols[k]);
+      const uint64_t* codes = cv.codes();
+      const uint8_t* valid = cv.validity();
+      for (size_t j = 0; j < m; ++j) {
+        const int32_t i = order_[j];
+        VSTORE_DCHECK(!valid[i] || static_cast<int64_t>(codes[i]) <
+                                       code_keys_[k].second - 1);
+        slot_ids_[j] += (codes[i] + 1) * valid[i] * stride;
+      }
+      stride *= static_cast<uint64_t>(code_keys_[k].second);
+    }
+    // One run per group of the batch, in first-seen order; slot_ids_[j]
+    // becomes row j's run. Run ends count the rows first.
+    for (size_t j = 0; j < m; ++j) {
+      const uint64_t slot = slot_ids_[j];
+      int32_t& run = slot_runs_[slot];
+      if (run < 0) {
+        uint8_t*& state = code_slots_[slot];
+        if (state == nullptr) {
+          state = GroupStateFromBatch(
+              batch, order_[j], key_cols,
+              key_format_->HashKeysFromBatch(batch, order_[j], key_cols));
+        }
+        run = static_cast<int32_t>(runs_.size());
+        runs_.push_back(GroupRun{state, 0, slot});
+      }
+      slot_ids_[j] = static_cast<uint64_t>(run);
+      ++runs_[static_cast<size_t>(run)].end;
+    }
+    for (const GroupRun& run : runs_) slot_runs_[run.slot] = -1;
+    if (!key_cols.empty()) rows_code_grouped_ += static_cast<int64_t>(m);
+    if (runs_.size() <= 1) return;  // one group: the rows are one run
+    // Stable counting sort of the rows by run: each group's rows stay in
+    // input order, which keeps every accumulator's fold order.
+    int32_t begin = 0;
+    for (GroupRun& run : runs_) {
+      const int32_t rows = run.end;
+      run.end = begin;
+      begin += rows;
+    }
+    sorted_.resize(m);
+    for (size_t j = 0; j < m; ++j) {
+      sorted_[static_cast<size_t>(runs_[slot_ids_[j]].end++)] = order_[j];
+    }
+    order_.swap(sorted_);
+    return;
+  }
+
+  // Hash path: rows keep their order; consecutive rows of one group (e.g.
+  // clustered keys) share a run.
+  hashes_.resize(static_cast<size_t>(n));
+  HashKeysBatch(batch, key_cols, active, hashes_.data());
+  for (size_t j = 0; j < m; ++j) {
+    const int32_t i = order_[j];
+    uint8_t* state = GroupStateFromBatch(batch, i, key_cols,
+                                         hashes_[static_cast<size_t>(i)]);
+    if (runs_.empty() || runs_.back().state != state) {
+      runs_.push_back(GroupRun{state, 0, 0});
+    }
+    runs_.back().end = static_cast<int32_t>(j + 1);
+  }
+}
+
+void HashAggregateOperator::ConsumeBatch(const Batch& batch,
+                                         const std::vector<int>& key_cols,
+                                         bool partial_input) {
+  ResolveGroups(batch, key_cols);
+  FoldBatch(batch, partial_input);
 }
 
 void HashAggregateOperator::AppendPartialValues(const uint8_t* state,
@@ -501,29 +611,15 @@ Status HashAggregateOperator::ConsumeInput() {
   VSTORE_RETURN_IF_ERROR(input_->Open());
   const int64_t budget = ctx_->operator_memory_budget;
   const bool partial_input = options_.phase == AggPhase::kFinal;
-  std::vector<uint64_t> hashes;
   for (;;) {
     VSTORE_ASSIGN_OR_RETURN(Batch * batch, input_->Next());
     if (batch == nullptr) break;
-    const uint8_t* active = batch->active();
-    hashes.resize(static_cast<size_t>(batch->num_rows()));
-    HashKeysBatch(*batch, options_.group_by, active, hashes.data());
-    for (int64_t i = 0; i < batch->num_rows(); ++i) {
-      if (!active[i]) continue;
-      VSTORE_ASSIGN_OR_RETURN(
-          uint8_t * payload,
-          GroupEntryFromBatch(*batch, i, hashes[static_cast<size_t>(i)]));
-      uint8_t* entry = payload - SerializedRowHashTable::kHeaderSize;
-      ++rows_aggregated_;
-      if (partial_input) {
-        UpdateStateFromPartialBatch(entry_state(entry), *batch, i);
-      } else {
-        UpdateStateFromBatch(entry_state(entry), *batch, i);
-      }
-      RecordPeakMemory(static_cast<int64_t>(arena_->bytes_allocated()));
-      if (!entries_.empty() && UnderMemoryPressure(budget)) {
-        VSTORE_RETURN_IF_ERROR(FlushToPartitions());
-      }
+    ConsumeBatch(*batch, options_.group_by, partial_input);
+    rows_aggregated_ += static_cast<int64_t>(order_.size());
+    // Budget and peak checks once per batch.
+    RecordPeakMemory(static_cast<int64_t>(arena_->bytes_allocated()));
+    if (!entries_.empty() && UnderMemoryPressure(budget)) {
+      VSTORE_RETURN_IF_ERROR(FlushToPartitions());
     }
   }
   input_->Close();
@@ -536,90 +632,27 @@ Status HashAggregateOperator::ConsumeInput() {
 Status HashAggregateOperator::LoadPartition(int p) {
   std::FILE* f = partition_files_[static_cast<size_t>(p)];
   std::rewind(f);
+  if (spill_batch_ == nullptr) {
+    spill_batch_ = std::make_unique<Batch>(partial_schema_, ctx_->batch_size);
+  }
+  Batch& batch = *spill_batch_;
   std::vector<Value> row;
-  std::vector<uint8_t> scratch(key_format_->row_size());
-  Arena scratch_arena;
-
-  for (;;) {
-    VSTORE_ASSIGN_OR_RETURN(bool more,
-                            ReadSpillRow(f, partial_schema_, &row));
-    if (!more) break;
-    scratch_arena.Reset();
-    std::vector<Value> key_values(row.begin(),
-                                  row.begin() + static_cast<long>(
-                                                    key_indices_.size()));
-    key_format_->WriteValues(scratch.data(), key_values, &scratch_arena);
-    uint64_t hash = key_format_->HashKeys(scratch.data(), key_indices_);
-    uint8_t* found = nullptr;
-    table_->ForEachCandidate(hash, [&](const uint8_t* payload) {
-      if (GroupKeysEqual(*key_format_, payload, scratch.data(),
-                         key_indices_)) {
-        found = const_cast<uint8_t*>(payload);
-        return false;
+  for (bool more = true; more;) {
+    // Read back a batch of partial rows, then merge it like partial input.
+    batch.Reset();
+    int64_t n = 0;
+    while (n < batch.capacity()) {
+      VSTORE_ASSIGN_OR_RETURN(more, ReadSpillRow(f, partial_schema_, &row));
+      if (!more) break;
+      for (int c = 0; c < batch.num_columns(); ++c) {
+        batch.column(c).SetValue(n, row[static_cast<size_t>(c)],
+                                 batch.arena());
       }
-      return true;
-    });
-    uint8_t* entry;
-    if (found == nullptr) {
-      entry = arena_->Allocate(entry_size());
-      key_format_->WriteValues(entry + SerializedRowHashTable::kHeaderSize,
-                               key_values, arena_.get());
-      InitState(entry_state(entry));
-      table_->Insert(entry, hash);
-      entries_.push_back(entry);
-    } else {
-      entry = found - SerializedRowHashTable::kHeaderSize;
+      ++n;
     }
-
-    // Merge the partials.
-    uint8_t* state = entry_state(entry);
-    size_t v = key_indices_.size();
-    for (size_t a = 0; a < options_.aggregates.size(); ++a, v += 2) {
-      const AggSpec& spec = options_.aggregates[a];
-      StateRef s{state + a * kStateSlot};
-      const Value& value = row[v];
-      int64_t count = row[v + 1].int64();
-      if (count == 0) continue;
-      switch (static_cast<StateKind>(state_kinds_[a])) {
-        case StateKind::kCountOnly:
-          break;
-        case StateKind::kSumInt:
-          s.acc_i() += value.int64();
-          break;
-        case StateKind::kSumDouble:
-          s.acc_d() += value.dbl();
-          break;
-        case StateKind::kMinMaxInt: {
-          int64_t x = value.int64();
-          if (s.count() == 0 || (spec.fn == AggFn::kMin ? x < s.acc_i()
-                                                        : x > s.acc_i())) {
-            s.acc_i() = x;
-          }
-          break;
-        }
-        case StateKind::kMinMaxDouble: {
-          double x = value.dbl();
-          if (s.count() == 0 || (spec.fn == AggFn::kMin ? x < s.acc_d()
-                                                        : x > s.acc_d())) {
-            s.acc_d() = x;
-          }
-          break;
-        }
-        case StateKind::kMinMaxString: {
-          std::string_view x = value.str();
-          std::string_view cur(reinterpret_cast<const char*>(s.acc_i()),
-                               s.aux());
-          if (s.count() == 0 ||
-              (spec.fn == AggFn::kMin ? x < cur : x > cur)) {
-            std::string_view stable = arena_->CopyString(x);
-            s.acc_i() = reinterpret_cast<int64_t>(stable.data());
-            s.aux() = stable.size();
-          }
-          break;
-        }
-      }
-      s.count() += count;
-    }
+    batch.set_num_rows(n);
+    batch.ActivateAll();
+    ConsumeBatch(batch, key_indices_, /*partial_input=*/true);
   }
   return Status::OK();
 }
@@ -713,6 +746,7 @@ Status HashAggregateOperator::OpenImpl() {
   pressure_.store(false, std::memory_order_relaxed);
   spilled_ = false;
   rows_aggregated_ = 0;
+  rows_code_grouped_ = 0;
   groups_ = 0;
   spill_flushes_ = 0;
   rows_spilled_ = 0;
@@ -723,10 +757,10 @@ Status HashAggregateOperator::OpenImpl() {
   VSTORE_RETURN_IF_ERROR(ConsumeInput());
   if (spilled_) {
     entries_.clear();
-  } else if (options_.phase == AggPhase::kFinal && key_indices_.empty() &&
+  } else if (options_.phase != AggPhase::kPartial && key_indices_.empty() &&
              entries_.empty()) {
-    // Scalar aggregation over zero partial rows still yields one row
-    // (COUNT = 0, other aggregates null).
+    // Scalar aggregation over zero rows still yields one row (COUNT = 0,
+    // other aggregates null).
     uint8_t* entry = arena_->Allocate(entry_size());
     key_format_->WriteValues(entry + SerializedRowHashTable::kHeaderSize, {},
                              arena_.get());
@@ -766,9 +800,14 @@ void HashAggregateOperator::CloseImpl() {
   }
   partition_files_.clear();
   entries_.clear();
+  code_slots_.clear();
+  slot_runs_.clear();
+  code_keys_.clear();
+  code_slots_reservation_.Clear();
   table_.reset();
   arena_.reset();
   output_.reset();
+  spill_batch_.reset();
 }
 
 }  // namespace vstore

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -28,7 +29,23 @@ enum class AggPhase { kComplete, kPartial, kFinal };
 // temp files and re-merged partition by partition at the end — merging
 // partials is exact for every supported function (AVG carries sum+count).
 //
+// Each input batch is consumed in two steps: first every active row's
+// group state is found, then one typed loop per aggregate folds the batch
+// into those states, a run of same-group rows at a time with the
+// accumulator in a register. Row order is kept per accumulator, so sums
+// are the same as a row-at-a-time fold. Groups are found one of two ways:
+//  - on codes: when every key column carries a code lane (ColumnVector)
+//    and the product of the key code domains is at most kMaxCodeSlots,
+//    the packed codes index a dense array of state pointers. The array is
+//    only a cache in front of the hash table: a miss resolves through the
+//    table with the same hash the hash path uses, so coded and uncoded
+//    batches with equal keys land in one group. Zero keys is this path
+//    with a domain of one (scalar aggregation).
+//  - by hash: a vectorized key hash per batch, then a probe per row.
+//
 // GROUP BY follows SQL semantics: null keys compare equal (one null group).
+// Without GROUP BY (no keys) the operator emits exactly one row even for
+// empty input (COUNT = 0, other aggregates null), except in kPartial.
 class HashAggregateOperator final : public BatchOperator {
  public:
   struct Options {
@@ -77,21 +94,45 @@ class HashAggregateOperator final : public BatchOperator {
            key_format_->row_size();
   }
 
+  // Largest product of key code domains grouped on codes: 4096 slots of a
+  // state pointer and a run id (48 KiB), charged to the operator's tracker.
+  static constexpr int64_t kMaxCodeSlots = 4096;
+
   Status ConsumeInput();
-  // `hash` is the row's group-key hash, precomputed batch-at-a-time by
-  // ConsumeInput via HashKeysBatch.
-  Result<uint8_t*> GroupEntryFromBatch(const Batch& batch, int64_t i,
-                                       uint64_t hash);
+  // Folds the active rows of `batch` into their groups. Key k is batch
+  // column key_cols[k]; with `partial_input` the aggregates read the
+  // (value, count) pairs of the partial layout instead of raw columns.
+  void ConsumeBatch(const Batch& batch, const std::vector<int>& key_cols,
+                    bool partial_input);
+  // Fills order_ with the active rows of `batch`, grouped into runs_ of
+  // rows that share a group state (creating groups as needed). Rows of one
+  // group keep their input order.
+  void ResolveGroups(const Batch& batch, const std::vector<int>& key_cols);
+  // True when `batch` can be grouped on codes; (re)builds the code cache
+  // when its dictionaries or domains differ from the cached ones.
+  bool PrepareCodeCache(const Batch& batch, const std::vector<int>& key_cols);
+  // The state of row `i`'s group, found or inserted under `hash` (the
+  // row's key hash as HashKeysBatch computes it).
+  uint8_t* GroupStateFromBatch(const Batch& batch, int64_t i,
+                               const std::vector<int>& key_cols,
+                               uint64_t hash);
   void InitState(uint8_t* state) const;
-  // Folds one raw input row into the group state.
-  void UpdateStateFromBatch(uint8_t* state, const Batch& batch, int64_t i);
-  // Folds one partial row ((value, count) pairs) into the group state.
-  void UpdateStateFromPartialBatch(uint8_t* state, const Batch& batch,
-                                   int64_t i);
+  // Folds the resolved rows into every aggregate, one loop per aggregate.
+  void FoldBatch(const Batch& batch, bool partial_input);
+  // One aggregate over `values`; weight(row) is the number of input values
+  // the row carries (0 = skip it, e.g. null).
+  template <typename Weight>
+  void FoldAggregate(size_t agg, const ColumnVector* values, Weight weight);
+  // Per run, copies aggregate `agg`'s accumulator (type T) and count out of
+  // the group state, applies fold(row, count, &acc) to each weighted row,
+  // and writes both back.
+  template <typename T, typename Weight, typename Fold>
+  void FoldRuns(size_t agg, Weight weight, Fold fold);
   Status FlushToPartitions();
   Status LoadPartition(int p);
   Status EmitEntries();
-  // Resets the state arena + group table, re-attaching the tracker.
+  // Resets the state arena + group table, re-attaching the tracker, and
+  // empties the code cache that points into them.
   void ResetAggState(int64_t expected_rows);
   // Local operator budget exceeded, or query-level budget pressure.
   bool UnderMemoryPressure(int64_t local_budget) const;
@@ -121,8 +162,32 @@ class HashAggregateOperator final : public BatchOperator {
   mutable std::atomic<bool> pressure_{false};
   int pressure_listener_ = 0;
 
+  // Code cache: code_slots_[packed key codes] is that group's state, or
+  // null until first seen. code_keys_ holds the (dictionary, domain) of
+  // each key the layout was built for; lane_keys_ is per-batch scratch.
+  std::vector<uint8_t*> code_slots_;
+  std::vector<std::pair<const StringDictionary*, int64_t>> code_keys_;
+  std::vector<std::pair<const StringDictionary*, int64_t>> lane_keys_;
+  MemoryReservation code_slots_reservation_;
+
+  // Per-batch scratch for ResolveGroups and the aggregate loops: order_
+  // lists the active rows, and runs_ splits it into consecutive rows that
+  // share a group state (run r ends at order_ index runs_[r].end).
+  struct GroupRun {
+    uint8_t* state;
+    int32_t end;
+    uint64_t slot;  // code cache slot (code path only)
+  };
+  std::vector<int32_t> order_;
+  std::vector<GroupRun> runs_;
+  std::vector<int32_t> sorted_;     // counting-sort output (code path)
+  std::vector<uint64_t> hashes_;    // key hash per batch row (hash path)
+  std::vector<uint64_t> slot_ids_;  // code slot, then run, per order_ row
+  std::vector<int32_t> slot_runs_;  // per code slot: run in this batch or -1
+
   bool spilled_ = false;
   std::vector<std::FILE*> partition_files_;
+  std::unique_ptr<Batch> spill_batch_;  // partial rows read back in a drain
 
   // Emission state.
   std::unique_ptr<Batch> output_;
@@ -132,6 +197,7 @@ class HashAggregateOperator final : public BatchOperator {
 
   // Per-operator profile counters mirroring the query-global ExecStats.
   int64_t rows_aggregated_ = 0;
+  int64_t rows_code_grouped_ = 0;  // rows whose group was found on codes
   int64_t groups_ = 0;
   int64_t spill_flushes_ = 0;
   int64_t rows_spilled_ = 0;

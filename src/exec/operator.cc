@@ -232,6 +232,12 @@ ProjectOperator::ProjectOperator(BatchOperatorPtr input,
     fields.push_back(Field{names[i], exprs_[i]->output_type(), true});
   }
   schema_ = Schema(std::move(fields));
+  for (const ExprPtr& e : exprs_) {
+    column_refs_.push_back(
+        e->kind() == ExprKind::kColumn
+            ? static_cast<const ColumnRefExpr&>(*e).index()
+            : -1);
+  }
   if (ctx_ == nullptr || ctx_->compile_expressions) {
     program_ = ExprProgramCache::Global().GetOrCompile(exprs_);
     if (program_ != nullptr) {
@@ -276,31 +282,53 @@ Result<Batch*> ProjectOperator::NextImpl() {
     }
     ExprBatchCounter(program_ != nullptr)->Increment();
 
+    // Compact active rows through a selection vector, one typed loop per
+    // column. Plain column references keep the input's code lane.
     const uint8_t* active = batch->active();
-    int64_t out_row = 0;
+    sel_.clear();
     for (int64_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      for (size_t c = 0; c < results.size(); ++c) {
-        ColumnVector& dst = output_->column(static_cast<int>(c));
-        const ColumnVector& src = *results[c];
-        dst.mutable_validity()[out_row] = src.validity()[i];
-        switch (src.physical_type()) {
-          case PhysicalType::kInt64:
-            dst.mutable_ints()[out_row] = src.ints()[i];
-            break;
-          case PhysicalType::kDouble:
-            dst.mutable_doubles()[out_row] = src.doubles()[i];
-            break;
-          case PhysicalType::kString:
-            dst.mutable_strings()[out_row] = src.strings()[i];
-            break;
+      if (active[i]) sel_.push_back(static_cast<int32_t>(i));
+    }
+    const int64_t m = static_cast<int64_t>(sel_.size());
+    const int32_t* sel = sel_.data();
+    for (size_t c = 0; c < results.size(); ++c) {
+      ColumnVector& dst = output_->column(static_cast<int>(c));
+      const ColumnVector& src = *results[c];
+      const uint8_t* sv = src.validity();
+      uint8_t* dv = dst.mutable_validity();
+      for (int64_t k = 0; k < m; ++k) dv[k] = sv[sel[k]];
+      switch (src.physical_type()) {
+        case PhysicalType::kInt64: {
+          const int64_t* in = src.ints();
+          int64_t* out = dst.mutable_ints();
+          for (int64_t k = 0; k < m; ++k) out[k] = in[sel[k]];
+          break;
+        }
+        case PhysicalType::kDouble: {
+          const double* in = src.doubles();
+          double* out = dst.mutable_doubles();
+          for (int64_t k = 0; k < m; ++k) out[k] = in[sel[k]];
+          break;
+        }
+        case PhysicalType::kString: {
+          const std::string_view* in = src.strings();
+          std::string_view* out = dst.mutable_strings();
+          for (int64_t k = 0; k < m; ++k) out[k] = in[sel[k]];
+          const int ref = column_refs_[c];
+          const ColumnVector* lane = ref >= 0 ? &batch->column(ref) : nullptr;
+          if (lane != nullptr && lane->dictionary() != nullptr) {
+            const uint64_t* codes = lane->codes();
+            uint64_t* out_codes = dst.mutable_codes();
+            for (int64_t k = 0; k < m; ++k) out_codes[k] = codes[sel[k]];
+            dst.set_dictionary(lane->dictionary());
+          }
+          break;
         }
       }
-      ++out_row;
     }
-    output_->set_num_rows(out_row);
+    output_->set_num_rows(m);
     output_->ActivateAll();
-    if (out_row > 0) return output_.get();
+    if (m > 0) return output_.get();
   }
 }
 

@@ -187,6 +187,7 @@ class FilterOperator final : public BatchOperator {
 // --- Project ---------------------------------------------------------------
 // Computes expressions over each input batch into a new batch. Compacts
 // active rows (downstream operators after a projection see dense batches).
+// String columns passed through unchanged keep their code lane.
 class ProjectOperator final : public BatchOperator {
  public:
   ProjectOperator(BatchOperatorPtr input, std::vector<ExprPtr> exprs,
@@ -217,6 +218,9 @@ class ProjectOperator final : public BatchOperator {
   std::shared_ptr<const ExprProgram> program_;
   std::unique_ptr<ExprFrame> frame_;
   std::unique_ptr<Batch> output_;
+  // Per expression: the input column it references, or -1 when computed.
+  std::vector<int> column_refs_;
+  std::vector<int32_t> sel_;  // active rows of the current input batch
 };
 
 // --- Limit -------------------------------------------------------------------

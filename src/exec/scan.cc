@@ -49,6 +49,14 @@ uint64_t HashVectorValue(const ColumnVector& cv, int64_t i) {
   return 0;
 }
 
+// The dictionary a string segment's codes can be handed upward with: the
+// shared primary dictionary when the segment has no local one, else null
+// (local codes mean nothing outside their row group).
+const StringDictionary* LaneDictionary(const ColumnSegment& seg) {
+  return seg.local_dictionary() == nullptr ? seg.primary_dictionary()
+                                           : nullptr;
+}
+
 uint64_t HashValue(const Value& v) {
   switch (PhysicalTypeOf(v.type())) {
     case PhysicalType::kInt64:
@@ -341,9 +349,15 @@ Status ColumnStoreScanOperator::FillFromGroup() {
       case PhysicalType::kDouble:
         seg.DecodeDouble(offset_, n, dst->mutable_doubles());
         break;
-      case PhysicalType::kString:
-        seg.DecodeString(offset_, n, dst->mutable_strings());
+      case PhysicalType::kString: {
+        // Codes land in the vector's code lane and the strings are mapped
+        // from there; the lane is published when the codes are primary.
+        uint64_t* codes = dst->mutable_codes();
+        seg.DecodeCodes(offset_, n, codes);
+        seg.CodesToStrings(codes, n, dst->mutable_strings());
+        dst->set_dictionary(LaneDictionary(seg));
         break;
+      }
     }
     seg.DecodeValidity(offset_, n, dst->mutable_validity());
   };
@@ -460,11 +474,18 @@ Status ColumnStoreScanOperator::FillFromGroup() {
           break;
         }
         case PhysicalType::kString: {
-          std::vector<std::string_view> values(rows.size());
-          seg.GatherString(rows.data(), count, values.data());
-          for (size_t k = 0; k < rows.size(); ++k) {
-            dst->mutable_strings()[targets[k]] = values[k];
+          // Gather codes and strings into the front of the vectors, then
+          // spread them backwards: targets ascend with targets[k] >= k, so
+          // no entry is overwritten before it is moved.
+          uint64_t* codes = dst->mutable_codes();
+          std::string_view* strings = dst->mutable_strings();
+          seg.GatherCodes(rows.data(), count, codes);
+          seg.CodesToStrings(codes, count, strings);
+          for (int64_t k = count - 1; k >= 0; --k) {
+            codes[targets[static_cast<size_t>(k)]] = codes[k];
+            strings[targets[static_cast<size_t>(k)]] = strings[k];
           }
+          dst->set_dictionary(LaneDictionary(seg));
           break;
         }
       }

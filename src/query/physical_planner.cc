@@ -11,7 +11,6 @@
 #include "exec/mem_scan.h"
 #include "exec/parallel_hash_join.h"
 #include "exec/row/row_operator.h"
-#include "exec/scalar_aggregate.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
 #include "exec/union_all.h"
@@ -831,10 +830,6 @@ Result<BatchOperatorPtr> Lowering::BuildBatch(
       VSTORE_ASSIGN_OR_RETURN(
           std::vector<AggSpec> aggs,
           ResolveAggs(plan->children[0]->schema, plan->aggregates));
-      if (plan->group_by.empty()) {
-        return BatchOperatorPtr(std::make_unique<ScalarAggregateOperator>(
-            std::move(child), std::move(aggs), ctx_));
-      }
       HashAggregateOperator::Options agg_options;
       VSTORE_ASSIGN_OR_RETURN(
           agg_options.group_by,

@@ -116,9 +116,12 @@ void ColumnSegment::DecodeString(int64_t start, int64_t count,
   VSTORE_DCHECK(type_ == DataType::kString);
   std::vector<uint64_t> codes(static_cast<size_t>(count));
   DecodeCodes(start, count, codes.data());
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = DictString(codes[static_cast<size_t>(i)]);
-  }
+  CodesToStrings(codes.data(), count, out);
+}
+
+void ColumnSegment::CodesToStrings(const uint64_t* codes, int64_t count,
+                                   std::string_view* out) const {
+  for (int64_t i = 0; i < count; ++i) out[i] = DictString(codes[i]);
 }
 
 void ColumnSegment::GatherCodes(const int64_t* rows, int64_t count,
@@ -177,9 +180,7 @@ void ColumnSegment::GatherString(const int64_t* rows, int64_t count,
                                  std::string_view* out) const {
   std::vector<uint64_t> codes(static_cast<size_t>(count));
   GatherCodes(rows, count, codes.data());
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = DictString(codes[static_cast<size_t>(i)]);
-  }
+  CodesToStrings(codes.data(), count, out);
 }
 
 void ColumnSegment::GatherValidity(const int64_t* rows, int64_t count,

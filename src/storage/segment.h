@@ -65,6 +65,9 @@ class ColumnSegment {
   void DecodeInt64(int64_t start, int64_t count, int64_t* out) const;
   void DecodeDouble(int64_t start, int64_t count, double* out) const;
   void DecodeString(int64_t start, int64_t count, std::string_view* out) const;
+  // Maps already-decoded codes to their strings: out[i] = DictString(codes[i]).
+  void CodesToStrings(const uint64_t* codes, int64_t count,
+                      std::string_view* out) const;
   // out[i] = 1 if row start+i is non-null.
   void DecodeValidity(int64_t start, int64_t count, uint8_t* out) const;
 
@@ -105,6 +108,13 @@ class ColumnSegment {
   // through the shared primary dictionary. Introspection only
   // (sys.dictionaries); never mutated after the segment is built.
   const StringDictionary* local_dictionary() const { return local_dict_.get(); }
+
+  // The column's shared primary dictionary (null for non-string segments).
+  // When local_dictionary() is null, every code of this segment is a code
+  // of this dictionary, which is what lets the scan hand codes upward.
+  const StringDictionary* primary_dictionary() const {
+    return primary_dict_.get();
+  }
 
   // --- Archival compression (paper §4.3) -------------------------------
   // Compresses the packed buffers with LZSS and drops the plain copies.

@@ -257,10 +257,13 @@ PlanPtr RandomPlan(uint64_t seed, const DiffFixture& f) {
   return probe.Build();
 }
 
+// `code_grouped`, when non-null, accumulates the rows hash aggregation
+// grouped on dictionary codes (the rows_code_grouped profile counter).
 std::vector<std::vector<Value>> RunPlan(const DiffFixture& f,
                                         const PlanPtr& plan,
                                         ExecutionMode mode, uint64_t seed,
-                                        int64_t memory_budget = 0) {
+                                        int64_t memory_budget = 0,
+                                        int64_t* code_grouped = nullptr) {
   QueryOptions options;
   options.mode = mode;
   options.query_memory_budget = memory_budget;
@@ -275,6 +278,9 @@ std::vector<std::vector<Value>> RunPlan(const DiffFixture& f,
       rows.push_back(result->data.GetRow(i));
     }
     SortRows(&rows);
+    if (code_grouped != nullptr) {
+      *code_grouped += result->profile.CounterDeep("rows_code_grouped");
+    }
   }
   return rows;
 }
@@ -291,10 +297,12 @@ std::string RowToString(const std::vector<Value>& row) {
 TEST(DifferentialTest, BatchAndRowModesAgreeOnRandomPlans) {
   DiffFixture f;
   int mismatches = 0;
+  int64_t code_grouped = 0;
 
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     PlanPtr plan = RandomPlan(seed, f);
-    auto batch_rows = RunPlan(f, plan, ExecutionMode::kBatch, seed);
+    auto batch_rows = RunPlan(f, plan, ExecutionMode::kBatch, seed,
+                              /*memory_budget=*/0, &code_grouped);
     auto row_rows = RunPlan(f, plan, ExecutionMode::kRow, seed);
 
     bool equal = batch_rows.size() == row_rows.size();
@@ -342,6 +350,9 @@ TEST(DifferentialTest, BatchAndRowModesAgreeOnRandomPlans) {
 
   EXPECT_EQ(mismatches, 0) << mismatches << " of " << kNumSeeds
                            << " random plans diverged";
+  // String GROUP BY keys scanned from the column store must have taken
+  // the dictionary-code grouping path somewhere in the corpus.
+  EXPECT_GT(code_grouped, 0) << "no aggregate grouped on dictionary codes";
 }
 
 // Budget-driven spill must be pure *policy*: the same random plans under a
@@ -353,12 +364,13 @@ TEST(DifferentialTest, TinyMemoryBudgetIsBitIdentical) {
   DiffFixture f;
   constexpr int64_t kTinyBudget = 64 * 1024;  // far below any join build
   int64_t spill_before = GlobalSpillBytes();
+  int64_t code_grouped = 0;
 
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     PlanPtr plan = RandomPlan(seed, f);
     auto normal = RunPlan(f, plan, ExecutionMode::kBatch, seed);
-    auto budgeted =
-        RunPlan(f, plan, ExecutionMode::kBatch, seed, kTinyBudget);
+    auto budgeted = RunPlan(f, plan, ExecutionMode::kBatch, seed, kTinyBudget,
+                            &code_grouped);
 
     ASSERT_EQ(budgeted.size(), normal.size())
         << "row count diverged under budget: replay with seed=" << seed
@@ -381,6 +393,8 @@ TEST(DifferentialTest, TinyMemoryBudgetIsBitIdentical) {
   // (otherwise this test degenerates into running the plans twice).
   EXPECT_GT(GlobalSpillBytes(), spill_before)
       << "no plan spilled under a " << kTinyBudget << "-byte budget";
+  EXPECT_GT(code_grouped, 0)
+      << "no budgeted aggregate grouped on dictionary codes";
 }
 
 }  // namespace

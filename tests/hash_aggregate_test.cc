@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
 #include "common/random.h"
 #include "exec/hash_aggregate.h"
-#include "exec/scalar_aggregate.h"
+#include "exec/scan.h"
+#include "exec/union_all.h"
+#include "storage/column_store.h"
+#include "storage/dictionary.h"
 #include "test_operators.h"
 
 namespace vstore {
@@ -211,7 +215,9 @@ TEST_P(HashAggSpillTest, MatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Budgets, HashAggSpillTest,
                          ::testing::Values(0, 64 * 1024, 16 * 1024));
 
-// --- Scalar aggregation -----------------------------------------------------
+// --- Scalar aggregation ------------------------------------------------------
+// No GROUP BY: a zero-key HashAggregateOperator (one group, found on an
+// empty code index).
 
 TEST(ScalarAggregateTest, BasicFold) {
   TableData data(InSchema());
@@ -220,14 +226,12 @@ TEST(ScalarAggregateTest, BasicFold) {
   data.AppendRow({Value::Int64(2), Value::String("b"), Value::Int64(6),
                   Value::Double(3.0)});
   ExecContext ctx;
-  auto source = std::make_unique<TableSourceOperator>(&data, &ctx);
-  ScalarAggregateOperator agg(std::move(source),
-                              {{AggFn::kSum, 2, "sum"},
-                               {AggFn::kAvg, 3, "avg"},
-                               {AggFn::kMin, 1, "min_name"},
-                               {AggFn::kCountStar, -1, "cnt"}},
-                              &ctx);
-  auto rows = DrainOperator(&agg);
+  HashAggregateOperator::Options options;
+  options.aggregates = {{AggFn::kSum, 2, "sum"},
+                        {AggFn::kAvg, 3, "avg"},
+                        {AggFn::kMin, 1, "min_name"},
+                        {AggFn::kCountStar, -1, "cnt"}};
+  auto rows = RunAgg(data, options, &ctx);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], Value::Int64(10));
   EXPECT_EQ(rows[0][1], Value::Double(2.0));
@@ -238,11 +242,10 @@ TEST(ScalarAggregateTest, BasicFold) {
 TEST(ScalarAggregateTest, EmptyInputYieldsOneRow) {
   TableData data(InSchema());
   ExecContext ctx;
-  auto source = std::make_unique<TableSourceOperator>(&data, &ctx);
-  ScalarAggregateOperator agg(
-      std::move(source),
-      {{AggFn::kCountStar, -1, "cnt"}, {AggFn::kSum, 2, "sum"}}, &ctx);
-  auto rows = DrainOperator(&agg);
+  HashAggregateOperator::Options options;
+  options.aggregates = {{AggFn::kCountStar, -1, "cnt"},
+                        {AggFn::kSum, 2, "sum"}};
+  auto rows = RunAgg(data, options, &ctx);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], Value::Int64(0));
   EXPECT_TRUE(rows[0][1].is_null());
@@ -367,6 +370,280 @@ TEST(AggPhaseTest, PartialSchemaShape) {
   EXPECT_EQ(partial.field(1).type, DataType::kDouble);  // avg sum
   EXPECT_EQ(partial.field(2).type, DataType::kInt64);   // count
   EXPECT_EQ(partial.field(3).type, DataType::kString);  // min(name)
+}
+
+}  // namespace
+}  // namespace vstore
+
+// --- Grouping on dictionary codes -------------------------------------------
+
+namespace vstore {
+namespace {
+
+using testing_util::DrainOperator;
+using testing_util::FillBatch;
+using testing_util::SortRows;
+using testing_util::TableSourceOperator;
+
+// Emits the rows of a TableData with every fifth row inactive. For batches
+// where coded(batch index) holds, each string column gets a code lane from
+// its own StringDictionary, which grows as new strings appear. Null and
+// inactive rows carry garbage codes, which the aggregate must ignore.
+class CodedSourceOperator final : public BatchOperator {
+ public:
+  CodedSourceOperator(const TableData* data,
+                      std::vector<StringDictionary*> dicts,
+                      std::function<bool(int64_t)> coded, ExecContext* ctx)
+      : data_(data), dicts_(std::move(dicts)), coded_(std::move(coded)),
+        ctx_(ctx) {}
+
+  const Schema& output_schema() const override { return data_->schema(); }
+  std::string name() const override { return "CodedSource"; }
+
+ protected:
+  Status OpenImpl() override {
+    pos_ = 0;
+    batch_index_ = 0;
+    output_ = std::make_unique<Batch>(data_->schema(), ctx_->batch_size);
+    return Status::OK();
+  }
+
+  Result<Batch*> NextImpl() override {
+    if (pos_ >= data_->num_rows()) return static_cast<Batch*>(nullptr);
+    const int64_t n =
+        std::min<int64_t>(ctx_->batch_size, data_->num_rows() - pos_);
+    FillBatch(*data_, pos_, n, output_.get());
+    uint8_t* active = output_->mutable_active();
+    for (int64_t i = 0; i < n; ++i) {
+      if ((pos_ + i) % 5 == 4) active[i] = 0;
+    }
+    output_->RecountActive();
+    if (coded_(batch_index_)) {
+      size_t d = 0;
+      for (int c = 0; c < output_->num_columns(); ++c) {
+        ColumnVector& cv = output_->column(c);
+        if (cv.physical_type() != PhysicalType::kString) continue;
+        StringDictionary* dict = dicts_[d++];
+        uint64_t* codes = cv.mutable_codes();
+        for (int64_t i = 0; i < n; ++i) {
+          codes[i] = cv.validity()[i] && active[i]
+                         ? static_cast<uint64_t>(dict->GetOrInsert(
+                               cv.strings()[i], INT64_MAX))
+                         : 0xdeadbeef;
+        }
+        cv.set_dictionary(dict);
+      }
+    }
+    pos_ += n;
+    ++batch_index_;
+    return output_.get();
+  }
+
+ private:
+  const TableData* data_;
+  std::vector<StringDictionary*> dicts_;
+  std::function<bool(int64_t)> coded_;
+  ExecContext* ctx_;
+  std::unique_ptr<Batch> output_;
+  int64_t pos_ = 0;
+  int64_t batch_index_ = 0;
+};
+
+struct AggRun {
+  std::vector<std::vector<Value>> rows;  // sorted
+  int64_t rows_aggregated = 0;
+  int64_t rows_code_grouped = 0;
+};
+
+AggRun RunOver(BatchOperatorPtr source, HashAggregateOperator::Options options,
+               ExecContext* ctx) {
+  HashAggregateOperator agg(std::move(source), std::move(options), ctx);
+  AggRun run;
+  run.rows = DrainOperator(&agg);
+  SortRows(&run.rows);
+  OperatorProfile profile = agg.BuildProfile();
+  run.rows_aggregated = profile.Counter("rows_aggregated");
+  run.rows_code_grouped = profile.Counter("rows_code_grouped");
+  return run;
+}
+
+// Runs `options` over `data` through a CodedSourceOperator whose string
+// columns carry lanes in the batches `coded` selects.
+AggRun RunCoded(const TableData& data, HashAggregateOperator::Options options,
+                std::function<bool(int64_t)> coded, ExecContext* ctx) {
+  std::vector<std::unique_ptr<StringDictionary>> owned;
+  std::vector<StringDictionary*> dicts;
+  for (const Field& f : data.schema().fields()) {
+    if (f.type != DataType::kString) continue;
+    owned.push_back(std::make_unique<StringDictionary>());
+    dicts.push_back(owned.back().get());
+  }
+  return RunOver(std::make_unique<CodedSourceOperator>(
+                     &data, dicts, std::move(coded), ctx),
+                 std::move(options), ctx);
+}
+
+bool Always(int64_t) { return true; }
+bool Never(int64_t) { return false; }
+
+// Two low-cardinality string keys with nulls, a string payload for MIN/MAX,
+// and an int and a double with fractional parts for SUM/AVG.
+Schema CodeSchema() {
+  return Schema({{"flag", DataType::kString, true},
+                 {"status", DataType::kString, true},
+                 {"name", DataType::kString, true},
+                 {"v", DataType::kInt64, true},
+                 {"d", DataType::kDouble, true}});
+}
+
+TableData CodeData(int64_t rows, uint64_t seed) {
+  TableData data(CodeSchema());
+  Random rng(seed);
+  const char* flags[] = {"A", "N", "R"};
+  const char* statuses[] = {"F", "O"};
+  for (int64_t i = 0; i < rows; ++i) {
+    int64_t f = rng.Uniform(0, 3);
+    int64_t s = rng.Uniform(0, 2);
+    data.AppendRow(
+        {f == 3 ? Value::Null(DataType::kString) : Value::String(flags[f]),
+         s == 2 ? Value::Null(DataType::kString) : Value::String(statuses[s]),
+         Value::String("n" + std::to_string(rng.Uniform(0, 999))),
+         Value::Int64(rng.Uniform(-1000, 1000)),
+         Value::Double(static_cast<double>(rng.Uniform(1, 100000)) *
+                       (1.0 - static_cast<double>(rng.Uniform(0, 10)) / 100.0))});
+  }
+  return data;
+}
+
+HashAggregateOperator::Options CodeOptions() {
+  HashAggregateOperator::Options options;
+  options.group_by = {0, 1};
+  options.aggregates = {{AggFn::kSum, 4, "sum_d"},
+                        {AggFn::kAvg, 4, "avg_d"},
+                        {AggFn::kSum, 3, "sum_v"},
+                        {AggFn::kMin, 2, "min_name"},
+                        {AggFn::kMax, 2, "max_name"},
+                        {AggFn::kCount, 4, "count_d"},
+                        {AggFn::kCountStar, -1, "cnt"}};
+  return options;
+}
+
+TEST(HashAggregateCodeTest, CodeAndHashGroupingAreBitIdentical) {
+  TableData data = CodeData(6000, 3);
+  ExecContext ctx;
+  ctx.batch_size = 256;
+  AggRun coded = RunCoded(data, CodeOptions(), Always, &ctx);
+  AggRun hashed = RunCoded(data, CodeOptions(), Never, &ctx);
+  // Doubles compare exactly: each accumulator folds its rows in order.
+  EXPECT_EQ(coded.rows, hashed.rows);
+  // 4 x 3 groups: every flag/status pair, null keys included.
+  ASSERT_EQ(coded.rows.size(), 12u);
+  EXPECT_TRUE(coded.rows[0][0].is_null() && coded.rows[0][1].is_null());
+  EXPECT_EQ(coded.rows_aggregated, 4800);  // every fifth row inactive
+  EXPECT_EQ(coded.rows_code_grouped, coded.rows_aggregated);
+  EXPECT_EQ(hashed.rows_code_grouped, 0);
+}
+
+TEST(HashAggregateCodeTest, CodedAndUncodedBatchesShareGroups) {
+  TableData data = CodeData(6000, 4);
+  ExecContext ctx;
+  ctx.batch_size = 256;
+  AggRun mixed = RunCoded(
+      data, CodeOptions(), [](int64_t b) { return b % 2 == 0; }, &ctx);
+  AggRun hashed = RunCoded(data, CodeOptions(), Never, &ctx);
+  EXPECT_EQ(mixed.rows, hashed.rows);
+  EXPECT_GT(mixed.rows_code_grouped, 0);
+  EXPECT_LT(mixed.rows_code_grouped, mixed.rows_aggregated);
+}
+
+TEST(HashAggregateCodeTest, GrowingDictionaryRebuildsTheCache) {
+  // New keys keep arriving, so the dictionary (and the key's code domain)
+  // grows between batches; past 4095 entries the domain exceeds the code
+  // cache and the remaining batches fall back to hashing.
+  TableData data(CodeSchema());
+  Random rng(5);
+  for (int64_t i = 0; i < 12000; ++i) {
+    std::string flag = i < 3000 ? "k" + std::to_string(i / 300)
+                                : "u" + std::to_string(rng.Uniform(0, 7999));
+    data.AppendRow({Value::String(flag), Value::String("s"),
+                    Value::String("n" + std::to_string(i % 7)),
+                    Value::Int64(i), Value::Double(0.25 * static_cast<double>(i))});
+  }
+  ExecContext ctx;
+  ctx.batch_size = 128;
+  AggRun coded = RunCoded(data, CodeOptions(), Always, &ctx);
+  AggRun hashed = RunCoded(data, CodeOptions(), Never, &ctx);
+  EXPECT_EQ(coded.rows, hashed.rows);
+  EXPECT_GT(coded.rows_code_grouped, 0);
+  EXPECT_LT(coded.rows_code_grouped, coded.rows_aggregated);
+}
+
+TEST(HashAggregateCodeTest, BudgetFlushMidStreamMatchesUnbudgeted) {
+  // 60 x 60 string keys fit the code cache (61 * 61 slots) but not a
+  // 64 KiB budget, so the operator flushes to partitions mid-stream and
+  // must not reuse cache entries that pointed into the flushed state.
+  TableData data(CodeSchema());
+  Random rng(6);
+  for (int64_t i = 0; i < 30000; ++i) {
+    data.AppendRow({Value::String("f" + std::to_string(rng.Uniform(0, 59))),
+                    Value::String("s" + std::to_string(rng.Uniform(0, 59))),
+                    Value::String("n" + std::to_string(rng.Uniform(0, 99))),
+                    Value::Int64(rng.Uniform(-100, 100)),
+                    // Quarters sum exactly, whatever the flush points.
+                    Value::Double(static_cast<double>(rng.Uniform(0, 400)) /
+                                  4.0)});
+  }
+  ExecContext plain;
+  AggRun unbudgeted = RunCoded(data, CodeOptions(), Always, &plain);
+  ExecContext tiny;
+  tiny.operator_memory_budget = 64 * 1024;
+  AggRun budgeted = RunCoded(data, CodeOptions(), Always, &tiny);
+  EXPECT_EQ(budgeted.rows, unbudgeted.rows);
+  EXPECT_GT(tiny.stats.build_rows_spilled, 0);
+  EXPECT_EQ(budgeted.rows_code_grouped, budgeted.rows_aggregated);
+}
+
+TEST(HashAggregateCodeTest, DictionarySwitchAcrossUnionAll) {
+  // Two column stores, each with its own primary dictionary; the second
+  // sees the keys in another order (so other codes) plus one of its own.
+  ColumnStoreTable::Options store_options;
+  store_options.row_group_size = 1000;
+  store_options.min_compress_rows = 100;
+  TableData first = CodeData(2500, 7);
+  TableData second(CodeSchema());
+  second.AppendRow({Value::String("X"), Value::String("O"),
+                    Value::String("x"), Value::Int64(1), Value::Double(0.5)});
+  TableData tail = CodeData(2500, 8);
+  for (int64_t i = tail.num_rows() - 1; i >= 0; --i) {
+    second.AppendRow(tail.GetRow(i));
+  }
+  ColumnStoreTable t1("t1", CodeSchema(), store_options);
+  ColumnStoreTable t2("t2", CodeSchema(), store_options);
+  t1.BulkLoad(first).CheckOK();
+  t2.BulkLoad(second).CheckOK();
+
+  ExecContext ctx;
+  std::vector<BatchOperatorPtr> scans;
+  scans.push_back(std::make_unique<ColumnStoreScanOperator>(
+      &t1, ColumnStoreScanOperator::Options(), &ctx));
+  scans.push_back(std::make_unique<ColumnStoreScanOperator>(
+      &t2, ColumnStoreScanOperator::Options(), &ctx));
+  AggRun coded = RunOver(
+      std::make_unique<UnionAllOperator>(std::move(scans), &ctx),
+      CodeOptions(), &ctx);
+
+  TableData both(CodeSchema());
+  for (const TableData* part : {&first, &second}) {
+    for (int64_t i = 0; i < part->num_rows(); ++i) {
+      both.AppendRow(part->GetRow(i));
+    }
+  }
+  AggRun hashed =
+      RunOver(std::make_unique<TableSourceOperator>(&both, &ctx),
+              CodeOptions(), &ctx);
+  EXPECT_EQ(coded.rows, hashed.rows);
+  EXPECT_EQ(coded.rows.size(), 13u);
+  EXPECT_EQ(coded.rows_code_grouped, both.num_rows());
 }
 
 }  // namespace

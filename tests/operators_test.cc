@@ -4,6 +4,7 @@
 #include "exec/scan.h"
 #include "exec/sort.h"
 #include "exec/union_all.h"
+#include "storage/dictionary.h"
 #include "test_operators.h"
 
 namespace vstore {
@@ -63,6 +64,52 @@ TEST(ProjectOperatorTest, ComputesExpressionsAndCompacts) {
   ASSERT_EQ(rows.size(), 10u);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i][0].int64() % 2, 0);
+  }
+}
+
+// A string column passed through unchanged keeps the scan's code lane,
+// compacted with its rows; a computed string column carries none. Both the
+// compiled and the interpreted expression paths.
+TEST(ProjectOperatorTest, PassThroughStringKeepsCodeLane) {
+  TableData data = MakeTestTable(3000);
+  ColumnStoreTable::Options options;
+  options.row_group_size = 1000;
+  options.min_compress_rows = 100;
+  ColumnStoreTable table("t", data.schema(), options);
+  table.BulkLoad(data).CheckOK();
+  for (bool compiled : {true, false}) {
+    ExecContext ctx;
+    ctx.compile_expressions = compiled;
+    auto scan = std::make_unique<ColumnStoreScanOperator>(
+        &table, ColumnStoreScanOperator::Options(), &ctx);
+    ExprPtr pred = expr::Lt(expr::Column(data.schema(), "bucket"),
+                            expr::Lit(Value::Int64(3)));
+    auto filter =
+        std::make_unique<FilterOperator>(std::move(scan), pred, &ctx);
+    ProjectOperator project(
+        std::move(filter),
+        {expr::Column(data.schema(), "name"), expr::Column(data.schema(), "id"),
+         expr::Lit(Value::String("x"))},
+        {"name", "id", "x"}, &ctx);
+    project.Open().CheckOK();
+    int64_t rows = 0;
+    for (;;) {
+      Batch* batch = project.Next().ValueOrDie();
+      if (batch == nullptr) break;
+      const ColumnVector& name = batch->column(0);
+      ASSERT_NE(name.dictionary(), nullptr);
+      EXPECT_EQ(batch->column(2).dictionary(), nullptr);
+      for (int64_t i = 0; i < batch->num_rows(); ++i) {
+        const int64_t id = batch->column(1).ints()[i];
+        EXPECT_EQ(name.strings()[i], data.column(2).GetString(id));
+        EXPECT_EQ(name.dictionary()->Get(static_cast<int64_t>(name.codes()[i])),
+                  name.strings()[i]);
+        ++rows;
+      }
+    }
+    project.Close();
+    EXPECT_GT(rows, 0);
+    EXPECT_LT(rows, 3000);
   }
 }
 

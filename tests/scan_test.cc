@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/hash.h"
+#include "common/random.h"
 #include "exec/hash_table.h"
 #include "exec/scan.h"
+#include "storage/dictionary.h"
 #include "test_util.h"
 
 namespace vstore {
@@ -374,6 +378,142 @@ TEST(ScanTest, ScanSnapshotIgnoresConcurrentReorganization) {
   // And a fresh scan sees the post-reorg state.
   auto fresh = f.Drain({});
   EXPECT_EQ(fresh.size(), 3900u);  // -1 late delete +1 late insert
+}
+
+}  // namespace
+}  // namespace vstore
+
+namespace vstore {
+namespace {
+
+// --- Code lane ---------------------------------------------------------------
+
+// Drains a scan, calling fn(batch) for every batch it returns.
+void ForEachBatch(const ColumnStoreTable* table,
+                  ColumnStoreScanOperator::Options options, ExecContext* ctx,
+                  const std::function<void(const Batch&)>& fn) {
+  ColumnStoreScanOperator scan(table, std::move(options), ctx);
+  scan.Open().CheckOK();
+  for (;;) {
+    Batch* batch = scan.Next().ValueOrDie();
+    if (batch == nullptr) break;
+    fn(*batch);
+  }
+  scan.Close();
+}
+
+// Checks that column `c` of `batch` carries a lane whose codes resolve to
+// the decoded strings on every active non-null row, and that those strings
+// are column `c` of the source row (batch column 0 holds the row id);
+// returns rows checked.
+int64_t ExpectLaneMatchesStrings(const Batch& batch, int c,
+                                 const TableData& source) {
+  const ColumnVector& cv = batch.column(c);
+  EXPECT_NE(cv.dictionary(), nullptr);
+  if (cv.dictionary() == nullptr) return 0;
+  int64_t checked = 0;
+  for (int64_t i = 0; i < batch.num_rows(); ++i) {
+    if (!batch.active()[i]) continue;
+    const int64_t id = batch.column(0).ints()[i];
+    EXPECT_EQ(cv.validity()[i] == 0, source.column(c).IsNull(id));
+    if (!cv.validity()[i]) continue;
+    EXPECT_EQ(cv.dictionary()->Get(static_cast<int64_t>(cv.codes()[i])),
+              cv.strings()[i]);
+    EXPECT_EQ(cv.strings()[i], source.column(c).GetString(id));
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(ScanLaneTest, LaneMatchesStringsOnBitPackedAndRleSegments) {
+  Schema schema({{"id", DataType::kInt64, false},
+                 {"bucket", DataType::kInt64, false},
+                 {"name", DataType::kString, true},
+                 {"run", DataType::kString, false}});
+  TableData data(schema);
+  Random rng(9);
+  const char* names[] = {"alpha", "beta", "gamma", "delta", "epsilon"};
+  for (int64_t i = 0; i < 4000; ++i) {
+    data.AppendRow({Value::Int64(i), Value::Int64(rng.Uniform(0, 9)),
+                    i % 11 == 0 ? Value::Null(DataType::kString)
+                                : Value::String(names[rng.Uniform(0, 4)]),
+                    Value::String("run" + std::to_string(i / 200))});
+  }
+  ColumnStoreTable table("t", schema, SmallGroups());
+  table.BulkLoad(data).CheckOK();
+  TableSnapshot snapshot = table.Snapshot();
+  ASSERT_EQ(snapshot->row_group(0).column(2).encoding(),
+            EncodingKind::kBitPack);
+  ASSERT_EQ(snapshot->row_group(0).column(3).encoding(), EncodingKind::kRle);
+
+  ExecContext ctx;
+  ctx.batch_size = 128;
+  // Dense batches: every row decoded.
+  int64_t dense_rows = 0;
+  ForEachBatch(&table, {}, &ctx, [&](const Batch& batch) {
+    dense_rows += ExpectLaneMatchesStrings(batch, 2, data);
+    ExpectLaneMatchesStrings(batch, 3, data);
+  });
+  EXPECT_GT(dense_rows, 3000);
+
+  // Sparse batches: ~20% of rows survive the predicate, so the string
+  // columns are gathered for the survivors only.
+  ColumnStoreScanOperator::Options sparse;
+  sparse.predicates = {{1, CompareOp::kLt, Value::Int64(2)}};
+  int64_t sparse_rows = 0;
+  ForEachBatch(&table, sparse, &ctx, [&](const Batch& batch) {
+    EXPECT_LT(batch.active_count(), batch.num_rows() - batch.num_rows() / 4);
+    sparse_rows += ExpectLaneMatchesStrings(batch, 2, data);
+    ExpectLaneMatchesStrings(batch, 3, data);
+  });
+  EXPECT_GT(sparse_rows, 0);
+}
+
+TEST(ScanLaneTest, NoLaneOnDeltaRows) {
+  ScanFixture f(1000);
+  const TableData data = testing_util::MakeTestTable(1000);
+  for (int64_t i = 0; i < 50; ++i) {
+    f.table
+        ->Insert({Value::Int64(10000 + i), Value::Int64(1),
+                  Value::String("delta"), Value::Double(0.0)})
+        .ValueOrDie();
+  }
+  int64_t delta_rows = 0;
+  ForEachBatch(f.table.get(), {}, &f.ctx, [&](const Batch& batch) {
+    const bool from_delta = batch.column(0).ints()[0] >= 10000;
+    if (from_delta) {
+      EXPECT_EQ(batch.column(2).dictionary(), nullptr);
+      delta_rows += batch.active_count();
+    } else {
+      ExpectLaneMatchesStrings(batch, 2, data);
+    }
+  });
+  EXPECT_EQ(delta_rows, 50);
+}
+
+TEST(ScanLaneTest, NoLaneOnSegmentsWithALocalDictionary) {
+  // Two primary entries for five names: every segment overflows into a
+  // local dictionary, whose codes mean nothing outside the row group.
+  ColumnStoreTable::Options options = SmallGroups();
+  options.primary_dict_capacity = 2;
+  TableData data = testing_util::MakeTestTable(3000);
+  ColumnStoreTable table("t", data.schema(), options);
+  table.BulkLoad(data).CheckOK();
+  ASSERT_NE(table.Snapshot()->row_group(0).column(2).local_dictionary(),
+            nullptr);
+
+  ExecContext ctx;
+  ctx.batch_size = 128;
+  int64_t rows = 0;
+  ForEachBatch(&table, {}, &ctx, [&](const Batch& batch) {
+    EXPECT_EQ(batch.column(2).dictionary(), nullptr);
+    for (int64_t i = 0; i < batch.num_rows(); ++i) {
+      const int64_t id = batch.column(0).ints()[i];
+      EXPECT_EQ(batch.column(2).strings()[i], data.column(2).GetString(id));
+      ++rows;
+    }
+  });
+  EXPECT_EQ(rows, 3000);
 }
 
 }  // namespace

@@ -343,6 +343,42 @@ TEST(ShardedDifferentialTest, TinyMemoryBudgetIsBitIdenticalAcrossShards) {
       << "tiny budget forced no spill in the sharded suite";
 }
 
+// A GROUP BY on a string column groups on dictionary codes: every shard
+// is a column store with its own primary dictionary, so the gathered
+// batches switch dictionaries, and delta-store rows arrive without codes.
+// Across DML-history seeds, dops and the tiny budget, the answer must match
+// the unsharded one and the code path must have run.
+TEST(ShardedDifferentialTest, StringGroupByGroupsOnCodes) {
+  constexpr int64_t kTinyBudget = 64 * 1024;
+  auto plan = [](ShardedDiffFixture* f, const std::string& t) {
+    PlanBuilder b = PlanBuilder::Scan(f->catalog, t);
+    b.Aggregate({"name"}, {{AggFn::kCountStar, "", "cnt"},
+                           {AggFn::kSum, "id", "id_sum"},
+                           {AggFn::kMin, "amount", "lo"},
+                           {AggFn::kMax, "name", "hi"}});
+    return b.Build();
+  };
+  for (uint64_t seed : {17, 18, 19}) {
+    ShardedDiffFixture f(seed);
+    std::vector<std::vector<Value>> expected =
+        Rows(f.Run(plan(&f, "flat"), /*dop=*/1));
+    for (int64_t budget : {int64_t{0}, kTinyBudget}) {
+      int64_t code_grouped = 0;
+      for (const std::string& table : {std::string("flat"),
+                                       std::string("s1"), std::string("s8")}) {
+        for (int dop : {1, 4}) {
+          QueryResult got = f.Run(plan(&f, table), dop, budget);
+          EXPECT_EQ(Rows(got), expected)
+              << table << " dop=" << dop << " budget=" << budget
+              << " seed=" << seed;
+          code_grouped += ProfileCounter(got.profile, "rows_code_grouped");
+        }
+      }
+      EXPECT_GT(code_grouped, 0) << "budget=" << budget << " seed=" << seed;
+    }
+  }
+}
+
 TEST(ShardedDifferentialTest, SysShardsViewMatchesStorage) {
   ShardedDiffFixture f;
   PlanBuilder b = PlanBuilder::Scan(f.catalog, "sys.shards");
