@@ -58,6 +58,28 @@ void ColumnVector::SetValue(int64_t i, const Value& v, Arena* arena) {
   }
 }
 
+void ColumnVector::CopySelected(const ColumnVector& src, const int32_t* sel,
+                                int64_t m) {
+  VSTORE_DCHECK(src.physical_type() == physical_type());
+  auto copy = [&](auto* out, const auto* in) {
+    for (int64_t k = 0; k < m; ++k) out[k] = in[sel[k]];
+  };
+  copy(mutable_validity(), src.validity());
+  switch (physical_type()) {
+    case PhysicalType::kInt64:
+      copy(mutable_ints(), src.ints());
+      break;
+    case PhysicalType::kDouble:
+      copy(mutable_doubles(), src.doubles());
+      break;
+    case PhysicalType::kString:
+      copy(mutable_strings(), src.strings());
+      if (src.dictionary() != nullptr) copy(mutable_codes(), src.codes());
+      break;
+  }
+  dictionary_ = src.dictionary();
+}
+
 void ColumnVector::ResetType(DataType type) {
   VSTORE_CHECK(PhysicalTypeOf(type) == physical_type());
   type_ = type;

@@ -27,7 +27,9 @@ constexpr int64_t kDefaultBatchSize = 900;
 // dictionary(), the column store's shared primary dictionary the strings
 // were decoded from. Only the column-store scan and Project set a lane;
 // Batch::Reset clears it, so dictionary() == nullptr means "no lane".
-// Codes of inactive or null rows are unspecified.
+// Every row below num_rows() of a laned vector holds its decoded code (the
+// scan decodes a dense window whole and compacts a sparse one); codes of
+// null rows are unspecified.
 class ColumnVector {
  public:
   ColumnVector(DataType type, int64_t capacity);
@@ -67,6 +69,12 @@ class ColumnVector {
   Value GetValue(int64_t i) const;
   void SetValue(int64_t i, const Value& v, Arena* arena);
 
+  // Copies rows sel[0..m) of `src` into rows [0, m) of this vector:
+  // validity, values and, when `src` has one, the code lane; the vector
+  // takes src's dictionary(). `sel` must ascend, so `src` may be this
+  // vector (sel[k] >= k makes the forward copy safe).
+  void CopySelected(const ColumnVector& src, const int32_t* sel, int64_t m);
+
   // Changes the logical type (physical family must match); used when an
   // adapter reuses vectors across schemas.
   void ResetType(DataType type);
@@ -94,7 +102,9 @@ class ColumnVector {
 };
 
 // A batch of rows in columnar layout with a qualifying-rows mask: filters
-// mark rows inactive rather than compacting the batch (paper §5.1).
+// and joins mark rows inactive rather than compacting the batch (paper
+// §5.1). The column-store scan emits a sparse window compacted, every row
+// active.
 class Batch {
  public:
   Batch(const Schema& schema, int64_t capacity);

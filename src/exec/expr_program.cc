@@ -9,6 +9,7 @@
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "exec/expr_kernels.h"
+#include "storage/dictionary.h"
 
 namespace vstore {
 
@@ -694,10 +695,12 @@ ExprFrame::ExprFrame(std::shared_ptr<const ExprProgram> program)
     : program_(std::move(program)) {
   own_.resize(program_->regs().size());
   slots_.resize(program_->regs().size(), nullptr);
+  code_sets_.resize(program_->instrs().size());
 }
 
 void ExprFrame::SetMemoryTracker(MemoryTracker* tracker) {
   reservation_.Reset(tracker);
+  code_set_reservation_.Reset(tracker);
 }
 
 void ExprFrame::EnsureCapacity(int64_t n) {
@@ -712,6 +715,30 @@ void ExprFrame::EnsureCapacity(int64_t n) {
   reservation_.Set(scratch_bytes);
   capacity_ = n;
   consts_filled_ = 0;
+}
+
+const ExprFrame::CodeSet& ExprFrame::CodeSetFor(
+    size_t pc, const StringDictionary* dictionary) {
+  CodeSet& set = code_sets_[pc];
+  const int64_t size = dictionary->size();
+  if (set.dictionary == dictionary && set.dictionary_size == size) return set;
+  const ExprProgram::InList& list =
+      program_->pool_in_list(program_->instrs()[pc].pool);
+  const int64_t old_bytes = static_cast<int64_t>(set.hit.capacity());
+  set.hit.clear();
+  for (const std::string& v : list.str) {
+    const int64_t code = dictionary->Find(v);
+    if (code < 0) continue;
+    if (code >= static_cast<int64_t>(set.hit.size())) {
+      set.hit.resize(static_cast<size_t>(code) + 1, 0);
+    }
+    set.hit[static_cast<size_t>(code)] = 1;
+  }
+  set.dictionary = dictionary;
+  set.dictionary_size = size;
+  code_set_reservation_.Add(static_cast<int64_t>(set.hit.capacity()) -
+                            old_bytes);
+  return set;
 }
 
 void ExprFrame::FillConsts(int64_t n) {
@@ -756,7 +783,8 @@ Status ExprFrame::Run(const Batch& in) {
                     : own_[i].get();
   }
 
-  for (const ExprInstr& instr : program_->instrs()) {
+  for (size_t pc = 0; pc < program_->instrs().size(); ++pc) {
+    const ExprInstr& instr = program_->instrs()[pc];
     const ColumnVector& a = *slots_[instr.a];
     ColumnVector* dst = own_[instr.dst].get();
     uint8_t* vd = dst->mutable_validity();
@@ -860,6 +888,18 @@ Status ExprFrame::Run(const Batch& in) {
             break;
           }
           case PhysicalType::kString: {
+            if (a.dictionary() != nullptr) {
+              // Decided on dictionary codes: no string compares.
+              const CodeSet& set = CodeSetFor(pc, a.dictionary());
+              const uint8_t* hit = set.hit.data();
+              const uint64_t limit = set.hit.size();
+              const uint64_t* codes = a.codes();
+              for (int64_t i = 0; i < n; ++i) {
+                res[i] = codes[i] < limit ? hit[codes[i]] : 0;
+              }
+              rows_code_filtered_ += n;
+              break;
+            }
             const std::string_view* s = a.strings();
             for (int64_t i = 0; i < n; ++i) {
               bool hit = false;

@@ -128,8 +128,8 @@ class ExprFrame {
  public:
   explicit ExprFrame(std::shared_ptr<const ExprProgram> program);
 
-  // Charges the frame's temp/const scratch vectors against `tracker`
-  // (query or fragment tracker; must outlive the frame).
+  // Charges the frame's temp/const scratch vectors and IN code sets
+  // against `tracker` (query or fragment tracker; must outlive the frame).
   void SetMemoryTracker(MemoryTracker* tracker);
 
   // Evaluates every row of `in` (active or not, like Expr::EvalBatch).
@@ -141,14 +141,33 @@ class ExprFrame {
     return *slots_[program_->output_reg(k)];
   }
 
+  // Rows whose IN verdict a code set decided, over the frame's lifetime.
+  int64_t rows_code_filtered() const { return rows_code_filtered_; }
+
  private:
+  // A string IN's list resolved in `dictionary`: hit[code] is 1 for a
+  // listed value's code, and codes at or past hit.size() are not listed.
+  // Valid while the dictionary holds `dictionary_size` entries: codes never
+  // change, but a listed value missing now may be inserted later.
+  struct CodeSet {
+    const StringDictionary* dictionary = nullptr;
+    int64_t dictionary_size = -1;
+    std::vector<uint8_t> hit;
+  };
+
   void EnsureCapacity(int64_t n);
   void FillConsts(int64_t n);
+  // Instruction `pc`'s code set for `dictionary`, rebuilt with one
+  // StringDictionary::Find per listed value when the cached one is stale.
+  const CodeSet& CodeSetFor(size_t pc, const StringDictionary* dictionary);
 
   std::shared_ptr<const ExprProgram> program_;
-  MemoryReservation reservation_;  // scratch vector bytes
+  MemoryReservation reservation_;           // scratch vector bytes
+  MemoryReservation code_set_reservation_;  // code set bytes
   int64_t capacity_ = 0;
   int64_t consts_filled_ = 0;
+  std::vector<CodeSet> code_sets_;  // indexed by instruction
+  int64_t rows_code_filtered_ = 0;
   // Indexed by register id; null where the register is a batch column.
   std::vector<std::unique_ptr<ColumnVector>> own_;
   // Resolved per Run(): register id -> vector to read (batch column, const

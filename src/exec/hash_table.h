@@ -94,9 +94,9 @@ class RowFormat {
 // columns of every row of `batch` into out[0, num_rows). Numeric columns
 // run through the SIMD hash kernels over all lanes (inactive lanes hold
 // initialized values); string columns are hashed only where `active` is
-// set, because string views in inactive lanes may dangle after a sparse
-// gather. out[i] therefore matches HashKeysFromBatch exactly for active
-// rows and is unspecified elsewhere. `active` may be null (= all rows).
+// set, since a string hash costs per byte and a masked row's hash is never
+// read. out[i] therefore matches HashKeysFromBatch exactly for active rows
+// and is unspecified elsewhere. `active` may be null (= all rows).
 void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
                    const uint8_t* active, uint64_t* out);
 

@@ -204,7 +204,9 @@ Result<Batch*> FilterOperator::NextImpl() {
       }
     };
     if (program_ != nullptr) {
+      const int64_t coded = frame_->rows_code_filtered();
       VSTORE_RETURN_IF_ERROR(frame_->Run(*batch));
+      rows_code_filtered_ += frame_->rows_code_filtered() - coded;
       const ColumnVector& result = frame_->result(0);
       apply(result.ints(), result.validity());
     } else {
@@ -259,9 +261,10 @@ Result<Batch*> ProjectOperator::NextImpl() {
     output_->Reset();
 
     const int64_t n = batch->num_rows();
-    // Evaluate into full-width vectors, then compact active rows. The
-    // compiled path shares one program across all projection expressions
-    // (CSE spans outputs) and aliases plain column references in place.
+    // Evaluate into full-width vectors, then compact active rows. Both
+    // paths alias plain column references in place; the compiled path
+    // shares one program across all projection expressions (CSE spans
+    // outputs).
     std::vector<std::unique_ptr<ColumnVector>> computed;
     std::vector<const ColumnVector*> results(exprs_.size(), nullptr);
     if (program_ != nullptr) {
@@ -272,6 +275,10 @@ Result<Batch*> ProjectOperator::NextImpl() {
     } else {
       computed.reserve(exprs_.size());
       for (size_t c = 0; c < exprs_.size(); ++c) {
+        if (column_refs_[c] >= 0) {
+          results[c] = &batch->column(column_refs_[c]);
+          continue;
+        }
         auto cv = std::make_unique<ColumnVector>(exprs_[c]->output_type(),
                                                  std::max<int64_t>(n, 1));
         VSTORE_RETURN_IF_ERROR(
@@ -282,49 +289,18 @@ Result<Batch*> ProjectOperator::NextImpl() {
     }
     ExprBatchCounter(program_ != nullptr)->Increment();
 
-    // Compact active rows through a selection vector, one typed loop per
-    // column. Plain column references keep the input's code lane.
+    // Compact active rows through a selection vector. Plain column
+    // references alias the input column, so they keep its code lane;
+    // computed vectors carry none.
     const uint8_t* active = batch->active();
     sel_.clear();
     for (int64_t i = 0; i < n; ++i) {
       if (active[i]) sel_.push_back(static_cast<int32_t>(i));
     }
     const int64_t m = static_cast<int64_t>(sel_.size());
-    const int32_t* sel = sel_.data();
     for (size_t c = 0; c < results.size(); ++c) {
-      ColumnVector& dst = output_->column(static_cast<int>(c));
-      const ColumnVector& src = *results[c];
-      const uint8_t* sv = src.validity();
-      uint8_t* dv = dst.mutable_validity();
-      for (int64_t k = 0; k < m; ++k) dv[k] = sv[sel[k]];
-      switch (src.physical_type()) {
-        case PhysicalType::kInt64: {
-          const int64_t* in = src.ints();
-          int64_t* out = dst.mutable_ints();
-          for (int64_t k = 0; k < m; ++k) out[k] = in[sel[k]];
-          break;
-        }
-        case PhysicalType::kDouble: {
-          const double* in = src.doubles();
-          double* out = dst.mutable_doubles();
-          for (int64_t k = 0; k < m; ++k) out[k] = in[sel[k]];
-          break;
-        }
-        case PhysicalType::kString: {
-          const std::string_view* in = src.strings();
-          std::string_view* out = dst.mutable_strings();
-          for (int64_t k = 0; k < m; ++k) out[k] = in[sel[k]];
-          const int ref = column_refs_[c];
-          const ColumnVector* lane = ref >= 0 ? &batch->column(ref) : nullptr;
-          if (lane != nullptr && lane->dictionary() != nullptr) {
-            const uint64_t* codes = lane->codes();
-            uint64_t* out_codes = dst.mutable_codes();
-            for (int64_t k = 0; k < m; ++k) out_codes[k] = codes[sel[k]];
-            dst.set_dictionary(lane->dictionary());
-          }
-          break;
-        }
-      }
+      output_->column(static_cast<int>(c))
+          .CopySelected(*results[c], sel_.data(), m);
     }
     output_->set_num_rows(m);
     output_->ActivateAll();

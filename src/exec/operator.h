@@ -144,7 +144,8 @@ using BatchOperatorPtr = std::unique_ptr<BatchOperator>;
 
 // --- Filter ----------------------------------------------------------------
 // Marks rows inactive when the predicate is false or null; never compacts
-// (the paper's qualifying-rows-vector behaviour).
+// (the paper's qualifying-rows-vector behaviour). A compiled string IN over
+// a column with a code lane is decided on dictionary codes.
 class FilterOperator final : public BatchOperator {
  public:
   // Compiles the predicate to bytecode at build time (= plan lowering);
@@ -161,6 +162,7 @@ class FilterOperator final : public BatchOperator {
   Status OpenImpl() override {
     rows_in_ = 0;
     rows_dropped_ = 0;
+    rows_code_filtered_ = 0;
     return input_->Open();
   }
   Result<Batch*> NextImpl() override;
@@ -171,6 +173,7 @@ class FilterOperator final : public BatchOperator {
   void AppendProfileCounters(OperatorProfile* node) const override {
     node->counters.push_back({"rows_in", rows_in_});
     node->counters.push_back({"rows_dropped", rows_dropped_});
+    node->counters.push_back({"rows_code_filtered", rows_code_filtered_});
     node->counters.push_back({"compiled", program_ != nullptr ? 1 : 0});
   }
 
@@ -182,6 +185,7 @@ class FilterOperator final : public BatchOperator {
   std::unique_ptr<ExprFrame> frame_;
   int64_t rows_in_ = 0;
   int64_t rows_dropped_ = 0;
+  int64_t rows_code_filtered_ = 0;  // rows a string IN decided on codes
 };
 
 // --- Project ---------------------------------------------------------------

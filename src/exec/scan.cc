@@ -363,8 +363,7 @@ Status ColumnStoreScanOperator::FillFromGroup() {
   };
 
   output_->RecountActive();
-  std::vector<const ColumnVector*> decoded(decode_columns_.size(), nullptr);
-  std::vector<bool> code_evaluated(decode_columns_.size(), false);
+  code_evaluated_.assign(decode_columns_.size(), false);
   auto is_bloom_slot = [&](size_t s) {
     for (int b : bloom_decode_slot_) {
       if (b == static_cast<int>(s)) return true;
@@ -389,7 +388,7 @@ Status ColumnStoreScanOperator::FillFromGroup() {
                            validity_scratch_.data(), ok, target,
                            output_.get());
       }
-      code_evaluated[s] = true;
+      code_evaluated_[s] = true;
       continue;
     }
     // Predicate-only RLE slots: decide each predicate once per run and fan
@@ -411,21 +410,21 @@ Status ColumnStoreScanOperator::FillFromGroup() {
           active[i] &= validity_scratch_[i] & verdict_scratch_[i];
         }
       }
-      code_evaluated[s] = true;
+      code_evaluated_[s] = true;
       continue;
     }
     full_decode(s);
-    decoded[s] = slot_dst(s);
   }
 
-  // Remaining predicates, then bitmap filters.
+  // Remaining predicates, then bitmap filters, on the decoded slots.
   for (size_t p = 0; p < options_.predicates.size(); ++p) {
     size_t slot = static_cast<size_t>(pred_decode_slot_[p]);
-    if (code_evaluated[slot]) continue;
-    ApplyPredicate(options_.predicates[p], *decoded[slot], output_.get());
+    if (code_evaluated_[slot]) continue;
+    ApplyPredicate(options_.predicates[p], *slot_dst(slot), output_.get());
   }
   for (size_t b = 0; b < options_.bloom_filters.size(); ++b) {
-    ApplyBloom(options_.bloom_filters[b], *decoded[bloom_decode_slot_[b]],
+    ApplyBloom(options_.bloom_filters[b],
+               *slot_dst(static_cast<size_t>(bloom_decode_slot_[b])),
                output_.get());
   }
   output_->RecountActive();
@@ -433,67 +432,53 @@ Status ColumnStoreScanOperator::FillFromGroup() {
   // Phase 2: remaining projected columns.
   const int64_t active = output_->active_count();
   if (active == n || active > n - n / 4) {
-    // Dense batch: bulk decode is cheaper than gathering.
+    // Dense window: bulk decode is cheaper than gathering; the batch keeps
+    // its width and its mask.
     for (size_t s = 0; s < decode_columns_.size(); ++s) {
       if (!early_slot_[s]) full_decode(s);
     }
   } else if (active > 0) {
-    // Sparse batch: fetch only surviving rows.
-    std::vector<int64_t> rows;     // segment row indices (ascending)
-    std::vector<int64_t> targets;  // batch positions
-    rows.reserve(static_cast<size_t>(active));
-    targets.reserve(static_cast<size_t>(active));
+    // Sparse window: emit a compact batch of the survivors, so operators
+    // above work per surviving row. Late columns are gathered straight
+    // into rows [0, active); early projected columns (predicate or Bloom
+    // columns that are also output) are packed forward through the same
+    // selection.
+    rows_.clear();
+    sel_.clear();
     const uint8_t* mask = output_->active();
     for (int64_t i = 0; i < n; ++i) {
       if (mask[i]) {
-        rows.push_back(offset_ + i);
-        targets.push_back(i);
+        rows_.push_back(offset_ + i);
+        sel_.push_back(static_cast<int32_t>(i));
       }
     }
-    std::vector<uint8_t> validity(rows.size());
     for (size_t s = 0; s < decode_columns_.size(); ++s) {
-      if (early_slot_[s]) continue;
+      if (decode_to_output_[s] < 0) continue;
+      ColumnVector* dst = &output_->column(decode_to_output_[s]);
+      if (early_slot_[s]) {
+        dst->CopySelected(*dst, sel_.data(), active);
+        continue;
+      }
       const ColumnSegment& seg = rg.column(decode_columns_[s]);
-      ColumnVector* dst = slot_dst(s);
-      int64_t count = static_cast<int64_t>(rows.size());
       switch (PhysicalTypeOf(seg.type())) {
-        case PhysicalType::kInt64: {
-          std::vector<int64_t> values(rows.size());
-          seg.GatherInt64(rows.data(), count, values.data());
-          for (size_t k = 0; k < rows.size(); ++k) {
-            dst->mutable_ints()[targets[k]] = values[k];
-          }
+        case PhysicalType::kInt64:
+          seg.GatherInt64(rows_.data(), active, dst->mutable_ints());
           break;
-        }
-        case PhysicalType::kDouble: {
-          std::vector<double> values(rows.size());
-          seg.GatherDouble(rows.data(), count, values.data());
-          for (size_t k = 0; k < rows.size(); ++k) {
-            dst->mutable_doubles()[targets[k]] = values[k];
-          }
+        case PhysicalType::kDouble:
+          seg.GatherDouble(rows_.data(), active, dst->mutable_doubles());
           break;
-        }
         case PhysicalType::kString: {
-          // Gather codes and strings into the front of the vectors, then
-          // spread them backwards: targets ascend with targets[k] >= k, so
-          // no entry is overwritten before it is moved.
           uint64_t* codes = dst->mutable_codes();
-          std::string_view* strings = dst->mutable_strings();
-          seg.GatherCodes(rows.data(), count, codes);
-          seg.CodesToStrings(codes, count, strings);
-          for (int64_t k = count - 1; k >= 0; --k) {
-            codes[targets[static_cast<size_t>(k)]] = codes[k];
-            strings[targets[static_cast<size_t>(k)]] = strings[k];
-          }
+          seg.GatherCodes(rows_.data(), active, codes);
+          seg.CodesToStrings(codes, active, dst->mutable_strings());
           dst->set_dictionary(LaneDictionary(seg));
           break;
         }
       }
-      seg.GatherValidity(rows.data(), count, validity.data());
-      for (size_t k = 0; k < rows.size(); ++k) {
-        dst->mutable_validity()[targets[k]] = validity[k];
-      }
+      seg.GatherValidity(rows_.data(), active, dst->mutable_validity());
     }
+    output_->set_num_rows(active);
+    output_->ActivateAll();
   }
 
   ctx_->stats.rows_scanned += n;

@@ -31,7 +31,9 @@ struct BloomFilterSpec {
 // Vectorized scan over a column store: iterates compressed row groups
 // (skipping those eliminated by segment metadata), decodes only the needed
 // columns batch by batch, masks deleted rows via the delete bitmap, applies
-// pushed predicates and bitmap filters, then merges delta-store rows.
+// pushed predicates and bitmap filters, then merges delta-store rows. A
+// window more than 3/4 active comes out at full width with a mask; a
+// sparser one comes out compact, holding only its surviving rows.
 class ColumnStoreScanOperator final : public BatchOperator {
  public:
   struct Options {
@@ -120,6 +122,12 @@ class ColumnStoreScanOperator final : public BatchOperator {
   std::vector<std::unique_ptr<ColumnVector>> scratch_;
   std::vector<uint64_t> code_scratch_;     // code-space predicate evaluation
   std::vector<uint8_t> validity_scratch_;
+  // Per decode slot: predicates already decided on codes or RLE runs.
+  std::vector<bool> code_evaluated_;
+  // A sparse window's survivors: segment rows (for the gathers) and window
+  // positions (for packing the early projected columns), both ascending.
+  std::vector<int64_t> rows_;
+  std::vector<int32_t> sel_;
   // Per-row 0/1 verdicts from the SIMD compare-against-constant kernels,
   // ANDed into the active mask (mutable: ApplyPredicate is const).
   mutable std::vector<uint8_t> verdict_scratch_;

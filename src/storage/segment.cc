@@ -111,14 +111,6 @@ void ColumnSegment::DecodeDouble(int64_t start, int64_t count,
   }
 }
 
-void ColumnSegment::DecodeString(int64_t start, int64_t count,
-                                 std::string_view* out) const {
-  VSTORE_DCHECK(type_ == DataType::kString);
-  std::vector<uint64_t> codes(static_cast<size_t>(count));
-  DecodeCodes(start, count, codes.data());
-  CodesToStrings(codes.data(), count, out);
-}
-
 void ColumnSegment::CodesToStrings(const uint64_t* codes, int64_t count,
                                    std::string_view* out) const {
   for (int64_t i = 0; i < count; ++i) out[i] = DictString(codes[i]);
@@ -160,27 +152,19 @@ void ColumnSegment::GatherCodes(const int64_t* rows, int64_t count,
 
 void ColumnSegment::GatherInt64(const int64_t* rows, int64_t count,
                                 int64_t* out) const {
-  std::vector<uint64_t> codes(static_cast<size_t>(count));
-  GatherCodes(rows, count, codes.data());
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = DecodeIntCode(codes[static_cast<size_t>(i)], venc_);
-  }
+  // Gather codes into the output buffer, then widen in place.
+  uint64_t* codes = reinterpret_cast<uint64_t*>(out);
+  GatherCodes(rows, count, codes);
+  for (int64_t i = 0; i < count; ++i) out[i] = DecodeIntCode(codes[i], venc_);
 }
 
 void ColumnSegment::GatherDouble(const int64_t* rows, int64_t count,
                                  double* out) const {
-  std::vector<uint64_t> codes(static_cast<size_t>(count));
-  GatherCodes(rows, count, codes.data());
+  uint64_t* codes = reinterpret_cast<uint64_t*>(out);
+  GatherCodes(rows, count, codes);
   for (int64_t i = 0; i < count; ++i) {
-    out[i] = DecodeDoubleCode(codes[static_cast<size_t>(i)], venc_);
+    out[i] = DecodeDoubleCode(codes[i], venc_);
   }
-}
-
-void ColumnSegment::GatherString(const int64_t* rows, int64_t count,
-                                 std::string_view* out) const {
-  std::vector<uint64_t> codes(static_cast<size_t>(count));
-  GatherCodes(rows, count, codes.data());
-  CodesToStrings(codes.data(), count, out);
 }
 
 void ColumnSegment::GatherValidity(const int64_t* rows, int64_t count,

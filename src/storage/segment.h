@@ -64,7 +64,6 @@ class ColumnSegment {
   void DecodeCodes(int64_t start, int64_t count, uint64_t* out) const;
   void DecodeInt64(int64_t start, int64_t count, int64_t* out) const;
   void DecodeDouble(int64_t start, int64_t count, double* out) const;
-  void DecodeString(int64_t start, int64_t count, std::string_view* out) const;
   // Maps already-decoded codes to their strings: out[i] = DictString(codes[i]).
   void CodesToStrings(const uint64_t* codes, int64_t count,
                       std::string_view* out) const;
@@ -79,8 +78,6 @@ class ColumnSegment {
   void GatherCodes(const int64_t* rows, int64_t count, uint64_t* out) const;
   void GatherInt64(const int64_t* rows, int64_t count, int64_t* out) const;
   void GatherDouble(const int64_t* rows, int64_t count, double* out) const;
-  void GatherString(const int64_t* rows, int64_t count,
-                    std::string_view* out) const;
   void GatherValidity(const int64_t* rows, int64_t count, uint8_t* out) const;
 
   Value GetValue(int64_t row) const;

@@ -258,12 +258,15 @@ PlanPtr RandomPlan(uint64_t seed, const DiffFixture& f) {
 }
 
 // `code_grouped`, when non-null, accumulates the rows hash aggregation
-// grouped on dictionary codes (the rows_code_grouped profile counter).
+// grouped on dictionary codes (the rows_code_grouped profile counter);
+// `code_filtered` the rows a string IN decided on codes
+// (rows_code_filtered).
 std::vector<std::vector<Value>> RunPlan(const DiffFixture& f,
                                         const PlanPtr& plan,
                                         ExecutionMode mode, uint64_t seed,
                                         int64_t memory_budget = 0,
-                                        int64_t* code_grouped = nullptr) {
+                                        int64_t* code_grouped = nullptr,
+                                        int64_t* code_filtered = nullptr) {
   QueryOptions options;
   options.mode = mode;
   options.query_memory_budget = memory_budget;
@@ -280,6 +283,9 @@ std::vector<std::vector<Value>> RunPlan(const DiffFixture& f,
     SortRows(&rows);
     if (code_grouped != nullptr) {
       *code_grouped += result->profile.CounterDeep("rows_code_grouped");
+    }
+    if (code_filtered != nullptr) {
+      *code_filtered += result->profile.CounterDeep("rows_code_filtered");
     }
   }
   return rows;
@@ -395,6 +401,90 @@ TEST(DifferentialTest, TinyMemoryBudgetIsBitIdentical) {
       << "no plan spilled under a " << kTinyBudget << "-byte budget";
   EXPECT_GT(code_grouped, 0)
       << "no budgeted aggregate grouped on dictionary codes";
+}
+
+// String IN filters over the column stores, `string_col IN (anchor,
+// other)`: the batch engine decides them on dictionary codes. Drawn from
+// their own seeds so RandomPlan's corpus stays as it is. Shapes: filtered
+// scan, filtered group-by, and a filtered probe side joined to its build.
+PlanPtr StringInPlan(uint64_t seed, const DiffFixture& f) {
+  static const std::vector<std::string> kLineitem = {
+      "l_returnflag", "l_linestatus", "l_shipmode", "l_shipinstruct"};
+  static const std::vector<std::string> kOrders = {"o_orderstatus",
+                                                   "o_orderpriority"};
+  static const std::vector<std::string> kCustomer = {"c_mktsegment"};
+  Random rng(seed);
+  const int64_t shape = rng.Uniform(0, 2);
+  const std::string table =
+      shape == 2 ? "lineitem"
+                 : Pick(&rng, std::vector<std::string>{"lineitem", "orders",
+                                                       "customer"});
+  const std::string& column =
+      Pick(&rng, table == "lineitem" ? kLineitem
+                 : table == "orders" ? kOrders
+                                     : kCustomer);
+  const TableData& data = f.data(table);
+  const int idx = data.schema().IndexOf(column);
+  Value anchor = data.column(idx).GetValue(rng.Uniform(0, data.num_rows() - 1));
+  // The second value is another row's (often a second hit) or absent.
+  Value other = rng.Uniform(0, 2) == 0
+                    ? Value::String("no such value")
+                    : data.column(idx).GetValue(
+                          rng.Uniform(0, data.num_rows() - 1));
+
+  PlanBuilder b = PlanBuilder::Scan(f.catalog, table);
+  b.Filter(expr::In(expr::Column(b.schema(), column), {anchor, other}));
+  const TableProfile& profile = ProfileFor(table);
+  if (shape == 0) {
+    b.Select({profile.int_agg_columns.front(), column});
+  } else if (shape == 1) {
+    b.Aggregate({Pick(&rng, profile.group_columns)},
+                RandomAggregates(&rng, profile));
+  } else {
+    b.Join(JoinType::kInner, PlanBuilder::Scan(f.catalog, "orders").Build(),
+           {"l_orderkey"}, {"o_orderkey"});
+    b.Aggregate({column}, RandomAggregates(&rng, profile));
+  }
+  return b.Build();
+}
+
+TEST(DifferentialTest, StringInFiltersOnCodesMatchRowEngine) {
+  DiffFixture f;
+  constexpr int64_t kTinyBudget = 64 * 1024;
+  const int64_t spill_before = GlobalSpillBytes();
+  int64_t code_filtered = 0, budgeted_code_filtered = 0;
+  for (uint64_t seed = 5001; seed <= 5040; ++seed) {
+    PlanPtr plan = StringInPlan(seed, f);
+    const auto row_rows = RunPlan(f, plan, ExecutionMode::kRow, seed);
+    const auto plain = RunPlan(f, plan, ExecutionMode::kBatch, seed, 0,
+                               nullptr, &code_filtered);
+    const auto budgeted = RunPlan(f, plan, ExecutionMode::kBatch, seed,
+                                  kTinyBudget, nullptr,
+                                  &budgeted_code_filtered);
+    for (const auto* batch_rows : {&plain, &budgeted}) {
+      const char* run = batch_rows == &plain ? "plain" : "64 KiB budget";
+      ASSERT_EQ(batch_rows->size(), row_rows.size())
+          << run << ": replay with seed=" << seed << "\n"
+          << plan->ToString(4);
+      for (size_t i = 0; i < row_rows.size(); ++i) {
+        ASSERT_EQ((*batch_rows)[i].size(), row_rows[i].size());
+        for (size_t c = 0; c < row_rows[i].size(); ++c) {
+          const Value& a = (*batch_rows)[i][c];
+          const Value& b = row_rows[i][c];
+          ASSERT_TRUE(a.is_null() == b.is_null() && (a.is_null() || a == b))
+              << run << ": replay with seed=" << seed << " row=" << i
+              << "\n    batch: " << RowToString((*batch_rows)[i])
+              << "\n    row:   " << RowToString(row_rows[i]) << "\n"
+              << plan->ToString(4);
+        }
+      }
+    }
+  }
+  EXPECT_GT(GlobalSpillBytes(), spill_before)
+      << "no plan spilled under a " << kTinyBudget << "-byte budget";
+  EXPECT_GT(code_filtered, 0) << "no string IN was decided on codes";
+  EXPECT_GT(budgeted_code_filtered, 0)
+      << "no budgeted string IN was decided on codes";
 }
 
 }  // namespace

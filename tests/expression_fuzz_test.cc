@@ -7,7 +7,9 @@
 // kernel that "fixed" a NaN would fail). The trees mix arithmetic,
 // comparisons, logical connectives, NULLs and overflow-edge literals
 // (INT64_MIN/MAX, div-by-zero, NaN/±0.0/±inf), with deliberate subtree
-// reuse to exercise CSE and column-free subtrees to exercise folding.
+// reuse to exercise CSE and column-free subtrees to exercise folding. The
+// bytecode runs each batch a second time with a dictionary-code lane on
+// the string column, which decides string INs on codes.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "common/simd.h"
 #include "exec/expr_program.h"
 #include "exec/expression.h"
+#include "storage/dictionary.h"
 #include "test_util.h"
 
 namespace vstore {
@@ -184,7 +187,7 @@ class ExprGen {
 
   ExprPtr MakeBool(int depth) {
     if (depth <= 0 || rng_->Uniform(0, 99) < 25) {
-      switch (rng_->Uniform(0, 4)) {
+      switch (rng_->Uniform(0, 5)) {
         case 0:
           return expr::Cmp(RandomOp(), Numeric(0), Numeric(0));
         case 1:
@@ -206,6 +209,19 @@ class ExprGen {
           return expr::In(expr::Column(schema_, rng_->Uniform(0, 1) ? "a"
                                                                     : "b"),
                           std::move(vals));
+        }
+        case 4: {
+          std::vector<Value> vals;
+          int64_t k = rng_->Uniform(1, 3);
+          for (int64_t i = 0; i < k; ++i) {
+            vals.push_back(Value::String(StringPool()[static_cast<size_t>(
+                rng_->Uniform(0,
+                              static_cast<int64_t>(StringPool().size()) - 1))]));
+          }
+          if (rng_->Uniform(0, 4) == 0) {
+            vals.push_back(Value::Null(DataType::kString));
+          }
+          return expr::In(expr::Column(schema_, "s"), std::move(vals));
         }
         default:
           return expr::Cmp(RandomOp(), StrLeaf(), StrLeaf());
@@ -297,7 +313,8 @@ void ExpectValueMatchesLane(const Value& v, const ColumnVector& ref,
   }
 }
 
-void RunSeed(uint64_t seed) {
+// `code_filtered` accumulates the rows a string IN decided on codes.
+void RunSeed(uint64_t seed, int64_t* code_filtered) {
   Random rng(seed);
   const int64_t rows = rng.Uniform(1, 150);  // odd sizes hit SIMD tails
   const int null_pct =
@@ -323,26 +340,45 @@ void RunSeed(uint64_t seed) {
     refs.push_back(std::move(ref));
   }
 
-  // Engine 2: bytecode, forced-scalar kernels then (if present) AVX2.
+  // Engine 2: bytecode, forced-scalar kernels then (if present) AVX2; each
+  // twice, the second time with a code lane on `s` like the one a
+  // column-store scan hands up (codes from a dictionary filled from the
+  // batch's strings), so a string IN is decided on codes.
   auto compiled = ExprProgram::Compile(exprs);
   ASSERT_TRUE(compiled.ok()) << "seed " << seed << ": "
                              << compiled.status().ToString();
   std::shared_ptr<const ExprProgram> program = compiled.value();
+  StringDictionary dict;
+  ColumnVector& s = batch.column(4);
+  for (int64_t i = 0; i < rows; ++i) {
+    s.mutable_codes()[i] =
+        s.validity()[i]
+            ? static_cast<uint64_t>(dict.GetOrInsert(s.strings()[i], 1 << 20))
+            : ~uint64_t{0};  // codes of NULL rows are unspecified
+  }
   for (simd::Level level : {simd::Level::kScalar, simd::Level::kAVX2}) {
     if (level == simd::Level::kAVX2 &&
         simd::Detected() != simd::Level::kAVX2) {
       continue;
     }
     simd::ForceLevelForTesting(level);
-    ExprFrame frame(program);
-    ASSERT_TRUE(frame.Run(batch).ok()) << "seed " << seed;
-    for (size_t k = 0; k < exprs.size(); ++k) {
-      ExpectVectorsIdentical(
-          frame.result(k), *refs[k], rows,
-          level == simd::Level::kAVX2 ? "bytecode/avx2" : "bytecode/scalar",
-          seed, exprs[k]);
+    for (const StringDictionary* lane : {static_cast<StringDictionary*>(nullptr),
+                                         &dict}) {
+      s.set_dictionary(lane);
+      ExprFrame frame(program);
+      ASSERT_TRUE(frame.Run(batch).ok()) << "seed " << seed;
+      const std::string engine =
+          std::string(level == simd::Level::kAVX2 ? "bytecode/avx2"
+                                                  : "bytecode/scalar") +
+          (lane != nullptr ? "/codes" : "");
+      for (size_t k = 0; k < exprs.size(); ++k) {
+        ExpectVectorsIdentical(frame.result(k), *refs[k], rows,
+                               engine.c_str(), seed, exprs[k]);
+      }
+      *code_filtered += frame.rows_code_filtered();
     }
   }
+  s.set_dictionary(nullptr);
   simd::ForceLevelForTesting(simd::Detected());
 
   // Engine 3: the row engine's EvalRow, per row.
@@ -357,12 +393,15 @@ void RunSeed(uint64_t seed) {
 }
 
 TEST(ExpressionFuzzTest, ThreeEnginesAgreeAcrossSeeds) {
+  int64_t code_filtered = 0;
   for (uint64_t seed = 1; seed <= 1200; ++seed) {
-    RunSeed(seed);
+    RunSeed(seed, &code_filtered);
     if (::testing::Test::HasFatalFailure()) {
       FAIL() << "first failing seed: " << seed;
     }
   }
+  // The lane runs must have decided string INs on codes.
+  EXPECT_GT(code_filtered, 0);
 }
 
 // The compiler's optimizations must actually fire on fuzz-shaped input —

@@ -2,7 +2,10 @@
 
 #include <limits>
 
+#include "common/memory_tracker.h"
+#include "exec/expr_program.h"
 #include "exec/expression.h"
+#include "storage/dictionary.h"
 #include "test_util.h"
 
 namespace vstore {
@@ -364,6 +367,197 @@ TEST(ExpressionTest, DoubleDivisionByZeroIsNull) {
   EXPECT_TRUE(EvalAt(data, e, 0).is_null());
   EXPECT_TRUE(EvalAt(data, e, 1).is_null());  // -0.0 divisor is zero too
   EXPECT_EQ(EvalAt(data, e, 2).dbl(), 2.0);
+}
+
+// --- String IN on dictionary codes --------------------------------------------
+// A compiled IN over a string vector with a code lane tests codes against a
+// code set; without a lane it compares strings. Both must give the same
+// verdict on every row.
+
+Schema StringSchema() { return Schema({{"s", DataType::kString, true}}); }
+
+// Fills `batch` with `values` ("" stands for NULL) decoded from `dict`: the
+// strings are the dictionary's views and the lane holds their codes
+// (values are inserted when missing). NULL rows get out-of-range codes.
+void FillCoded(const std::vector<std::string>& values, StringDictionary* dict,
+               Batch* batch) {
+  batch->Reset();
+  ColumnVector& cv = batch->column(0);
+  uint64_t* codes = cv.mutable_codes();
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (values[i].empty()) {
+      cv.mutable_validity()[i] = 0;
+      cv.mutable_strings()[i] = std::string_view();
+      codes[i] = ~uint64_t{0} - i;
+      continue;
+    }
+    const int64_t code = dict->GetOrInsert(values[i], int64_t{1} << 20);
+    cv.mutable_validity()[i] = 1;
+    cv.mutable_strings()[i] = dict->Get(code);
+    codes[i] = static_cast<uint64_t>(code);
+  }
+  cv.set_dictionary(dict);
+  batch->set_num_rows(static_cast<int64_t>(values.size()));
+  batch->ActivateAll();
+}
+
+std::shared_ptr<const ExprProgram> CompileStringIn(std::vector<Value> list) {
+  return ExprProgram::Compile(
+             {expr::In(expr::Column(StringSchema(), "s"), std::move(list))})
+      .ValueOrDie();
+}
+
+// Runs `coded` over `batch` with its lane and `strings` over the same rows
+// without one, and expects equal validity on every row and equal verdicts
+// on every non-null row. Returns the rows the code set decided.
+int64_t ExpectCodeSetMatchesStrings(ExprFrame* coded, ExprFrame* strings,
+                                    Batch* batch) {
+  const int64_t before = coded->rows_code_filtered();
+  EXPECT_TRUE(coded->Run(*batch).ok());
+  const int64_t decided = coded->rows_code_filtered() - before;
+  const StringDictionary* dict = batch->column(0).dictionary();
+  batch->column(0).set_dictionary(nullptr);
+  EXPECT_TRUE(strings->Run(*batch).ok());
+  batch->column(0).set_dictionary(dict);
+  EXPECT_EQ(strings->rows_code_filtered(), 0);
+  const ColumnVector& got = coded->result(0);
+  const ColumnVector& want = strings->result(0);
+  for (int64_t i = 0; i < batch->num_rows(); ++i) {
+    EXPECT_EQ(got.validity()[i], want.validity()[i]) << "row " << i;
+    if (want.validity()[i]) {
+      EXPECT_EQ(got.ints()[i], want.ints()[i])
+          << "row " << i << " '" << batch->column(0).strings()[i] << "'";
+    }
+  }
+  return decided;
+}
+
+TEST(ExprCodeSetTest, SameBatchWithAndWithoutLaneAgree) {
+  auto program = CompileStringIn(
+      {Value::String("MAIL"), Value::String("SHIP")});
+  StringDictionary dict;
+  for (const char* v : {"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP",
+                        "TRUCK"}) {
+    dict.GetOrInsert(v, 100);
+  }
+  Batch batch(StringSchema(), 16);
+  FillCoded({"MAIL", "AIR", "SHIP", "", "TRUCK", "MAIL", "", "FOB", "SHIP"},
+            &dict, &batch);
+  ExprFrame coded(program), strings(program);
+  EXPECT_EQ(ExpectCodeSetMatchesStrings(&coded, &strings, &batch), 9);
+  // Spot-check the verdicts themselves.
+  EXPECT_EQ(coded.result(0).ints()[0], 1);
+  EXPECT_EQ(coded.result(0).ints()[1], 0);
+  EXPECT_EQ(coded.result(0).ints()[2], 1);
+  EXPECT_EQ(coded.result(0).validity()[3], 0);
+  EXPECT_EQ(coded.result(0).ints()[4], 0);
+}
+
+TEST(ExprCodeSetTest, ValueInsertedAfterTheFirstBatchIsFound) {
+  // "SHIP" is not in the dictionary when the first batch runs; a later
+  // batch carries its freshly assigned code. The grown dictionary must
+  // refresh the code set.
+  auto program = CompileStringIn(
+      {Value::String("SHIP"), Value::String("MAIL")});
+  StringDictionary dict;
+  Batch batch(StringSchema(), 16);
+  ExprFrame coded(program), strings(program);
+  FillCoded({"AIR", "MAIL", "RAIL"}, &dict, &batch);
+  ExpectCodeSetMatchesStrings(&coded, &strings, &batch);
+  EXPECT_EQ(coded.result(0).ints()[1], 1);
+  FillCoded({"SHIP", "AIR", "TRUCK", "SHIP", "MAIL"}, &dict, &batch);
+  ExpectCodeSetMatchesStrings(&coded, &strings, &batch);
+  EXPECT_EQ(coded.result(0).ints()[0], 1);
+  EXPECT_EQ(coded.result(0).ints()[3], 1);
+  EXPECT_EQ(coded.result(0).ints()[2], 0);
+}
+
+TEST(ExprCodeSetTest, TwoDictionariesAlternate) {
+  // Same strings, different codes: each batch must be decided in its own
+  // dictionary's code space.
+  auto program = CompileStringIn(
+      {Value::String("beta"), Value::String("delta")});
+  StringDictionary a, b;
+  for (const char* v : {"alpha", "beta", "gamma", "delta"}) {
+    a.GetOrInsert(v, 100);
+  }
+  for (const char* v : {"delta", "gamma", "beta", "alpha"}) {
+    b.GetOrInsert(v, 100);
+  }
+  const std::vector<std::string> rows = {"alpha", "beta", "", "gamma",
+                                         "delta", "beta"};
+  Batch batch(StringSchema(), 16);
+  ExprFrame coded(program), strings(program);
+  for (int round = 0; round < 4; ++round) {
+    FillCoded(rows, round % 2 == 0 ? &a : &b, &batch);
+    EXPECT_EQ(ExpectCodeSetMatchesStrings(&coded, &strings, &batch), 6);
+    EXPECT_EQ(coded.result(0).ints()[1], 1);
+    EXPECT_EQ(coded.result(0).ints()[3], 0);
+    EXPECT_EQ(coded.result(0).ints()[4], 1);
+  }
+}
+
+TEST(ExprCodeSetTest, NullRowsStayNull) {
+  auto program = CompileStringIn({Value::String("x")});
+  StringDictionary dict;
+  Batch batch(StringSchema(), 16);
+  FillCoded({"", "x", "", "", "y", ""}, &dict, &batch);
+  ExprFrame coded(program), strings(program);
+  ExpectCodeSetMatchesStrings(&coded, &strings, &batch);
+  for (int64_t i : {0, 2, 3, 5}) {
+    EXPECT_EQ(coded.result(0).validity()[i], 0) << i;
+  }
+  EXPECT_EQ(coded.result(0).ints()[1], 1);
+  EXPECT_EQ(coded.result(0).ints()[4], 0);
+}
+
+TEST(ExprCodeSetTest, NullInTheListIsSkipped) {
+  auto program = CompileStringIn({Value::String("x"),
+                                  Value::Null(DataType::kString)});
+  StringDictionary dict;
+  Batch batch(StringSchema(), 16);
+  FillCoded({"x", "y", "", "x"}, &dict, &batch);
+  ExprFrame coded(program), strings(program);
+  ExpectCodeSetMatchesStrings(&coded, &strings, &batch);
+  EXPECT_EQ(coded.result(0).ints()[0], 1);
+  EXPECT_EQ(coded.result(0).ints()[1], 0);
+  EXPECT_EQ(coded.result(0).validity()[2], 0);
+}
+
+TEST(ExprCodeSetTest, CodeSetIsChargedToTheFrameTracker) {
+  // The listed value gets code 999, so its byte map spans 1000 codes.
+  auto program = CompileStringIn({Value::String("v999")});
+  StringDictionary dict;
+  for (int i = 0; i < 1000; ++i) {
+    dict.GetOrInsert("v" + std::to_string(i), 2000);
+  }
+  Batch batch(StringSchema(), 16);
+  FillCoded({"v1", "v999", ""}, &dict, &batch);
+  MemoryTracker tracker("frame", "operator", nullptr);
+  {
+    ExprFrame coded(program), strings(program);
+    coded.SetMemoryTracker(&tracker);
+    strings.SetMemoryTracker(&tracker);
+    batch.column(0).set_dictionary(nullptr);
+    ASSERT_TRUE(strings.Run(batch).ok());
+    batch.column(0).set_dictionary(&dict);
+    const int64_t scratch = tracker.current();
+    EXPECT_EQ(ExpectCodeSetMatchesStrings(&coded, &strings, &batch), 3);
+    EXPECT_EQ(coded.result(0).ints()[1], 1);
+    EXPECT_GE(tracker.current(), 2 * scratch + 1000);
+  }
+  EXPECT_EQ(tracker.current(), 0);
+}
+
+TEST(ExprCodeSetTest, NoListedValueInTheDictionary) {
+  auto program = CompileStringIn(
+      {Value::String("kiwi"), Value::String("mango")});
+  StringDictionary dict;
+  Batch batch(StringSchema(), 16);
+  FillCoded({"apple", "pear", "", "apple"}, &dict, &batch);
+  ExprFrame coded(program), strings(program);
+  EXPECT_EQ(ExpectCodeSetMatchesStrings(&coded, &strings, &batch), 4);
+  for (int64_t i : {0, 1, 3}) EXPECT_EQ(coded.result(0).ints()[i], 0) << i;
 }
 
 }  // namespace

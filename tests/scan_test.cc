@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "common/hash.h"
@@ -456,13 +457,14 @@ TEST(ScanLaneTest, LaneMatchesStringsOnBitPackedAndRleSegments) {
   });
   EXPECT_GT(dense_rows, 3000);
 
-  // Sparse batches: ~20% of rows survive the predicate, so the string
-  // columns are gathered for the survivors only.
+  // Sparse windows: ~20% of rows survive the predicate, so the string
+  // columns are gathered for the survivors only, into a compact batch.
   ColumnStoreScanOperator::Options sparse;
   sparse.predicates = {{1, CompareOp::kLt, Value::Int64(2)}};
   int64_t sparse_rows = 0;
   ForEachBatch(&table, sparse, &ctx, [&](const Batch& batch) {
-    EXPECT_LT(batch.active_count(), batch.num_rows() - batch.num_rows() / 4);
+    EXPECT_EQ(batch.active_count(), batch.num_rows());
+    EXPECT_LE(batch.num_rows(), ctx.batch_size * 3 / 4);
     sparse_rows += ExpectLaneMatchesStrings(batch, 2, data);
     ExpectLaneMatchesStrings(batch, 3, data);
   });
@@ -514,6 +516,216 @@ TEST(ScanLaneTest, NoLaneOnSegmentsWithALocalDictionary) {
     }
   });
   EXPECT_EQ(rows, 3000);
+}
+
+// --- Compact sparse windows --------------------------------------------------
+
+Schema CompactSchema() {
+  return Schema({{"id", DataType::kInt64, false},
+                 {"bucket", DataType::kInt64, false},
+                 {"price", DataType::kDouble, true},
+                 {"name", DataType::kString, true},
+                 {"run", DataType::kString, false}});
+}
+
+// 4000 rows: `name` is bit-packed with NULLs, `run` is RLE (runs of 200).
+TableData CompactData() {
+  TableData data(CompactSchema());
+  Random rng(17);
+  const char* names[] = {"alpha", "beta", "gamma", "delta", "epsilon"};
+  for (int64_t i = 0; i < 4000; ++i) {
+    data.AppendRow(
+        {Value::Int64(i), Value::Int64(rng.Uniform(0, 9)),
+         i % 13 == 0 ? Value::Null(DataType::kDouble)
+                     : Value::Double(static_cast<double>(rng.Uniform(0, 999)) /
+                                     4.0),
+         i % 11 == 0 ? Value::Null(DataType::kString)
+                     : Value::String(names[rng.Uniform(0, 4)]),
+         Value::String("run" + std::to_string(i / 200))});
+  }
+  return data;
+}
+
+std::unique_ptr<ColumnStoreTable> CompactTable(const TableData& data,
+                                               int64_t primary_capacity) {
+  ColumnStoreTable::Options options = SmallGroups();
+  options.primary_dict_capacity = primary_capacity;
+  auto table =
+      std::make_unique<ColumnStoreTable>("t", data.schema(), options);
+  table->BulkLoad(data).CheckOK();
+  TableSnapshot snapshot = table->Snapshot();
+  EXPECT_EQ(snapshot->row_group(0).column(3).encoding(),
+            EncodingKind::kBitPack);
+  EXPECT_EQ(snapshot->row_group(0).column(4).encoding(), EncodingKind::kRle);
+  return table;
+}
+
+struct CompactScan {
+  int64_t rows = 0;            // sum of num_rows()
+  int64_t active = 0;          // sum of active_count()
+  int64_t masked_batches = 0;  // batches with inactive rows
+  int64_t max_rows = 0;        // widest batch
+  int64_t lane_rows = 0;       // string cells checked against a lane
+};
+
+constexpr int64_t kCompactBatchSize = 128;
+
+// Scans `table` and checks every active row against `source`: ids ascend
+// across the scan, and every projected column (projection[0] is the id)
+// equals the source row — validity, value and, where the vector carries a
+// lane, the code's dictionary string.
+CompactScan ScanAndCheck(const ColumnStoreTable* table,
+                         ColumnStoreScanOperator::Options options,
+                         const TableData& source) {
+  ExecContext ctx;
+  ctx.batch_size = kCompactBatchSize;
+  const std::vector<int> projection = options.projection;
+  CompactScan out;
+  int64_t last_id = -1;
+  ForEachBatch(table, std::move(options), &ctx, [&](const Batch& batch) {
+    out.rows += batch.num_rows();
+    out.active += batch.active_count();
+    out.max_rows = std::max(out.max_rows, batch.num_rows());
+    if (batch.active_count() < batch.num_rows()) ++out.masked_batches;
+    for (int64_t i = 0; i < batch.num_rows(); ++i) {
+      if (!batch.active()[i]) continue;
+      const int64_t id = batch.column(0).ints()[i];
+      EXPECT_GT(id, last_id);
+      last_id = id;
+      for (size_t c = 0; c < projection.size(); ++c) {
+        const ColumnVector& cv = batch.column(static_cast<int>(c));
+        const ColumnData& col = source.column(projection[c]);
+        ASSERT_EQ(cv.validity()[i] == 0, col.IsNull(id))
+            << "column " << projection[c] << " id " << id;
+        if (col.IsNull(id)) continue;
+        switch (cv.physical_type()) {
+          case PhysicalType::kInt64:
+            EXPECT_EQ(cv.ints()[i], col.GetInt64(id)) << "id " << id;
+            break;
+          case PhysicalType::kDouble:
+            EXPECT_EQ(cv.doubles()[i], col.GetDouble(id)) << "id " << id;
+            break;
+          case PhysicalType::kString:
+            EXPECT_EQ(cv.strings()[i], col.GetString(id)) << "id " << id;
+            if (cv.dictionary() != nullptr) {
+              EXPECT_EQ(
+                  cv.dictionary()->Get(static_cast<int64_t>(cv.codes()[i])),
+                  col.GetString(id));
+              ++out.lane_rows;
+            }
+            break;
+        }
+      }
+    }
+  });
+  return out;
+}
+
+// Predicate and Bloom columns that are also projected (early), with the
+// rest gathered late: int, RLE string and bit-packed string early; int and
+// double late.
+ColumnStoreScanOperator::Options EarlyStringOptions(const BloomFilter* bloom) {
+  ColumnStoreScanOperator::Options options;
+  options.projection = {0, 1, 2, 3, 4};
+  options.predicates = {{1, CompareOp::kLt, Value::Int64(2)},
+                        {4, CompareOp::kNe, Value::String("run3")}};
+  options.bloom_filters = {{3, bloom}};
+  return options;
+}
+
+// A double predicate column projected (early); int, bit-packed string and
+// RLE string gathered late.
+ColumnStoreScanOperator::Options EarlyDoubleOptions() {
+  ColumnStoreScanOperator::Options options;
+  options.projection = {0, 2, 1, 3, 4};
+  options.predicates = {{2, CompareOp::kLt, Value::Double(50.0)}};
+  return options;
+}
+
+int64_t ExpectedSurvivors(const TableData& data,
+                          const std::function<bool(int64_t)>& keep) {
+  int64_t count = 0;
+  for (int64_t i = 0; i < data.num_rows(); ++i) count += keep(i) ? 1 : 0;
+  return count;
+}
+
+// Every batch held only active rows, at most 3/4 of a window's width.
+void ExpectCompact(const CompactScan& scan) {
+  EXPECT_EQ(scan.masked_batches, 0);
+  EXPECT_EQ(scan.rows, scan.active);
+  EXPECT_LE(scan.max_rows, kCompactBatchSize * 3 / 4);
+}
+
+TEST(ScanCompactTest, SparseWindowsComeOutCompact) {
+  const TableData data = CompactData();
+  for (int64_t capacity : {int64_t{1} << 20, int64_t{2}}) {
+    SCOPED_TRACE(capacity == 2 ? "local dictionaries" : "primary only");
+    std::unique_ptr<ColumnStoreTable> table = CompactTable(data, capacity);
+    const bool local = capacity == 2;
+    ASSERT_EQ(table->Snapshot()->row_group(0).column(3).local_dictionary() !=
+                  nullptr,
+              local);
+
+    BloomFilter bloom(8);
+    for (const char* name : {"alpha", "beta", "gamma"}) {
+      bloom.Insert(SingleKeyHash(Hash64(std::string_view(name))));
+    }
+    CompactScan early =
+        ScanAndCheck(table.get(), EarlyStringOptions(&bloom), data);
+    ExpectCompact(early);
+    // The Bloom filter may pass false positives, never drop a match.
+    const int64_t matches = ExpectedSurvivors(data, [&](int64_t i) {
+      const ColumnData& name = data.column(3);
+      return data.column(1).GetInt64(i) < 2 &&
+             data.column(4).GetString(i) != "run3" && !name.IsNull(i) &&
+             (name.GetString(i) == "alpha" || name.GetString(i) == "beta" ||
+              name.GetString(i) == "gamma");
+    });
+    EXPECT_GE(early.active, matches);
+    EXPECT_GT(matches, 400);
+    EXPECT_EQ(early.lane_rows > 0, !local);
+
+    CompactScan late = ScanAndCheck(table.get(), EarlyDoubleOptions(), data);
+    ExpectCompact(late);
+    EXPECT_EQ(late.active, ExpectedSurvivors(data, [&](int64_t i) {
+                return !data.column(2).IsNull(i) &&
+                       data.column(2).GetDouble(i) < 50.0;
+              }));
+    EXPECT_EQ(late.lane_rows > 0, !local);
+  }
+}
+
+TEST(ScanCompactTest, DeleteBitmapAloneMakesWindowsSparse) {
+  const TableData data = CompactData();
+  std::unique_ptr<ColumnStoreTable> table = CompactTable(data, 1 << 20);
+  // Keep one row in five: every window is sparse with no predicate, so
+  // every column is gathered late.
+  for (int64_t g = 0; g < 4; ++g) {
+    for (int64_t i = 0; i < 1000; ++i) {
+      if (i % 5 != 2) table->Delete(MakeCompressedRowId(g, i)).CheckOK();
+    }
+  }
+  ColumnStoreScanOperator::Options options;
+  options.projection = {0, 1, 2, 3, 4};
+  CompactScan scan = ScanAndCheck(table.get(), options, data);
+  ExpectCompact(scan);
+  EXPECT_EQ(scan.active, 800);
+  EXPECT_GT(scan.lane_rows, 0);
+}
+
+TEST(ScanCompactTest, DenseWindowsKeepTheirWidthAndMask) {
+  const TableData data = CompactData();
+  std::unique_ptr<ColumnStoreTable> table = CompactTable(data, 1 << 20);
+  // About 90% of each window survives: more than 3/4, so dense.
+  ColumnStoreScanOperator::Options options;
+  options.projection = {0, 1, 2, 3, 4};
+  options.predicates = {{1, CompareOp::kNe, Value::Int64(0)}};
+  CompactScan scan = ScanAndCheck(table.get(), options, data);
+  EXPECT_EQ(scan.rows, 4000);  // every window at full width
+  EXPECT_GT(scan.masked_batches, 0);
+  EXPECT_EQ(scan.active, ExpectedSurvivors(data, [&](int64_t i) {
+              return data.column(1).GetInt64(i) != 0;
+            }));
 }
 
 }  // namespace

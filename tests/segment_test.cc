@@ -136,8 +136,10 @@ TEST(SegmentTest, StringDictionaryRoundTrip) {
   auto seg =
       SegmentBuilder::Build(col, 0, 5, nullptr, dict, DefaultOptions());
   EXPECT_EQ(seg->code_kind(), CodeKind::kDictionary);
+  std::vector<uint64_t> codes(5);
   std::vector<std::string_view> out(5);
-  seg->DecodeString(0, 5, out.data());
+  seg->DecodeCodes(0, 5, codes.data());
+  seg->CodesToStrings(codes.data(), 5, out.data());
   EXPECT_EQ(out[0], "red");
   EXPECT_EQ(out[3], "blue");
   EXPECT_EQ(seg->stats().min_s, "blue");
@@ -152,8 +154,10 @@ TEST(SegmentTest, LocalDictionaryOverflow) {
   ColumnData col = StringColumn({"a", "b", "c", "d", "a", "c"});
   auto seg = SegmentBuilder::Build(col, 0, 6, nullptr, dict, options);
   EXPECT_EQ(dict->size(), 2);  // primary capped
+  std::vector<uint64_t> codes(6);
   std::vector<std::string_view> out(6);
-  seg->DecodeString(0, 6, out.data());
+  seg->DecodeCodes(0, 6, codes.data());
+  seg->CodesToStrings(codes.data(), 6, out.data());
   EXPECT_EQ(out[2], "c");
   EXPECT_EQ(out[3], "d");
   EXPECT_EQ(out[5], "c");
@@ -173,10 +177,13 @@ TEST(SegmentTest, SharedPrimaryDictAcrossSegments) {
   auto seg2 =
       SegmentBuilder::Build(col2, 0, 2, nullptr, dict, DefaultOptions());
   EXPECT_EQ(dict->size(), 3);  // x, y, z shared
+  std::vector<uint64_t> codes(2);
   std::vector<std::string_view> out(2);
-  seg1->DecodeString(0, 2, out.data());
+  seg1->DecodeCodes(0, 2, codes.data());
+  seg1->CodesToStrings(codes.data(), 2, out.data());
   EXPECT_EQ(out[1], "y");
-  seg2->DecodeString(0, 2, out.data());
+  seg2->DecodeCodes(0, 2, codes.data());
+  seg2->CodesToStrings(codes.data(), 2, out.data());
   EXPECT_EQ(out[0], "y");
   EXPECT_EQ(out[1], "z");
 }
@@ -339,10 +346,13 @@ TEST(SegmentGatherTest, GatherValidityAndStrings) {
   auto seg = SegmentBuilder::Build(col, 0, 100, nullptr, dict,
                                    SegmentBuilder::Options{});
   std::vector<int64_t> rows = {2, 3, 13, 50, 99};
+  std::vector<uint64_t> codes(rows.size());
   std::vector<std::string_view> strs(rows.size());
   std::vector<uint8_t> validity(rows.size());
-  seg->GatherString(rows.data(), static_cast<int64_t>(rows.size()),
-                    strs.data());
+  seg->GatherCodes(rows.data(), static_cast<int64_t>(rows.size()),
+                   codes.data());
+  seg->CodesToStrings(codes.data(), static_cast<int64_t>(rows.size()),
+                      strs.data());
   seg->GatherValidity(rows.data(), static_cast<int64_t>(rows.size()),
                       validity.data());
   EXPECT_EQ(validity[0], 1);
