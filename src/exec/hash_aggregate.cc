@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/macros.h"
-#include "exec/spill.h"
 #include "storage/dictionary.h"
 
 namespace vstore {
@@ -201,6 +200,8 @@ HashAggregateOperator::HashAggregateOperator(BatchOperatorPtr input,
         [this] { pressure_.store(true, std::memory_order_relaxed); });
   }
   code_slots_reservation_.Reset(mem_.get());
+  write_buf_.SetMemoryTracker(mem_.get());
+  read_buf_.SetMemoryTracker(mem_.get());
 }
 
 HashAggregateOperator::~HashAggregateOperator() {
@@ -520,88 +521,95 @@ void HashAggregateOperator::ConsumeBatch(const Batch& batch,
   FoldBatch(batch, partial_input);
 }
 
-void HashAggregateOperator::AppendPartialValues(const uint8_t* state,
-                                                std::vector<Value>* row) const {
+void HashAggregateOperator::WritePartialRow(uint8_t* entry, Batch* out,
+                                            int64_t row,
+                                            Arena* string_arena) const {
+  const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
+  const int num_keys = static_cast<int>(key_indices_.size());
+  for (int k = 0; k < num_keys; ++k) {
+    key_format_->CopyToVector(payload, k, &out->column(k), row, string_arena);
+  }
+  uint8_t* state = entry_state(entry);
   for (size_t a = 0; a < options_.aggregates.size(); ++a) {
-    StateRef s{const_cast<uint8_t*>(state) + a * kStateSlot};
-    const DataType value_type =
-        partial_schema_
-            .field(static_cast<int>(key_indices_.size() + 2 * a))
-            .type;
-    if (s.count() == 0) {
-      row->push_back(Value::Null(value_type));
-      row->push_back(Value::Int64(0));
-      continue;
-    }
-    switch (static_cast<StateKind>(state_kinds_[a])) {
-      case StateKind::kCountOnly:
-        row->push_back(Value::Null(value_type));
-        break;
+    StateRef s{state + a * kStateSlot};
+    const int value_col = num_keys + 2 * static_cast<int>(a);
+    ColumnVector& value = out->column(value_col);
+    ColumnVector& count = out->column(value_col + 1);
+    count.mutable_validity()[row] = 1;
+    count.mutable_ints()[row] = s.count();
+    const StateKind kind = static_cast<StateKind>(state_kinds_[a]);
+    const bool has_value = s.count() != 0 && kind != StateKind::kCountOnly;
+    value.mutable_validity()[row] = has_value ? 1 : 0;
+    if (!has_value) continue;
+    switch (kind) {
       case StateKind::kSumInt:
-        row->push_back(Value::Int64(s.acc_i()));
+      case StateKind::kMinMaxInt:
+        value.mutable_ints()[row] = s.acc_i();
         break;
       case StateKind::kSumDouble:
-        row->push_back(Value::Double(s.acc_d()));
-        break;
-      case StateKind::kMinMaxInt:
-        switch (value_type) {
-          case DataType::kBool:
-            row->push_back(Value::Bool(s.acc_i() != 0));
-            break;
-          case DataType::kInt32:
-            row->push_back(Value::Int32(static_cast<int32_t>(s.acc_i())));
-            break;
-          case DataType::kDate32:
-            row->push_back(Value::Date32(static_cast<int32_t>(s.acc_i())));
-            break;
-          default:
-            row->push_back(Value::Int64(s.acc_i()));
-        }
-        break;
       case StateKind::kMinMaxDouble:
-        row->push_back(Value::Double(s.acc_d()));
+        value.mutable_doubles()[row] = s.acc_d();
         break;
-      case StateKind::kMinMaxString:
-        row->push_back(Value::String(std::string(
-            reinterpret_cast<const char*>(s.acc_i()), s.aux())));
+      case StateKind::kMinMaxString: {
+        const std::string_view acc = LoadAcc<std::string_view>(s);
+        value.mutable_strings()[row] =
+            string_arena != nullptr ? string_arena->CopyString(acc) : acc;
+        break;
+      }
+      case StateKind::kCountOnly:
         break;
     }
-    row->push_back(Value::Int64(s.count()));
   }
 }
 
 Status HashAggregateOperator::FlushToPartitions() {
   if (partition_files_.empty()) {
-    partition_files_.resize(static_cast<size_t>(options_.num_partitions),
-                            nullptr);
-    for (auto& f : partition_files_) {
-      f = std::tmpfile();
-      if (f == nullptr) return Status::Internal("cannot create spill file");
+    partition_files_.resize(static_cast<size_t>(options_.num_partitions));
+    for (SpillFile& f : partition_files_) {
+      VSTORE_RETURN_IF_ERROR(f.Open(ctx_->batch_size));
     }
+    spill_sel_.assign(static_cast<size_t>(options_.num_partitions), {});
+    spill_batch_ = std::make_unique<Batch>(partial_schema_, ctx_->batch_size);
     ctx_->stats.spill_partitions += options_.num_partitions;
   }
   ++spill_flushes_;
   const int shift =
       64 - std::countr_zero(static_cast<unsigned>(options_.num_partitions));
 
-  for (uint8_t* entry : entries_) {
-    const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-    uint64_t hash = SerializedRowHashTable::EntryHash(entry);
-    std::vector<Value> row;
-    for (size_t k = 0; k < key_indices_.size(); ++k) {
-      row.push_back(key_format_->GetValue(payload, key_indices_[k]));
+  // Groups go out a batch-full at a time, in entry order: the batch's rows
+  // of each partition become one record of that partition's file.
+  Batch& batch = *spill_batch_;
+  const int64_t total = static_cast<int64_t>(entries_.size());
+  for (int64_t begin = 0; begin < total; begin += batch.capacity()) {
+    const int64_t n = std::min(batch.capacity(), total - begin);
+    batch.Reset();
+    for (int64_t i = 0; i < n; ++i) {
+      uint8_t* entry = entries_[static_cast<size_t>(begin + i)];
+      // Strings view the state arena, which outlives the write.
+      WritePartialRow(entry, &batch, i, nullptr);
+      const int p =
+          static_cast<int>(SerializedRowHashTable::EntryHash(entry) >> shift);
+      spill_sel_[static_cast<size_t>(p)].push_back(static_cast<int32_t>(i));
     }
-    AppendPartialValues(entry_state(entry), &row);
-    int p = static_cast<int>(hash >> shift);
-    int64_t bytes = 0;
-    VSTORE_RETURN_IF_ERROR(
-        WriteSpillRow(partition_files_[static_cast<size_t>(p)],
-                      partial_schema_, row, &bytes));
-    RecordSpillBytes(bytes);
-    AddGlobalSpillBytes(bytes);
-    ++ctx_->stats.build_rows_spilled;
-    ++rows_spilled_;
+    batch.set_num_rows(n);
+    for (int p = 0; p < options_.num_partitions; ++p) {
+      std::vector<int32_t>& sel = spill_sel_[static_cast<size_t>(p)];
+      if (sel.empty()) continue;
+      VSTORE_ASSIGN_OR_RETURN(
+          int64_t bytes,
+          partition_files_[static_cast<size_t>(p)].Append(
+              batch, sel.data(), static_cast<int64_t>(sel.size()),
+              &write_buf_));
+      RecordSpillBytes(bytes);
+      AddGlobalSpillBytes(bytes);
+      sel.clear();
+    }
   }
+  ctx_->stats.build_rows_spilled += total;
+  rows_spilled_ += total;
+  // Hold the write buffer only while flushing, so it does not count
+  // against the budget that decides the next flush.
+  write_buf_.Release();
   ResetAggState(1024);
   spilled_ = true;
   return Status::OK();
@@ -630,31 +638,16 @@ Status HashAggregateOperator::ConsumeInput() {
 }
 
 Status HashAggregateOperator::LoadPartition(int p) {
-  std::FILE* f = partition_files_[static_cast<size_t>(p)];
-  std::rewind(f);
-  if (spill_batch_ == nullptr) {
-    spill_batch_ = std::make_unique<Batch>(partial_schema_, ctx_->batch_size);
+  SpillFile& file = partition_files_[static_cast<size_t>(p)];
+  VSTORE_RETURN_IF_ERROR(file.Rewind());
+  for (;;) {
+    // Each record is a batch of partial rows: merge it like partial input.
+    // Its strings view read_buf_; new groups and min/max states copy them.
+    VSTORE_ASSIGN_OR_RETURN(bool more,
+                            file.Read(spill_batch_.get(), &read_buf_));
+    if (!more) return Status::OK();
+    ConsumeBatch(*spill_batch_, key_indices_, /*partial_input=*/true);
   }
-  Batch& batch = *spill_batch_;
-  std::vector<Value> row;
-  for (bool more = true; more;) {
-    // Read back a batch of partial rows, then merge it like partial input.
-    batch.Reset();
-    int64_t n = 0;
-    while (n < batch.capacity()) {
-      VSTORE_ASSIGN_OR_RETURN(more, ReadSpillRow(f, partial_schema_, &row));
-      if (!more) break;
-      for (int c = 0; c < batch.num_columns(); ++c) {
-        batch.column(c).SetValue(n, row[static_cast<size_t>(c)],
-                                 batch.arena());
-      }
-      ++n;
-    }
-    batch.set_num_rows(n);
-    batch.ActivateAll();
-    ConsumeBatch(batch, key_indices_, /*partial_input=*/true);
-  }
-  return Status::OK();
 }
 
 Status HashAggregateOperator::EmitEntries() {
@@ -665,23 +658,16 @@ Status HashAggregateOperator::EmitEntries() {
   while (emit_pos_ < entries_.size() && out_row < output_->capacity()) {
     uint8_t* entry = entries_[emit_pos_++];
     ++groups_;
+    if (emit_partial) {
+      WritePartialRow(entry, output_.get(), out_row++, output_->arena());
+      continue;
+    }
     const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
     for (int k = 0; k < num_keys; ++k) {
       key_format_->CopyToVector(payload, k, &output_->column(k), out_row,
                                 output_->arena());
     }
     uint8_t* state = entry_state(entry);
-
-    if (emit_partial) {
-      std::vector<Value> values;
-      AppendPartialValues(state, &values);
-      for (size_t c = 0; c < values.size(); ++c) {
-        output_->column(num_keys + static_cast<int>(c))
-            .SetValue(out_row, values[c], output_->arena());
-      }
-      ++out_row;
-      continue;
-    }
 
     for (size_t a = 0; a < options_.aggregates.size(); ++a) {
       const AggSpec& spec = options_.aggregates[a];
@@ -762,8 +748,6 @@ Status HashAggregateOperator::OpenImpl() {
     // Scalar aggregation over zero rows still yields one row (COUNT = 0,
     // other aggregates null).
     uint8_t* entry = arena_->Allocate(entry_size());
-    key_format_->WriteValues(entry + SerializedRowHashTable::kHeaderSize, {},
-                             arena_.get());
     InitState(entry_state(entry));
     entries_.push_back(entry);
   }
@@ -795,10 +779,10 @@ Result<Batch*> HashAggregateOperator::NextImpl() {
 
 void HashAggregateOperator::CloseImpl() {
   RecordMemoryTracker(mem_.get());
-  for (std::FILE* f : partition_files_) {
-    if (f != nullptr) std::fclose(f);
-  }
-  partition_files_.clear();
+  partition_files_.clear();  // closes the spill files
+  spill_sel_.clear();
+  write_buf_.Release();
+  read_buf_.Release();
   entries_.clear();
   code_slots_.clear();
   slot_runs_.clear();

@@ -2,7 +2,6 @@
 #define VSTORE_EXEC_HASH_AGGREGATE_H_
 
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "exec/aggregate.h"
 #include "exec/hash_table.h"
 #include "exec/operator.h"
+#include "exec/spill.h"
 
 namespace vstore {
 
@@ -25,8 +25,11 @@ enum class AggPhase { kComplete, kPartial, kFinal };
 // Batch-mode hash aggregation (paper §5.4). Groups are kept in a hash
 // table of serialized keys with fixed-size accumulator state appended to
 // each entry. When the state exceeds the context's operator_memory_budget,
-// the whole table is flushed as partial aggregates into hash-partitioned
-// temp files and re-merged partition by partition at the end — merging
+// the whole table is flushed as partial rows (the PartialSchema layout,
+// written by the same typed writer as kPartial output) into
+// hash-partitioned SpillFiles, as batch-columnar records of at most one
+// batch per partition. At the end each partition's records are read back
+// and merged as partial input batches, one partition at a time — merging
 // partials is exact for every supported function (AVG carries sum+count).
 //
 // Each input batch is consumed in two steps: first every active row's
@@ -136,8 +139,12 @@ class HashAggregateOperator final : public BatchOperator {
   void ResetAggState(int64_t expected_rows);
   // Local operator budget exceeded, or query-level budget pressure.
   bool UnderMemoryPressure(int64_t local_budget) const;
-  // Writes one aggregate's partial (value, count) into `row` (spill path).
-  void AppendPartialValues(const uint8_t* state, std::vector<Value>* row) const;
+  // Writes group `entry` as partial row `row` of `out`: the keys, then per
+  // aggregate its typed $value (null when no value was folded, and always
+  // for COUNT) and $count. Strings are copied into `string_arena`, or view
+  // the state arena when it is null.
+  void WritePartialRow(uint8_t* entry, Batch* out, int64_t row,
+                       Arena* string_arena) const;
 
   BatchOperatorPtr input_;
   Options options_;
@@ -185,9 +192,15 @@ class HashAggregateOperator final : public BatchOperator {
   std::vector<uint64_t> slot_ids_;  // code slot, then run, per order_ row
   std::vector<int32_t> slot_runs_;  // per code slot: run in this batch or -1
 
+  // Spill state. spill_batch_ holds partial rows on their way to a
+  // partition file and read back from one; the buffers hold one record
+  // each and charge the operator's tracker.
   bool spilled_ = false;
-  std::vector<std::FILE*> partition_files_;
-  std::unique_ptr<Batch> spill_batch_;  // partial rows read back in a drain
+  std::vector<SpillFile> partition_files_;
+  std::unique_ptr<Batch> spill_batch_;
+  std::vector<std::vector<int32_t>> spill_sel_;  // rows per partition
+  SpillBuffer write_buf_;
+  SpillBuffer read_buf_;
 
   // Emission state.
   std::unique_ptr<Batch> output_;

@@ -5,7 +5,6 @@
 
 #include "common/macros.h"
 #include "common/metrics.h"
-#include "exec/spill.h"
 
 namespace vstore {
 
@@ -36,9 +35,17 @@ Schema HashJoinOutputSchema(const Schema& probe, const Schema& build,
   return Schema(std::move(fields));
 }
 
-void JoinRowEmitter::EmitFromBatch(Batch* output, const Batch& probe,
-                                   int64_t row, const uint8_t* build_row,
-                                   int64_t out_row) const {
+void JoinProber::Start(const Batch* batch) {
+  batch_ = batch;
+  row_ = 0;
+  chain_ = nullptr;
+  matched_ = false;
+  hashes_.resize(static_cast<size_t>(batch->num_rows()));
+  HashKeysBatch(*batch, *probe_keys_, batch->active(), hashes_.data());
+}
+
+void JoinProber::Emit(Batch* output, const Batch& probe, int64_t row,
+                      const uint8_t* build_row, int64_t out_row) const {
   const int probe_cols = probe.num_columns();
   for (int c = 0; c < probe_cols; ++c) {
     const ColumnVector& src = probe.column(c);
@@ -52,8 +59,9 @@ void JoinRowEmitter::EmitFromBatch(Batch* output, const Batch& probe,
         dst.mutable_doubles()[out_row] = src.doubles()[row];
         break;
       case PhysicalType::kString:
-        // Probe batch arenas are reused across batches while this output
-        // accumulates rows from several of them — copy.
+        // Probe batches (input batches and records read back from spill
+        // files) are reused while this output accumulates rows from
+        // several of them — copy.
         dst.mutable_strings()[out_row] =
             output->arena()->CopyString(src.strings()[row]);
         break;
@@ -72,27 +80,6 @@ void JoinRowEmitter::EmitFromBatch(Batch* output, const Batch& probe,
   }
 }
 
-void JoinRowEmitter::EmitFromSerialized(Batch* output,
-                                        const uint8_t* probe_row,
-                                        const uint8_t* build_row,
-                                        int64_t out_row) const {
-  const int probe_cols = probe_format_->num_columns();
-  for (int c = 0; c < probe_cols; ++c) {
-    probe_format_->CopyToVector(probe_row, c, &output->column(c), out_row,
-                                output->arena());
-  }
-  if (!emit_build_columns_) return;
-  for (int c = 0; c < build_format_->num_columns(); ++c) {
-    ColumnVector& dst = output->column(probe_cols + c);
-    if (build_row == nullptr) {
-      dst.mutable_validity()[out_row] = 0;
-    } else {
-      build_format_->CopyToVector(build_row, c, &dst, out_row,
-                                  output->arena());
-    }
-  }
-}
-
 HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
                                    BatchOperatorPtr build, Options options,
                                    ExecContext* ctx)
@@ -101,9 +88,8 @@ HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
       options_(std::move(options)),
       ctx_(ctx),
       build_format_(build_->output_schema()),
-      probe_format_(probe_->output_schema()),
-      emit_build_columns_(JoinEmitsBuildColumns(options_.join_type)),
-      emitter_(&probe_format_, &build_format_, emit_build_columns_) {
+      prober_(options_.join_type, &build_format_, &options_.build_keys,
+              &options_.probe_keys) {
   VSTORE_CHECK(!options_.probe_keys.empty() &&
                options_.probe_keys.size() == options_.build_keys.size());
   VSTORE_CHECK(std::has_single_bit(
@@ -124,6 +110,8 @@ HashJoinOperator::HashJoinOperator(BatchOperatorPtr probe,
     pressure_listener_ = ctx_->memory_tracker->AddPressureListener(
         [this] { pressure_.store(true, std::memory_order_relaxed); });
   }
+  write_buf_.SetMemoryTracker(mem_.get());
+  read_buf_.SetMemoryTracker(mem_.get());
 }
 
 HashJoinOperator::~HashJoinOperator() {
@@ -133,12 +121,33 @@ HashJoinOperator::~HashJoinOperator() {
   }
 }
 
-Status HashJoinOperator::SpillRow(std::FILE* f, const Schema& schema,
-                                  const std::vector<Value>& row) {
-  int64_t bytes = 0;
-  VSTORE_RETURN_IF_ERROR(WriteSpillRow(f, schema, row, &bytes));
+Status HashJoinOperator::SpillRecord(SpillFile* file, const Batch& batch,
+                                     const int32_t* sel, int64_t n) {
+  VSTORE_ASSIGN_OR_RETURN(int64_t bytes,
+                          file->Append(batch, sel, n, &write_buf_));
   RecordSpillBytes(bytes);
   AddGlobalSpillBytes(bytes);
+  return Status::OK();
+}
+
+Status HashJoinOperator::SpillSelected(const Batch& batch, bool probe_side) {
+  for (int p = 0; p < options_.num_partitions; ++p) {
+    std::vector<int32_t>& sel = spill_sel_[static_cast<size_t>(p)];
+    if (sel.empty()) continue;
+    Partition& part = partitions_[static_cast<size_t>(p)];
+    const int64_t n = static_cast<int64_t>(sel.size());
+    VSTORE_RETURN_IF_ERROR(SpillRecord(
+        probe_side ? &part.probe_file : &part.build_file, batch, sel.data(),
+        n));
+    if (probe_side) {
+      ctx_->stats.probe_rows_spilled += n;
+      probe_rows_spilled_ += n;
+    } else {
+      ctx_->stats.build_rows_spilled += n;
+      build_rows_spilled_ += n;
+    }
+    sel.clear();
+  }
   return Status::OK();
 }
 
@@ -173,23 +182,23 @@ Status HashJoinOperator::SpillPartition(int p) {
   ScopedTrace trace("hash_join_spill_partition", "spill");
   Partition& part = partitions_[static_cast<size_t>(p)];
   VSTORE_DCHECK(!part.spilled);
-  part.build_file = std::tmpfile();
-  part.probe_file = std::tmpfile();
-  if (part.build_file == nullptr || part.probe_file == nullptr) {
-    return Status::Internal("cannot create spill files");
+  VSTORE_RETURN_IF_ERROR(part.build_file.Open(ctx_->batch_size));
+  VSTORE_RETURN_IF_ERROR(part.probe_file.Open(ctx_->batch_size));
+  if (build_batch_ == nullptr) {
+    build_batch_ =
+        std::make_unique<Batch>(build_->output_schema(), ctx_->batch_size);
   }
-  const Schema& schema = build_->output_schema();
-  std::vector<Value> row(static_cast<size_t>(schema.num_columns()));
-  for (uint8_t* entry : part.rows) {
-    const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-    for (int c = 0; c < schema.num_columns(); ++c) {
-      row[static_cast<size_t>(c)] = build_format_.GetValue(payload, c);
-    }
-    VSTORE_RETURN_IF_ERROR(SpillRow(part.build_file, schema, row));
-    ++part.build_rows_on_disk;
-    ++ctx_->stats.build_rows_spilled;
-    ++build_rows_spilled_;
+  // Resident rows go out in insertion order, one record per batch-full.
+  const int64_t rows = static_cast<int64_t>(part.rows.size());
+  for (int64_t begin = 0; begin < rows; begin += build_batch_->capacity()) {
+    const int64_t n = std::min(build_batch_->capacity(), rows - begin);
+    EntriesToBatch(build_format_, part.rows.data() + begin, n,
+                   build_batch_.get());
+    VSTORE_RETURN_IF_ERROR(
+        SpillRecord(&part.build_file, *build_batch_, nullptr, n));
   }
+  ctx_->stats.build_rows_spilled += rows;
+  build_rows_spilled_ += rows;
   total_build_bytes_ -= part.bytes;
   part.rows.clear();
   part.rows.shrink_to_fit();
@@ -207,13 +216,14 @@ Status HashJoinOperator::RunBuildPhase() {
   const size_t entry_size =
       SerializedRowHashTable::kHeaderSize + build_format_.row_size();
   const int64_t budget = ctx_->operator_memory_budget;
-  int64_t bloom_rows = 0;
 
   for (;;) {
     VSTORE_ASSIGN_OR_RETURN(Batch * batch, build_->Next());
     if (batch == nullptr) break;
     const int64_t n = batch->num_rows();
     const uint8_t* active = batch->active();
+    build_hashes_.resize(static_cast<size_t>(n));
+    HashKeysBatch(*batch, options_.build_keys, active, build_hashes_.data());
     for (int64_t i = 0; i < n; ++i) {
       if (!active[i]) continue;
       // Rows with a null key can never join: drop them at build time.
@@ -227,25 +237,12 @@ Status HashJoinOperator::RunBuildPhase() {
       if (null_key) continue;
 
       ++build_rows_;
-      uint64_t hash =
-          build_format_.HashKeysFromBatch(*batch, i, options_.build_keys);
-      if (bloom_ != nullptr) {
-        // Sized lazily below; collect hashes by inserting after Init. To
-        // keep one pass, the filter is initialized pessimistically on first
-        // use and re-populated only if this undershoots badly — in practice
-        // we size from the running count by rebuilding at the end, so here
-        // we just count.
-        ++bloom_rows;
-      }
-
-      int p = PartitionOf(hash);
+      const uint64_t hash = build_hashes_[static_cast<size_t>(i)];
+      const int p = PartitionOf(hash);
       Partition& part = partitions_[static_cast<size_t>(p)];
       if (part.spilled) {
-        VSTORE_RETURN_IF_ERROR(SpillRow(
-            part.build_file, build_->output_schema(), batch->GetActiveRow(i)));
-        ++part.build_rows_on_disk;
-        ++ctx_->stats.build_rows_spilled;
-        ++build_rows_spilled_;
+        // Written after the batch, one record per partition.
+        spill_sel_[static_cast<size_t>(p)].push_back(static_cast<int32_t>(i));
         continue;
       }
       uint8_t* entry = part.arena->Allocate(entry_size);
@@ -277,31 +274,26 @@ Status HashJoinOperator::RunBuildPhase() {
         }
       }
     }
+    VSTORE_RETURN_IF_ERROR(SpillSelected(*batch, /*probe_side=*/false));
   }
   build_->Close();
 
   // Populate the Bloom filter from all resident + spilled build rows.
   if (bloom_ != nullptr) {
-    bloom_->Init(std::max<int64_t>(bloom_rows, 1));
+    bloom_->Init(std::max<int64_t>(build_rows_, 1));
     for (Partition& part : partitions_) {
       for (uint8_t* entry : part.rows) {
         bloom_->Insert(SerializedRowHashTable::EntryHash(entry));
       }
       if (part.spilled) {
-        std::rewind(part.build_file);
-        std::vector<Value> row;
-        for (;;) {
-          VSTORE_ASSIGN_OR_RETURN(
-              bool more,
-              ReadSpillRow(part.build_file, build_->output_schema(), &row));
-          if (!more) break;
-          // Recompute the key hash from values.
-          Arena scratch;
-          std::vector<uint8_t> buf(build_format_.row_size());
-          build_format_.WriteValues(buf.data(), row, &scratch);
-          bloom_->Insert(
-              build_format_.HashKeys(buf.data(), options_.build_keys));
-        }
+        VSTORE_RETURN_IF_ERROR(ForEachBuildRecord(
+            &part.build_file, build_batch_.get(), &read_buf_,
+            options_.build_keys, &build_hashes_,
+            [this](const Batch& batch, const uint64_t* hashes) {
+              for (int64_t i = 0; i < batch.num_rows(); ++i) {
+                bloom_->Insert(hashes[i]);
+              }
+            }));
       }
     }
   }
@@ -328,7 +320,7 @@ Status HashJoinOperator::OpenImpl() {
     p.arena = std::make_unique<Arena>();
     p.arena->SetMemoryTracker(mem_.get());
   }
-  drain_arena_.SetMemoryTracker(mem_.get());
+  spill_sel_.assign(static_cast<size_t>(options_.num_partitions), {});
   if (mem_ != nullptr) mem_->ResetPeak();
   pressure_.store(false, std::memory_order_relaxed);
   total_build_bytes_ = 0;
@@ -340,219 +332,125 @@ Status HashJoinOperator::OpenImpl() {
   output_ = std::make_unique<Batch>(output_schema_, ctx_->batch_size);
   out_rows_ = 0;
   phase_ = Phase::kBuild;
+  prober_.Clear();
+  drain_partition_ = 0;
+  drain_loaded_ = false;
 
   VSTORE_RETURN_IF_ERROR(RunBuildPhase());
   phase_ = Phase::kProbe;
   // Open the probe side only after the build completed, so pushed Bloom
   // filters are populated before the probe scan starts.
-  VSTORE_RETURN_IF_ERROR(probe_->Open());
-  probe_batch_ = nullptr;
-  probe_row_ = 0;
-  chain_ = nullptr;
-  row_matched_ = false;
-  drain_partition_ = 0;
-  drain_loaded_ = false;
-  drain_row_pending_ = false;
-  return Status::OK();
+  return probe_->Open();
 }
 
 void HashJoinOperator::CloseImpl() {
   RecordMemoryTracker(mem_.get());
-  for (Partition& part : partitions_) {
-    if (part.build_file != nullptr) {
-      std::fclose(part.build_file);
-      part.build_file = nullptr;
-    }
-    if (part.probe_file != nullptr) {
-      std::fclose(part.probe_file);
-      part.probe_file = nullptr;
-    }
-  }
-  partitions_.clear();
+  partitions_.clear();  // closes the spill files
   output_.reset();
-  if (probe_batch_ != nullptr || phase_ != Phase::kBuild) {
-    probe_->Close();
+  build_batch_.reset();
+  drain_batch_.reset();
+  write_buf_.Release();
+  read_buf_.Release();
+  prober_.Clear();
+  if (phase_ != Phase::kBuild) probe_->Close();
+}
+
+Status HashJoinOperator::SpillProbeRows(const Batch& batch) {
+  const int64_t n = batch.num_rows();
+  const uint8_t* active = batch.active();
+  int64_t active_rows = 0;
+  for (int64_t i = 0; i < n; ++i) active_rows += active[i];
+  probe_rows_ += active_rows;
+  if (spill_partitions_ == 0) return Status::OK();
+  const uint64_t* hashes = prober_.hashes();
+  for (int64_t i = 0; i < n; ++i) {
+    const int p = PartitionOf(hashes[i]);
+    if (active[i] && partitions_[static_cast<size_t>(p)].spilled) {
+      spill_sel_[static_cast<size_t>(p)].push_back(static_cast<int32_t>(i));
+    }
   }
-  probe_batch_ = nullptr;
+  return SpillSelected(batch, /*probe_side=*/true);
 }
 
 Result<bool> HashJoinOperator::PumpProbe() {
-  const JoinType jt = options_.join_type;
+  auto table_of = [this](uint64_t hash) -> const SerializedRowHashTable* {
+    const Partition& part = partitions_[static_cast<size_t>(PartitionOf(hash))];
+    return part.spilled ? nullptr : part.table.get();
+  };
   for (;;) {
-    if (probe_batch_ == nullptr) {
+    if (!prober_.has_batch()) {
       VSTORE_ASSIGN_OR_RETURN(Batch * batch, probe_->Next());
       if (batch == nullptr) {
         phase_ = Phase::kSpillDrain;
         return out_rows_ > 0;
       }
-      probe_batch_ = batch;
-      probe_row_ = 0;
-      chain_ = nullptr;
-      row_matched_ = false;
-      const int64_t n = batch->num_rows();
-      probe_hashes_.resize(static_cast<size_t>(n));
-      HashKeysBatch(*batch, options_.probe_keys, batch->active(),
-                    probe_hashes_.data());
+      prober_.Start(batch);
+      VSTORE_RETURN_IF_ERROR(SpillProbeRows(*batch));
     }
-
-    const uint8_t* active = probe_batch_->active();
-    while (probe_row_ < probe_batch_->num_rows()) {
-      if (!active[probe_row_]) {
-        ++probe_row_;
-        continue;
-      }
-      uint64_t hash = probe_hashes_[static_cast<size_t>(probe_row_)];
-      Partition& part = partitions_[static_cast<size_t>(PartitionOf(hash))];
-
-      if (part.spilled) {
-        VSTORE_RETURN_IF_ERROR(
-            SpillRow(part.probe_file, probe_->output_schema(),
-                     probe_batch_->GetActiveRow(probe_row_)));
-        ++part.probe_rows_on_disk;
-        ++ctx_->stats.probe_rows_spilled;
-        ++probe_rows_spilled_;
-        ++probe_rows_;
-        ++probe_row_;
-        continue;
-      }
-
-      if (chain_ == nullptr && !row_matched_) {
-        chain_ = part.table->ChainHead(hash);
-      }
-      while (chain_ != nullptr) {
-        if (out_rows_ == output_->capacity()) return true;
-        const uint8_t* entry = chain_;
-        const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-        if (SerializedRowHashTable::EntryHash(entry) == hash &&
-            build_format_.KeysEqualBatch(payload, options_.build_keys,
-                                         *probe_batch_, probe_row_,
-                                         options_.probe_keys)) {
-          row_matched_ = true;
-          if (jt == JoinType::kInner || jt == JoinType::kLeftOuter) {
-            emitter_.EmitFromBatch(output_.get(), *probe_batch_, probe_row_,
-                                   payload, out_rows_++);
-          } else {
-            chain_ = nullptr;  // semi/anti need only existence
-            break;
-          }
-        }
-        if (chain_ != nullptr) {
-          chain_ = SerializedRowHashTable::ChainNext(entry);
-        }
-      }
-
-      // Chain exhausted: row epilogue.
-      bool emit_probe_only =
-          (jt == JoinType::kLeftSemi && row_matched_) ||
-          (jt == JoinType::kLeftAnti && !row_matched_);
-      bool emit_null_extended = jt == JoinType::kLeftOuter && !row_matched_;
-      if (emit_probe_only || emit_null_extended) {
-        if (out_rows_ == output_->capacity()) return true;
-        emitter_.EmitFromBatch(output_.get(), *probe_batch_, probe_row_,
-                               nullptr, out_rows_++);
-      }
-      ++probe_rows_;
-      ++probe_row_;
-      chain_ = nullptr;
-      row_matched_ = false;
-    }
-    probe_batch_ = nullptr;
+    if (prober_.Run(table_of, output_.get(), &out_rows_)) return true;
   }
 }
 
-Result<bool> HashJoinOperator::PumpSpill() {
-  const JoinType jt = options_.join_type;
-  const Schema& probe_schema = probe_->output_schema();
+Result<bool> HashJoinOperator::PumpDrain() {
+  const size_t entry_size =
+      SerializedRowHashTable::kHeaderSize + build_format_.row_size();
   for (;;) {
-    if (drain_partition_ >= options_.num_partitions) {
+    if (prober_.has_batch()) {
+      const SerializedRowHashTable* table =
+          partitions_[static_cast<size_t>(drain_partition_)].table.get();
+      if (prober_.Run([table](uint64_t) { return table; }, output_.get(),
+                      &out_rows_)) {
+        return true;
+      }
+    }
+    if (drain_loaded_) {
+      Partition& part = partitions_[static_cast<size_t>(drain_partition_)];
+      VSTORE_ASSIGN_OR_RETURN(
+          bool more, part.probe_file.Read(drain_batch_.get(), &read_buf_));
+      if (more) {
+        prober_.Start(drain_batch_.get());
+        continue;
+      }
+      // Partition done: release its rows, table and files before the next
+      // one loads.
+      part.table.reset();
+      part.arena.reset();
+      part.build_file.Close();
+      part.probe_file.Close();
+      drain_loaded_ = false;
+      ++drain_partition_;
+    }
+    while (drain_partition_ < options_.num_partitions &&
+           !partitions_[static_cast<size_t>(drain_partition_)].spilled) {
+      ++drain_partition_;
+    }
+    if (drain_partition_ == options_.num_partitions) {
       phase_ = Phase::kDone;
       return out_rows_ > 0;
     }
+
+    // Load the build side of the next spilled partition and hash it.
     Partition& part = partitions_[static_cast<size_t>(drain_partition_)];
-    if (!part.spilled) {
-      ++drain_partition_;
-      continue;
-    }
-
-    if (!drain_loaded_) {
-      // Load the build side of this partition and hash it.
-      std::rewind(part.build_file);
-      part.table = std::make_unique<SerializedRowHashTable>(
-          std::max<int64_t>(part.build_rows_on_disk, 1));
-      part.table->SetMemoryTracker(mem_.get());
-      const size_t entry_size =
-          SerializedRowHashTable::kHeaderSize + build_format_.row_size();
-      std::vector<Value> row;
-      for (;;) {
-        VSTORE_ASSIGN_OR_RETURN(
-            bool more,
-            ReadSpillRow(part.build_file, build_->output_schema(), &row));
-        if (!more) break;
-        uint8_t* entry = part.arena->Allocate(entry_size);
-        build_format_.WriteValues(entry + SerializedRowHashTable::kHeaderSize,
-                                  row, part.arena.get());
-        uint64_t hash = build_format_.HashKeys(
-            entry + SerializedRowHashTable::kHeaderSize, options_.build_keys);
-        part.table->Insert(entry, hash);
-      }
-      std::rewind(part.probe_file);
-      drain_probe_row_.resize(probe_format_.row_size());
-      drain_loaded_ = true;
-      drain_row_pending_ = false;
-    }
-
-    for (;;) {
-      if (!drain_row_pending_) {
-        std::vector<Value> row;
-        VSTORE_ASSIGN_OR_RETURN(bool more,
-                                ReadSpillRow(part.probe_file, probe_schema,
-                                             &row));
-        if (!more) {
-          drain_loaded_ = false;
-          ++drain_partition_;
-          break;  // next partition
-        }
-        drain_arena_.Reset();
-        probe_format_.WriteValues(drain_probe_row_.data(), row, &drain_arena_);
-        uint64_t hash =
-            probe_format_.HashKeys(drain_probe_row_.data(), options_.probe_keys);
-        chain_ = part.table->ChainHead(hash);
-        row_matched_ = false;
-        drain_row_pending_ = true;
-      }
-
-      while (chain_ != nullptr) {
-        if (out_rows_ == output_->capacity()) return true;
-        const uint8_t* entry = chain_;
-        const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-        if (CrossFormatKeysEqual(build_format_, payload, options_.build_keys,
-                                 probe_format_, drain_probe_row_.data(),
-                                 options_.probe_keys)) {
-          row_matched_ = true;
-          if (jt == JoinType::kInner || jt == JoinType::kLeftOuter) {
-            emitter_.EmitFromSerialized(output_.get(), drain_probe_row_.data(),
-                                        payload, out_rows_++);
-          } else {
-            chain_ = nullptr;
-            break;
+    part.table = std::make_unique<SerializedRowHashTable>(
+        std::max<int64_t>(part.build_file.rows(), 1));
+    part.table->SetMemoryTracker(mem_.get());
+    VSTORE_RETURN_IF_ERROR(ForEachBuildRecord(
+        &part.build_file, build_batch_.get(), &read_buf_, options_.build_keys,
+        &build_hashes_, [&](const Batch& batch, const uint64_t* hashes) {
+          for (int64_t i = 0; i < batch.num_rows(); ++i) {
+            uint8_t* entry = part.arena->Allocate(entry_size);
+            // Copies strings out of the read buffer into the arena.
+            build_format_.Write(entry + SerializedRowHashTable::kHeaderSize,
+                                batch, i, part.arena.get());
+            part.table->Insert(entry, hashes[i]);
           }
-        }
-        if (chain_ != nullptr) {
-          chain_ = SerializedRowHashTable::ChainNext(entry);
-        }
-      }
-
-      bool emit_probe_only =
-          (jt == JoinType::kLeftSemi && row_matched_) ||
-          (jt == JoinType::kLeftAnti && !row_matched_);
-      bool emit_null_extended = jt == JoinType::kLeftOuter && !row_matched_;
-      if (emit_probe_only || emit_null_extended) {
-        if (out_rows_ == output_->capacity()) return true;
-        emitter_.EmitFromSerialized(output_.get(), drain_probe_row_.data(),
-                                    nullptr, out_rows_++);
-      }
-      drain_row_pending_ = false;
+        }));
+    VSTORE_RETURN_IF_ERROR(part.probe_file.Rewind());
+    if (drain_batch_ == nullptr) {
+      drain_batch_ =
+          std::make_unique<Batch>(probe_->output_schema(), ctx_->batch_size);
     }
+    drain_loaded_ = true;
   }
 }
 
@@ -564,7 +462,7 @@ Result<Batch*> HashJoinOperator::NextImpl() {
     VSTORE_ASSIGN_OR_RETURN(ready, PumpProbe());
   }
   if (!ready && phase_ == Phase::kSpillDrain) {
-    VSTORE_ASSIGN_OR_RETURN(ready, PumpSpill());
+    VSTORE_ASSIGN_OR_RETURN(ready, PumpDrain());
   }
   if (out_rows_ == 0) return static_cast<Batch*>(nullptr);
   output_->set_num_rows(out_rows_);

@@ -2,7 +2,6 @@
 #define VSTORE_EXEC_HASH_JOIN_H_
 
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "exec/bloom_filter.h"
 #include "exec/hash_table.h"
 #include "exec/operator.h"
+#include "exec/spill.h"
 
 namespace vstore {
 
@@ -32,39 +32,145 @@ inline bool JoinEmitsBuildColumns(JoinType type) {
 Schema HashJoinOutputSchema(const Schema& probe, const Schema& build,
                             JoinType type);
 
-// Row emission shared by the single-threaded hash join and the parallel
-// probe fragments: writes one output row (probe side from a batch or a
-// serialized row, build side from a serialized row or null-extended) into
-// an accumulating output batch. Stateless apart from the formats.
-class JoinRowEmitter {
+// The batch probe loop of the single-threaded hash join and the parallel
+// probe fragments, used both for probe input and for probe records read
+// back in a spill drain. Start() hashes a probe batch's keys once; Run()
+// walks each active row's bucket chain and writes output rows (the probe
+// columns, then the build row's columns or nulls) into an accumulating
+// output batch, pausing mid-row when that batch fills.
+class JoinProber {
  public:
-  JoinRowEmitter(const RowFormat* probe_format, const RowFormat* build_format,
-                 bool emit_build_columns)
-      : probe_format_(probe_format),
+  JoinProber(JoinType type, const RowFormat* build_format,
+             const std::vector<int>* build_keys,
+             const std::vector<int>* probe_keys)
+      : type_(type),
         build_format_(build_format),
-        emit_build_columns_(emit_build_columns) {}
+        build_keys_(build_keys),
+        probe_keys_(probe_keys),
+        emit_build_columns_(JoinEmitsBuildColumns(type)) {}
 
-  void EmitFromBatch(Batch* output, const Batch& probe, int64_t row,
-                     const uint8_t* build_row, int64_t out_row) const;
-  void EmitFromSerialized(Batch* output, const uint8_t* probe_row,
-                          const uint8_t* build_row, int64_t out_row) const;
+  // Starts probing `batch`, which must stay valid until Run() returns
+  // false or Clear() is called.
+  void Start(const Batch* batch);
+  void Clear() { batch_ = nullptr; }
+  bool has_batch() const { return batch_ != nullptr; }
+  // Key hashes of the started batch (valid for its active rows).
+  const uint64_t* hashes() const { return hashes_.data(); }
+
+  // Probes the rest of the started batch, writing output row *out_rows
+  // onwards. `table_of(hash)` returns the table a row with that key hash
+  // probes, or null to skip the row (its partition is on disk). Returns
+  // true when `output` is full (call again to resume) and false once the
+  // batch is done.
+  template <typename TableOf>
+  bool Run(TableOf table_of, Batch* output, int64_t* out_rows);
 
  private:
-  const RowFormat* probe_format_;
+  void Emit(Batch* output, const Batch& probe, int64_t row,
+            const uint8_t* build_row, int64_t out_row) const;
+
+  JoinType type_;
   const RowFormat* build_format_;
+  const std::vector<int>* build_keys_;
+  const std::vector<int>* probe_keys_;
   bool emit_build_columns_;
+
+  const Batch* batch_ = nullptr;
+  std::vector<uint64_t> hashes_;
+  int64_t row_ = 0;
+  const uint8_t* chain_ = nullptr;  // resume point within a bucket chain
+  bool matched_ = false;            // for outer/semi/anti bookkeeping
 };
+
+template <typename TableOf>
+bool JoinProber::Run(TableOf table_of, Batch* output, int64_t* out_rows) {
+  const Batch& probe = *batch_;
+  const uint8_t* active = probe.active();
+  const uint64_t* hashes = hashes_.data();
+  const int64_t n = probe.num_rows();
+  const int64_t capacity = output->capacity();
+  // The resume state lives in locals while the loop runs (output stores
+  // cannot clobber them) and goes back to the members when it pauses.
+  int64_t row = row_;
+  const uint8_t* chain = chain_;
+  bool matched = matched_;
+  int64_t out = *out_rows;
+  auto pause = [&] {
+    row_ = row;
+    chain_ = chain;
+    matched_ = matched;
+    *out_rows = out;
+    return true;
+  };
+  for (; row < n; ++row, chain = nullptr, matched = false) {
+    if (!active[row]) continue;
+    const uint64_t hash = hashes[row];
+    const SerializedRowHashTable* table = table_of(hash);
+    if (table == nullptr) continue;
+    if (chain == nullptr && !matched) chain = table->ChainHead(hash);
+    while (chain != nullptr) {
+      if (out == capacity) return pause();
+      const uint8_t* entry = chain;
+      const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
+      if (SerializedRowHashTable::EntryHash(entry) == hash &&
+          build_format_->KeysEqualBatch(payload, *build_keys_, probe, row,
+                                        *probe_keys_)) {
+        matched = true;
+        if (!emit_build_columns_) break;  // semi/anti need only existence
+        Emit(output, probe, row, payload, out++);
+      }
+      chain = SerializedRowHashTable::ChainNext(entry);
+    }
+    chain = nullptr;
+
+    // Chain exhausted: row epilogue.
+    const bool emit_probe_only = (type_ == JoinType::kLeftSemi && matched) ||
+                                 (type_ == JoinType::kLeftAnti && !matched);
+    const bool emit_null_extended = type_ == JoinType::kLeftOuter && !matched;
+    if (emit_probe_only || emit_null_extended) {
+      if (out == capacity) return pause();
+      Emit(output, probe, row, nullptr, out++);
+    }
+  }
+  *out_rows = out;
+  batch_ = nullptr;
+  return false;
+}
+
+// Reads every record of a spilled build partition back into `batch`
+// (through `scratch`) and calls fn(batch, key hashes) per record, the
+// hashes computed by HashKeysBatch into `hashes`. Used by the Bloom refill
+// and the drain's build reload.
+template <typename Fn>
+Status ForEachBuildRecord(SpillFile* file, Batch* batch, SpillBuffer* scratch,
+                          const std::vector<int>& keys,
+                          std::vector<uint64_t>* hashes, Fn fn) {
+  VSTORE_RETURN_IF_ERROR(file->Rewind());
+  for (;;) {
+    VSTORE_ASSIGN_OR_RETURN(bool more, file->Read(batch, scratch));
+    if (!more) return Status::OK();
+    hashes->resize(static_cast<size_t>(batch->num_rows()));
+    HashKeysBatch(*batch, keys, nullptr, hashes->data());
+    fn(*batch, hashes->data());
+  }
+}
 
 // Batch-mode hash join (paper §5.3): consumes the build side into a hash
 // table of serialized rows, optionally publishing a Bloom filter for
 // pushdown into the probe-side scan, then streams probe batches against it.
 //
 // Memory-bounded: build rows are hash-partitioned; when the in-memory size
-// exceeds the context's operator_memory_budget, whole partitions spill to
-// temp files and the matching probe rows are spilled too, then partition
-// pairs are drained after the probe input is exhausted (grace hash join).
-// One level of partitioning is applied; a spilled partition is assumed to
-// fit in memory during its drain.
+// exceeds the context's operator_memory_budget (or the query budget is
+// crossed), the largest resident partition spills to a SpillFile, and
+// later build and probe rows of spilled partitions follow it there as
+// batch-columnar records, one per (input batch, partition). After the
+// probe input is exhausted the partition pairs are drained one at a time
+// (grace hash join): a partition's build records are read back into a
+// hash table, its probe records run through the same JoinProber loop as
+// probe input, and the partition's table, rows and files are released
+// before the next one loads, so at most one spilled partition is resident
+// during the drain. One level of partitioning is applied; a spilled
+// partition is assumed to fit in memory during its drain.
 //
 // Output schema: probe columns followed by build columns (probe columns
 // only for semi/anti joins).
@@ -108,10 +214,8 @@ class HashJoinOperator final : public BatchOperator {
     std::vector<uint8_t*> rows;  // entry pointers (header + payload)
     int64_t bytes = 0;
     bool spilled = false;
-    std::FILE* build_file = nullptr;
-    std::FILE* probe_file = nullptr;
-    int64_t build_rows_on_disk = 0;
-    int64_t probe_rows_on_disk = 0;
+    SpillFile build_file;
+    SpillFile probe_file;
     std::unique_ptr<SerializedRowHashTable> table;
   };
 
@@ -122,10 +226,17 @@ class HashJoinOperator final : public BatchOperator {
   Status RunBuildPhase();
   Status SpillPartition(int p);
   Status BuildInMemoryTables();
-
-  // WriteSpillRow plus per-operator and global spill-byte accounting.
-  Status SpillRow(std::FILE* f, const Schema& schema,
-                  const std::vector<Value>& row);
+  // Appends the rows spill_sel_ holds for each partition to that
+  // partition's build or probe file (one record per partition), counts
+  // them, and clears the selections.
+  Status SpillSelected(const Batch& batch, bool probe_side);
+  // Appends rows sel[0..n) of `batch` to `file`, with per-operator and
+  // global spill-byte accounting.
+  Status SpillRecord(SpillFile* file, const Batch& batch, const int32_t* sel,
+                     int64_t n);
+  // Counts the probe batch's active rows and writes those of spilled
+  // partitions to their probe files.
+  Status SpillProbeRows(const Batch& batch);
   // True when the build should shed a partition: local operator budget
   // exceeded, or the query-level tracker crossed its budget (pressure
   // listener edge or steady-state over_budget poll).
@@ -134,7 +245,7 @@ class HashJoinOperator final : public BatchOperator {
   // Probe-streaming phase; returns true when a full/final batch is ready.
   Result<bool> PumpProbe();
   // Spill-drain phase; returns true when a batch is ready, false at EOS.
-  Result<bool> PumpSpill();
+  Result<bool> PumpDrain();
 
   BatchOperatorPtr probe_;
   BatchOperatorPtr build_;
@@ -143,9 +254,6 @@ class HashJoinOperator final : public BatchOperator {
 
   Schema output_schema_;
   RowFormat build_format_;
-  RowFormat probe_format_;
-  bool emit_build_columns_;
-  JoinRowEmitter emitter_;
 
   BloomFilter* bloom_ = nullptr;  // not owned
   std::vector<Partition> partitions_;
@@ -153,8 +261,9 @@ class HashJoinOperator final : public BatchOperator {
   int64_t total_build_bytes_ = 0;
 
   // Per-operator tracker under the query tracker (null when tracking is
-  // off); partition arenas and tables charge here. The pressure flag is
-  // set by the query tracker's budget-crossing listener.
+  // off); partition arenas and tables and the spill buffers charge here.
+  // The pressure flag is set by the query tracker's budget-crossing
+  // listener.
   std::unique_ptr<MemoryTracker> mem_;
   mutable std::atomic<bool> pressure_{false};
   int pressure_listener_ = 0;
@@ -162,21 +271,26 @@ class HashJoinOperator final : public BatchOperator {
   std::unique_ptr<Batch> output_;
   int64_t out_rows_ = 0;
 
-  // Probe-streaming state.
   enum class Phase { kBuild, kProbe, kSpillDrain, kDone };
   Phase phase_ = Phase::kBuild;
-  Batch* probe_batch_ = nullptr;
-  int64_t probe_row_ = 0;
-  std::vector<uint64_t> probe_hashes_;
-  const uint8_t* chain_ = nullptr;  // resume point within a bucket chain
-  bool row_matched_ = false;        // for outer/semi/anti bookkeeping
+  JoinProber prober_;
+  std::vector<uint64_t> build_hashes_;
 
-  // Spill-drain state.
+  // Spill scratch: one record each, shared by all partition files.
+  // spill_sel_[p] lists the rows of the current input batch bound for
+  // partition p's file. build_batch_ (made by the first partition spill)
+  // gathers resident rows for a spill and receives build records read
+  // back; drain_batch_ receives probe records in the drain.
+  SpillBuffer write_buf_;
+  SpillBuffer read_buf_;
+  std::vector<std::vector<int32_t>> spill_sel_;
+  std::unique_ptr<Batch> build_batch_;
+  std::unique_ptr<Batch> drain_batch_;
+
+  // Spill-drain state: the partition being drained and whether its build
+  // side is loaded.
   int drain_partition_ = 0;
   bool drain_loaded_ = false;
-  std::vector<uint8_t> drain_probe_row_;  // serialized current probe row
-  bool drain_row_pending_ = false;
-  Arena drain_arena_;
 
   // Per-operator profile counters mirroring the query-global ExecStats.
   int64_t build_rows_ = 0;

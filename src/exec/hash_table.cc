@@ -53,39 +53,6 @@ void RowFormat::Write(uint8_t* dst, const Batch& batch, int64_t row,
   }
 }
 
-void RowFormat::WriteValues(uint8_t* dst, const std::vector<Value>& row,
-                            Arena* arena) const {
-  for (int c = 0; c < num_columns(); ++c) {
-    const Value& v = row[static_cast<size_t>(c)];
-    dst[c] = v.is_null() ? 0 : 1;
-    uint8_t* slot = dst + slot_offset(c);
-    if (v.is_null()) {
-      std::memset(slot, 0, 8);
-      continue;
-    }
-    switch (PhysicalTypeOf(types_[static_cast<size_t>(c)])) {
-      case PhysicalType::kInt64: {
-        int64_t x = v.int64();
-        std::memcpy(slot, &x, 8);
-        break;
-      }
-      case PhysicalType::kDouble: {
-        double x = v.dbl();
-        std::memcpy(slot, &x, 8);
-        break;
-      }
-      case PhysicalType::kString: {
-        std::string_view stable = arena->CopyString(v.str());
-        const char* ptr = stable.data();
-        uint64_t len = stable.size();
-        std::memcpy(slot, &ptr, 8);
-        std::memcpy(slot + 8, &len, 8);
-        break;
-      }
-    }
-  }
-}
-
 void RowFormat::WriteKeysFromBatch(uint8_t* dst, const Batch& batch,
                                    int64_t row,
                                    const std::vector<int>& batch_cols,
@@ -118,27 +85,6 @@ void RowFormat::WriteKeysFromBatch(uint8_t* dst, const Batch& batch,
   }
 }
 
-bool CrossFormatKeysEqual(const RowFormat& af, const uint8_t* a,
-                          const std::vector<int>& a_keys, const RowFormat& bf,
-                          const uint8_t* b, const std::vector<int>& b_keys) {
-  for (size_t i = 0; i < a_keys.size(); ++i) {
-    int ka = a_keys[i], kb = b_keys[i];
-    if (af.IsNull(a, ka) || bf.IsNull(b, kb)) return false;
-    switch (PhysicalTypeOf(af.column_type(ka))) {
-      case PhysicalType::kInt64:
-        if (af.GetInt64(a, ka) != bf.GetInt64(b, kb)) return false;
-        break;
-      case PhysicalType::kDouble:
-        if (af.GetDouble(a, ka) != bf.GetDouble(b, kb)) return false;
-        break;
-      case PhysicalType::kString:
-        if (af.GetString(a, ka) != bf.GetString(b, kb)) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 int64_t RowFormat::GetInt64(const uint8_t* row, int c) const {
   int64_t x;
   std::memcpy(&x, row + slot_offset(c), 8);
@@ -159,26 +105,6 @@ std::string_view RowFormat::GetString(const uint8_t* row, int c) const {
   return std::string_view(ptr, len);
 }
 
-Value RowFormat::GetValue(const uint8_t* row, int c) const {
-  DataType type = types_[static_cast<size_t>(c)];
-  if (IsNull(row, c)) return Value::Null(type);
-  switch (type) {
-    case DataType::kBool:
-      return Value::Bool(GetInt64(row, c) != 0);
-    case DataType::kInt32:
-      return Value::Int32(static_cast<int32_t>(GetInt64(row, c)));
-    case DataType::kInt64:
-      return Value::Int64(GetInt64(row, c));
-    case DataType::kDate32:
-      return Value::Date32(static_cast<int32_t>(GetInt64(row, c)));
-    case DataType::kDouble:
-      return Value::Double(GetDouble(row, c));
-    case DataType::kString:
-      return Value::String(std::string(GetString(row, c)));
-  }
-  return Value::Null(type);
-}
-
 void RowFormat::CopyToVector(const uint8_t* row, int c, ColumnVector* dst,
                              int64_t out_i, Arena* dst_arena) const {
   bool valid = !IsNull(row, c);
@@ -192,26 +118,15 @@ void RowFormat::CopyToVector(const uint8_t* row, int c, ColumnVector* dst,
       dst->mutable_doubles()[out_i] = GetDouble(row, c);
       break;
     case PhysicalType::kString:
-      dst->mutable_strings()[out_i] = dst_arena->CopyString(GetString(row, c));
+      dst->mutable_strings()[out_i] = dst_arena != nullptr
+                                          ? dst_arena->CopyString(
+                                                GetString(row, c))
+                                          : GetString(row, c);
       break;
   }
 }
 
 namespace {
-
-uint64_t HashSlot(DataType type, const uint8_t* row, const RowFormat& fmt,
-                  int c) {
-  if (fmt.IsNull(row, c)) return kNullKeyHashTag;
-  switch (PhysicalTypeOf(type)) {
-    case PhysicalType::kInt64:
-      return HashInt64(static_cast<uint64_t>(fmt.GetInt64(row, c)));
-    case PhysicalType::kDouble:
-      return HashInt64(std::bit_cast<uint64_t>(fmt.GetDouble(row, c)));
-    case PhysicalType::kString:
-      return Hash64(fmt.GetString(row, c));
-  }
-  return 0;
-}
 
 uint64_t HashBatchSlot(const ColumnVector& cv, int64_t i) {
   if (!cv.validity()[i]) return kNullKeyHashTag;
@@ -227,15 +142,6 @@ uint64_t HashBatchSlot(const ColumnVector& cv, int64_t i) {
 }
 
 }  // namespace
-
-uint64_t RowFormat::HashKeys(const uint8_t* row,
-                             const std::vector<int>& keys) const {
-  uint64_t h = kKeyHashSeed;
-  for (int k : keys) {
-    h = HashCombine(h, HashSlot(types_[static_cast<size_t>(k)], row, *this, k));
-  }
-  return h;
-}
 
 uint64_t RowFormat::HashKeysFromBatch(const Batch& batch, int64_t i,
                                       const std::vector<int>& keys) const {
@@ -278,27 +184,6 @@ void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
   }
 }
 
-bool RowFormat::KeysEqual(const uint8_t* a, const std::vector<int>& a_keys,
-                          const uint8_t* b,
-                          const std::vector<int>& b_keys) const {
-  for (size_t i = 0; i < a_keys.size(); ++i) {
-    int ka = a_keys[i], kb = b_keys[i];
-    if (IsNull(a, ka) || IsNull(b, kb)) return false;
-    switch (PhysicalTypeOf(types_[static_cast<size_t>(ka)])) {
-      case PhysicalType::kInt64:
-        if (GetInt64(a, ka) != GetInt64(b, kb)) return false;
-        break;
-      case PhysicalType::kDouble:
-        if (GetDouble(a, ka) != GetDouble(b, kb)) return false;
-        break;
-      case PhysicalType::kString:
-        if (GetString(a, ka) != GetString(b, kb)) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 bool RowFormat::KeysEqualBatch(const uint8_t* row,
                                const std::vector<int>& row_keys,
                                const Batch& batch, int64_t i,
@@ -336,6 +221,20 @@ void SerializedRowHashTable::Insert(uint8_t* entry, uint64_t hash) {
   std::memcpy(entry + 8, &hash, sizeof(hash));
   buckets_[b] = entry;
   ++num_entries_;
+}
+
+void EntriesToBatch(const RowFormat& format, const uint8_t* const* entries,
+                    int64_t n, Batch* out) {
+  out->Reset();
+  for (int c = 0; c < format.num_columns(); ++c) {
+    ColumnVector* dst = &out->column(c);
+    for (int64_t k = 0; k < n; ++k) {
+      format.CopyToVector(SerializedRowHashTable::EntryPayload(entries[k]), c,
+                          dst, k, nullptr);
+    }
+  }
+  out->set_num_rows(n);
+  out->ActivateAll();
 }
 
 void SerializedRowHashTable::Grow() {

@@ -16,7 +16,7 @@
 namespace vstore {
 
 // Seed folded into every key hash, and the tag null keys hash to. These
-// are shared between RowFormat::HashKeys* and the scan-side Bloom probe
+// are shared between the key hashes below and the scan-side Bloom probe
 // (ColumnStoreScanOperator) so a join-built filter and the scan agree on
 // single-key hashes.
 constexpr uint64_t kKeyHashSeed = 0x51ed270b;
@@ -44,12 +44,9 @@ class RowFormat {
   // payloads are copied into `arena`.
   void Write(uint8_t* dst, const Batch& batch, int64_t row,
              Arena* arena) const;
-  void WriteValues(uint8_t* dst, const std::vector<Value>& row,
-                   Arena* arena) const;
   // Serializes a column subset of batch row `row` into `dst`: serialized
-  // column k takes its value from batch column `batch_cols[k]`. Equivalent
-  // to materializing the key Values and calling WriteValues, minus the
-  // per-row temporaries (hash aggregation's new-group fast path).
+  // column k takes its value from batch column `batch_cols[k]` (hash
+  // aggregation's new-group path).
   void WriteKeysFromBatch(uint8_t* dst, const Batch& batch, int64_t row,
                           const std::vector<int>& batch_cols,
                           Arena* arena) const;
@@ -60,24 +57,21 @@ class RowFormat {
   int64_t GetInt64(const uint8_t* row, int c) const;
   double GetDouble(const uint8_t* row, int c) const;
   std::string_view GetString(const uint8_t* row, int c) const;
-  Value GetValue(const uint8_t* row, int c) const;
 
   // Copies column `c` of the serialized row into position `out_i` of `dst`.
-  // Strings are re-anchored into `dst_arena`.
+  // Strings are re-anchored into `dst_arena`, or view the row's own string
+  // storage when `dst_arena` is null.
   void CopyToVector(const uint8_t* row, int c, ColumnVector* dst,
                     int64_t out_i, Arena* dst_arena) const;
 
-  // Hash of the given key columns (nulls hash to a fixed tag; callers that
-  // need SQL join semantics must skip null keys themselves).
-  uint64_t HashKeys(const uint8_t* row, const std::vector<int>& keys) const;
+  // Hash of the given key columns of batch row `i` (nulls hash to a fixed
+  // tag; callers that need SQL join semantics must skip null keys
+  // themselves).
   uint64_t HashKeysFromBatch(const Batch& batch, int64_t i,
                              const std::vector<int>& keys) const;
 
-  // True if the key columns of `a` equal those of `b` (null keys never
-  // compare equal).
-  bool KeysEqual(const uint8_t* a, const std::vector<int>& a_keys,
-                 const uint8_t* b, const std::vector<int>& b_keys) const;
-  // Compares a serialized row's keys against a batch row's keys.
+  // Compares a serialized row's keys against a batch row's keys (null keys
+  // never compare equal).
   bool KeysEqualBatch(const uint8_t* row, const std::vector<int>& row_keys,
                       const Batch& batch, int64_t i,
                       const std::vector<int>& batch_keys) const;
@@ -99,12 +93,6 @@ class RowFormat {
 // and is unspecified elsewhere. `active` may be null (= all rows).
 void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
                    const uint8_t* active, uint64_t* out);
-
-// Key equality between rows serialized under two different formats (spill
-// drains compare a serialized probe row against serialized build rows).
-bool CrossFormatKeysEqual(const RowFormat& af, const uint8_t* a,
-                          const std::vector<int>& a_keys, const RowFormat& bf,
-                          const uint8_t* b, const std::vector<int>& b_keys);
 
 // Chained hash table over serialized rows. Each entry is a row prefixed by
 // a 16-byte header: [next pointer : 8][hash : 8]. Rows live in an Arena
@@ -178,6 +166,12 @@ class SerializedRowHashTable {
   int64_t num_entries_ = 0;
   MemoryReservation reservation_;
 };
+
+// Copies the rows of table entries entries[0..n) (header + payload, as
+// Insert takes them) into rows 0..n-1 of `out`, a batch of `format`'s
+// schema, every row active. Strings view the entries' storage.
+void EntriesToBatch(const RowFormat& format, const uint8_t* const* entries,
+                    int64_t n, Batch* out);
 
 }  // namespace vstore
 

@@ -9,7 +9,6 @@
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/span_trace.h"
-#include "exec/spill.h"
 
 namespace vstore {
 
@@ -56,10 +55,6 @@ SharedHashJoinBuild::~SharedHashJoinBuild() {
   if (pressure_listener_ != 0) {
     query_tracker_->RemovePressureListener(pressure_listener_);
   }
-  for (auto& part : partitions_) {
-    if (part->build_file != nullptr) std::fclose(part->build_file);
-    if (part->probe_file != nullptr) std::fclose(part->probe_file);
-  }
 }
 
 bool SharedHashJoinBuild::QueryMemoryPressure() const {
@@ -67,13 +62,9 @@ bool SharedHashJoinBuild::QueryMemoryPressure() const {
   return query_tracker_ != nullptr && query_tracker_->over_budget();
 }
 
-Status SharedHashJoinBuild::SpillRowLocked(std::FILE* f, const Schema& schema,
-                                           const std::vector<Value>& row) {
-  int64_t bytes = 0;
-  VSTORE_RETURN_IF_ERROR(WriteSpillRow(f, schema, row, &bytes));
+void SharedHashJoinBuild::AddSpillBytes(int64_t bytes) {
   spill_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   AddGlobalSpillBytes(bytes);
-  return Status::OK();
 }
 
 Status SharedHashJoinBuild::EnsureBuilt(ExecContext* caller_ctx) {
@@ -95,6 +86,8 @@ Status SharedHashJoinBuild::RunBuild(ExecContext* caller_ctx) {
     pressure_listener_ = query_tracker_->AddPressureListener(
         [this] { pressure_.store(true, std::memory_order_relaxed); });
   }
+  record_rows_ = caller_ctx->batch_size;
+  spill_buf_.SetMemoryTracker(mem_.get());
   partitions_.clear();
   partitions_.reserve(static_cast<size_t>(options_.num_partitions));
   for (int p = 0; p < options_.num_partitions; ++p) {
@@ -153,6 +146,9 @@ Status SharedHashJoinBuild::RunBuild(ExecContext* caller_ctx) {
     VSTORE_RETURN_IF_ERROR(s);
   }
   build_ns_ = ElapsedNs(build_start);
+  // No partition spills after the build barrier.
+  spill_buf_.Release();
+  spill_batch_.reset();
 
   // Phase 2: chained tables + Bloom filter, partitions striped across the
   // same dop. The shared filter is Init()ed once from the total row count;
@@ -195,6 +191,12 @@ Status SharedHashJoinBuild::BuildFragment(int fragment, ExecContext* fctx) {
       SerializedRowHashTable::kHeaderSize + build_format_.row_size();
   int64_t frag_rows = 0;
   int64_t lock_wait_ns = 0;
+  // Rows of spilled partitions are collected per batch and appended as one
+  // record per partition through this fragment's write buffer.
+  SpillBuffer write_buf(mem_.get());
+  std::vector<std::vector<int32_t>> spill_sel(
+      static_cast<size_t>(options_.num_partitions));
+  std::vector<uint64_t> hashes;
 
   Status status = op->Open();
   while (status.ok()) {
@@ -207,6 +209,8 @@ Status SharedHashJoinBuild::BuildFragment(int fragment, ExecContext* fctx) {
     if (batch == nullptr) break;
     const int64_t n = batch->num_rows();
     const uint8_t* active = batch->active();
+    hashes.resize(static_cast<size_t>(n));
+    HashKeysBatch(*batch, options_.build_keys, active, hashes.data());
     for (int64_t i = 0; i < n && status.ok(); ++i) {
       if (!active[i]) continue;
       // Rows with a null key can never join: drop them at build time.
@@ -220,9 +224,9 @@ Status SharedHashJoinBuild::BuildFragment(int fragment, ExecContext* fctx) {
       if (null_key) continue;
 
       ++frag_rows;
-      uint64_t hash =
-          build_format_.HashKeysFromBatch(*batch, i, options_.build_keys);
-      Partition& part = *partitions_[static_cast<size_t>(PartitionOf(hash))];
+      const uint64_t hash = hashes[static_cast<size_t>(i)];
+      const int p = PartitionOf(hash);
+      Partition& part = *partitions_[static_cast<size_t>(p)];
       bool over_budget = false;
       bool query_pressure = false;
       {
@@ -235,12 +239,7 @@ Status SharedHashJoinBuild::BuildFragment(int fragment, ExecContext* fctx) {
           lock_wait_ns += ElapsedNs(wait_start);
         }
         if (part.spilled) {
-          status = SpillRowLocked(part.build_file, build_schema_,
-                                  batch->GetActiveRow(i));
-          if (status.ok()) {
-            ++part.build_rows_on_disk;
-            ++fctx->stats.build_rows_spilled;
-          }
+          spill_sel[static_cast<size_t>(p)].push_back(static_cast<int32_t>(i));
         } else {
           uint8_t* entry = part.arena->Allocate(entry_size);
           build_format_.Write(entry + SerializedRowHashTable::kHeaderSize,
@@ -271,6 +270,14 @@ Status SharedHashJoinBuild::BuildFragment(int fragment, ExecContext* fctx) {
       if (status.ok() && over_budget) {
         status = MaybeSpill(fctx, query_pressure);
       }
+    }
+    for (int p = 0; p < options_.num_partitions; ++p) {
+      std::vector<int32_t>& sel = spill_sel[static_cast<size_t>(p)];
+      if (status.ok() && !sel.empty()) {
+        status = SpillRows(p, /*build_side=*/true, *batch, sel.data(),
+                           static_cast<int64_t>(sel.size()), &write_buf, fctx);
+      }
+      sel.clear();
     }
   }
   op->Close();
@@ -323,22 +330,23 @@ Status SharedHashJoinBuild::SpillPartitionLocked(Partition* part,
                                                  ExecContext* fctx) {
   ScopedTrace trace("parallel_join_spill_partition", "spill");
   VSTORE_DCHECK(!part->spilled);
-  part->build_file = std::tmpfile();
-  part->probe_file = std::tmpfile();
-  if (part->build_file == nullptr || part->probe_file == nullptr) {
-    return Status::Internal("cannot create spill files");
+  VSTORE_RETURN_IF_ERROR(part->build_file.Open(record_rows_));
+  VSTORE_RETURN_IF_ERROR(part->probe_file.Open(record_rows_));
+  if (spill_batch_ == nullptr) {
+    spill_batch_ = std::make_unique<Batch>(build_schema_, record_rows_);
   }
-  std::vector<Value> row(static_cast<size_t>(build_schema_.num_columns()));
-  for (uint8_t* entry : part->rows) {
-    const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-    for (int c = 0; c < build_schema_.num_columns(); ++c) {
-      row[static_cast<size_t>(c)] = build_format_.GetValue(payload, c);
-    }
-    VSTORE_RETURN_IF_ERROR(
-        SpillRowLocked(part->build_file, build_schema_, row));
-    ++part->build_rows_on_disk;
-    ++fctx->stats.build_rows_spilled;
+  // Resident rows go out in insertion order, one record per batch-full.
+  const int64_t rows = static_cast<int64_t>(part->rows.size());
+  for (int64_t begin = 0; begin < rows; begin += record_rows_) {
+    const int64_t n = std::min(record_rows_, rows - begin);
+    EntriesToBatch(build_format_, part->rows.data() + begin, n,
+                   spill_batch_.get());
+    VSTORE_ASSIGN_OR_RETURN(
+        int64_t bytes,
+        part->build_file.Append(*spill_batch_, nullptr, n, &spill_buf_));
+    AddSpillBytes(bytes);
   }
+  fctx->stats.build_rows_spilled += rows;
   total_bytes_.fetch_sub(part->bytes.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
   part->rows.clear();
@@ -359,6 +367,10 @@ Status SharedHashJoinBuild::FinalizeStripe(int stripe, int64_t total_rows) {
   BloomFilter local_bloom;
   const bool blooming = options_.bloom_target != nullptr;
   if (blooming) local_bloom.Init(std::max<int64_t>(total_rows, 1));
+  // Read scratch for this stripe's spilled partitions.
+  SpillBuffer read_buf(mem_.get());
+  std::unique_ptr<Batch> batch;
+  std::vector<uint64_t> hashes;
 
   for (int p = stripe; p < options_.num_partitions; p += build_dop_) {
     Partition& part = *partitions_[static_cast<size_t>(p)];
@@ -374,19 +386,16 @@ Status SharedHashJoinBuild::FinalizeStripe(int stripe, int64_t total_rows) {
     } else if (blooming) {
       // Spilled build rows still participate in the filter (the filter
       // reflects the whole build side, resident or not).
-      std::rewind(part.build_file);
-      std::vector<Value> row;
-      std::vector<uint8_t> buf(build_format_.row_size());
-      Arena scratch;
-      for (;;) {
-        VSTORE_ASSIGN_OR_RETURN(
-            bool more, ReadSpillRow(part.build_file, build_schema_, &row));
-        if (!more) break;
-        build_format_.WriteValues(buf.data(), row, &scratch);
-        local_bloom.Insert(
-            build_format_.HashKeys(buf.data(), options_.build_keys));
-        scratch.Reset();
+      if (batch == nullptr) {
+        batch = std::make_unique<Batch>(build_schema_, record_rows_);
       }
+      VSTORE_RETURN_IF_ERROR(ForEachBuildRecord(
+          &part.build_file, batch.get(), &read_buf, options_.build_keys,
+          &hashes, [&](const Batch& records, const uint64_t* record_hashes) {
+            for (int64_t i = 0; i < records.num_rows(); ++i) {
+              local_bloom.Insert(record_hashes[i]);
+            }
+          }));
     }
   }
 
@@ -399,13 +408,17 @@ Status SharedHashJoinBuild::FinalizeStripe(int stripe, int64_t total_rows) {
   return Status::OK();
 }
 
-Status SharedHashJoinBuild::SpillProbeRow(int p, const std::vector<Value>& row,
-                                          ExecContext* fctx) {
+Status SharedHashJoinBuild::SpillRows(int p, bool build_side,
+                                      const Batch& batch, const int32_t* sel,
+                                      int64_t n, SpillBuffer* scratch,
+                                      ExecContext* fctx) {
   Partition& part = *partitions_[static_cast<size_t>(p)];
   std::lock_guard<std::mutex> lock(part.mu);
-  VSTORE_RETURN_IF_ERROR(SpillRowLocked(part.probe_file, probe_schema_, row));
-  ++part.probe_rows_on_disk;
-  ++fctx->stats.probe_rows_spilled;
+  SpillFile& file = build_side ? part.build_file : part.probe_file;
+  VSTORE_ASSIGN_OR_RETURN(int64_t bytes, file.Append(batch, sel, n, scratch));
+  AddSpillBytes(bytes);
+  (build_side ? fctx->stats.build_rows_spilled
+              : fctx->stats.probe_rows_spilled) += n;
   return Status::OK();
 }
 
@@ -449,9 +462,9 @@ HashJoinProbeOperator::HashJoinProbeOperator(
       output_schema_(HashJoinOutputSchema(probe_->output_schema(),
                                           shared_->build_schema(),
                                           shared_->options().join_type)),
-      probe_format_(probe_->output_schema()),
-      emitter_(&probe_format_, &shared_->build_format(),
-               JoinEmitsBuildColumns(shared_->options().join_type)) {}
+      prober_(shared_->options().join_type, &shared_->build_format(),
+              &shared_->options().build_keys,
+              &shared_->options().probe_keys) {}
 
 HashJoinProbeOperator::~HashJoinProbeOperator() { Close(); }
 
@@ -486,22 +499,21 @@ Status HashJoinProbeOperator::OpenImpl() {
   // The build is the memory-heavy half; attribute its high-water mark to
   // one fragment so the exchange's max-merge reports it once.
   if (fragment_ == 0) RecordPeakMemory(shared_->peak_bytes());
-  // Spill-drain arenas charge the shared build tracker: the drain reloads
-  // spilled build partitions, which is build-side memory.
-  drain_build_arena_.SetMemoryTracker(shared_->memory_tracker());
-  drain_arena_.SetMemoryTracker(shared_->memory_tracker());
+  // Spill buffers and drain reloads charge the shared build tracker: they
+  // hold spilled build and probe partitions, which is join memory.
+  MemoryTracker* tracker = shared_->memory_tracker();
+  write_buf_.SetMemoryTracker(tracker);
+  read_buf_.SetMemoryTracker(tracker);
+  drain_build_arena_.SetMemoryTracker(tracker);
+  spill_sel_.assign(static_cast<size_t>(shared_->num_partitions()), {});
   // Open the probe chain only now: a pushed Bloom filter is populated by
   // the build above and the probe-side scan reads it during Open().
   VSTORE_RETURN_IF_ERROR(probe_->Open());
   output_ = std::make_unique<Batch>(output_schema_, ctx_->batch_size);
   phase_ = Phase::kProbe;
-  probe_batch_ = nullptr;
-  probe_row_ = 0;
-  chain_ = nullptr;
-  row_matched_ = false;
+  prober_.Clear();
   drain_partition_ = 0;
   drain_loaded_ = false;
-  drain_row_pending_ = false;
   return Status::OK();
 }
 
@@ -514,8 +526,13 @@ void HashJoinProbeOperator::CloseImpl() {
   }
   output_.reset();
   drain_table_.reset();
+  drain_build_arena_.Reset();
+  build_batch_.reset();
+  drain_batch_.reset();
+  write_buf_.Release();
+  read_buf_.Release();
+  prober_.Clear();
   if (phase_ != Phase::kInit) probe_->Close();
-  probe_batch_ = nullptr;
 }
 
 Result<Batch*> HashJoinProbeOperator::NextImpl() {
@@ -526,7 +543,7 @@ Result<Batch*> HashJoinProbeOperator::NextImpl() {
     VSTORE_ASSIGN_OR_RETURN(ready, PumpProbe());
   }
   if (!ready && phase_ == Phase::kSpillDrain) {
-    VSTORE_ASSIGN_OR_RETURN(ready, PumpSpill());
+    VSTORE_ASSIGN_OR_RETURN(ready, PumpDrain());
   }
   if (out_rows_ == 0) return static_cast<Batch*>(nullptr);
   output_->set_num_rows(out_rows_);
@@ -534,13 +551,42 @@ Result<Batch*> HashJoinProbeOperator::NextImpl() {
   return output_.get();
 }
 
+Status HashJoinProbeOperator::SpillProbeRows(const Batch& batch) {
+  const int64_t n = batch.num_rows();
+  const uint8_t* active = batch.active();
+  int64_t active_rows = 0;
+  for (int64_t i = 0; i < n; ++i) active_rows += active[i];
+  probe_rows_ += active_rows;
+  if (!shared_->has_spilled_partitions()) return Status::OK();
+  const uint64_t* hashes = prober_.hashes();
+  for (int64_t i = 0; i < n; ++i) {
+    const int p = shared_->PartitionOf(hashes[i]);
+    if (active[i] && shared_->partition(p).spilled) {
+      spill_sel_[static_cast<size_t>(p)].push_back(static_cast<int32_t>(i));
+    }
+  }
+  for (int p = 0; p < shared_->num_partitions(); ++p) {
+    std::vector<int32_t>& sel = spill_sel_[static_cast<size_t>(p)];
+    if (sel.empty()) continue;
+    const int64_t rows = static_cast<int64_t>(sel.size());
+    VSTORE_RETURN_IF_ERROR(shared_->SpillRows(p, /*build_side=*/false, batch,
+                                              sel.data(), rows, &write_buf_,
+                                              ctx_));
+    probe_rows_spilled_ += rows;
+    sel.clear();
+  }
+  return Status::OK();
+}
+
 Result<bool> HashJoinProbeOperator::PumpProbe() {
-  const JoinType jt = shared_->options().join_type;
-  const RowFormat& build_format = shared_->build_format();
-  const std::vector<int>& build_keys = shared_->options().build_keys;
-  const std::vector<int>& probe_keys = shared_->options().probe_keys;
+  SharedHashJoinBuild* shared = shared_.get();
+  auto table_of = [shared](uint64_t hash) -> const SerializedRowHashTable* {
+    const SharedHashJoinBuild::Partition& part =
+        shared->partition(shared->PartitionOf(hash));
+    return part.spilled ? nullptr : part.table.get();
+  };
   for (;;) {
-    if (probe_batch_ == nullptr) {
+    if (!prober_.has_batch()) {
       VSTORE_ASSIGN_OR_RETURN(Batch * batch, probe_->Next());
       if (batch == nullptr) {
         if (!finish_reported_) {
@@ -555,173 +601,76 @@ Result<bool> HashJoinProbeOperator::PumpProbe() {
         }
         return out_rows_ > 0;
       }
-      probe_batch_ = batch;
-      probe_row_ = 0;
-      chain_ = nullptr;
-      row_matched_ = false;
-      const int64_t n = batch->num_rows();
-      probe_hashes_.resize(static_cast<size_t>(n));
-      HashKeysBatch(*batch, probe_keys, batch->active(),
-                    probe_hashes_.data());
+      prober_.Start(batch);
+      VSTORE_RETURN_IF_ERROR(SpillProbeRows(*batch));
     }
-
-    const uint8_t* active = probe_batch_->active();
-    while (probe_row_ < probe_batch_->num_rows()) {
-      if (!active[probe_row_]) {
-        ++probe_row_;
-        continue;
-      }
-      uint64_t hash = probe_hashes_[static_cast<size_t>(probe_row_)];
-      int p = shared_->PartitionOf(hash);
-      SharedHashJoinBuild::Partition& part = shared_->partition(p);
-
-      if (part.spilled) {
-        VSTORE_RETURN_IF_ERROR(shared_->SpillProbeRow(
-            p, probe_batch_->GetActiveRow(probe_row_), ctx_));
-        ++probe_rows_spilled_;
-        ++probe_rows_;
-        ++probe_row_;
-        continue;
-      }
-
-      if (chain_ == nullptr && !row_matched_) {
-        chain_ = part.table->ChainHead(hash);
-      }
-      while (chain_ != nullptr) {
-        if (out_rows_ == output_->capacity()) return true;
-        const uint8_t* entry = chain_;
-        const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-        if (SerializedRowHashTable::EntryHash(entry) == hash &&
-            build_format.KeysEqualBatch(payload, build_keys, *probe_batch_,
-                                        probe_row_, probe_keys)) {
-          row_matched_ = true;
-          if (jt == JoinType::kInner || jt == JoinType::kLeftOuter) {
-            emitter_.EmitFromBatch(output_.get(), *probe_batch_, probe_row_,
-                                   payload, out_rows_++);
-          } else {
-            chain_ = nullptr;  // semi/anti need only existence
-            break;
-          }
-        }
-        if (chain_ != nullptr) {
-          chain_ = SerializedRowHashTable::ChainNext(entry);
-        }
-      }
-
-      bool emit_probe_only = (jt == JoinType::kLeftSemi && row_matched_) ||
-                             (jt == JoinType::kLeftAnti && !row_matched_);
-      bool emit_null_extended = jt == JoinType::kLeftOuter && !row_matched_;
-      if (emit_probe_only || emit_null_extended) {
-        if (out_rows_ == output_->capacity()) return true;
-        emitter_.EmitFromBatch(output_.get(), *probe_batch_, probe_row_,
-                               nullptr, out_rows_++);
-      }
-      ++probe_rows_;
-      ++probe_row_;
-      chain_ = nullptr;
-      row_matched_ = false;
-    }
-    probe_batch_ = nullptr;
+    if (prober_.Run(table_of, output_.get(), &out_rows_)) return true;
   }
 }
 
-Result<bool> HashJoinProbeOperator::PumpSpill() {
-  const JoinType jt = shared_->options().join_type;
+Result<bool> HashJoinProbeOperator::PumpDrain() {
   const RowFormat& build_format = shared_->build_format();
-  const std::vector<int>& build_keys = shared_->options().build_keys;
-  const std::vector<int>& probe_keys = shared_->options().probe_keys;
+  const size_t entry_size =
+      SerializedRowHashTable::kHeaderSize + build_format.row_size();
   for (;;) {
-    if (drain_partition_ >= shared_->num_partitions()) {
+    if (prober_.has_batch()) {
+      const SerializedRowHashTable* table = drain_table_.get();
+      if (prober_.Run([table](uint64_t) { return table; }, output_.get(),
+                      &out_rows_)) {
+        return true;
+      }
+    }
+    if (drain_loaded_) {
+      SharedHashJoinBuild::Partition& part =
+          shared_->partition(drain_partition_);
+      VSTORE_ASSIGN_OR_RETURN(
+          bool more, part.probe_file.Read(drain_batch_.get(), &read_buf_));
+      if (more) {
+        prober_.Start(drain_batch_.get());
+        continue;
+      }
+      drain_loaded_ = false;
+      ++drain_partition_;
+    }
+    // Release the drained partition before the next one loads.
+    drain_table_.reset();
+    drain_build_arena_.Reset();
+    while (drain_partition_ < shared_->num_partitions() &&
+           !shared_->partition(drain_partition_).spilled) {
+      ++drain_partition_;
+    }
+    if (drain_partition_ == shared_->num_partitions()) {
       phase_ = Phase::kDone;
       return out_rows_ > 0;
     }
+
+    // Rebuild this partition's build side into operator-local storage;
+    // the shared partitions stay strictly read-only after the build.
     SharedHashJoinBuild::Partition& part =
         shared_->partition(drain_partition_);
-    if (!part.spilled) {
-      ++drain_partition_;
-      continue;
+    if (build_batch_ == nullptr) {
+      build_batch_ = std::make_unique<Batch>(shared_->build_schema(),
+                                             shared_->record_rows());
+      drain_batch_ = std::make_unique<Batch>(shared_->probe_schema(),
+                                             shared_->record_rows());
     }
-
-    if (!drain_loaded_) {
-      // Rebuild this partition's build side into operator-local storage;
-      // the shared partitions stay strictly read-only after the build.
-      std::rewind(part.build_file);
-      drain_build_arena_.Reset();
-      drain_table_ = std::make_unique<SerializedRowHashTable>(
-          std::max<int64_t>(part.build_rows_on_disk, 1));
-      drain_table_->SetMemoryTracker(shared_->memory_tracker());
-      const size_t entry_size =
-          SerializedRowHashTable::kHeaderSize + build_format.row_size();
-      std::vector<Value> row;
-      for (;;) {
-        VSTORE_ASSIGN_OR_RETURN(
-            bool more,
-            ReadSpillRow(part.build_file, shared_->build_schema(), &row));
-        if (!more) break;
-        uint8_t* entry = drain_build_arena_.Allocate(entry_size);
-        build_format.WriteValues(entry + SerializedRowHashTable::kHeaderSize,
-                                 row, &drain_build_arena_);
-        uint64_t hash = build_format.HashKeys(
-            entry + SerializedRowHashTable::kHeaderSize, build_keys);
-        drain_table_->Insert(entry, hash);
-      }
-      std::rewind(part.probe_file);
-      drain_probe_row_.resize(probe_format_.row_size());
-      drain_loaded_ = true;
-      drain_row_pending_ = false;
-    }
-
-    for (;;) {
-      if (!drain_row_pending_) {
-        std::vector<Value> row;
-        VSTORE_ASSIGN_OR_RETURN(
-            bool more,
-            ReadSpillRow(part.probe_file, shared_->probe_schema(), &row));
-        if (!more) {
-          drain_loaded_ = false;
-          ++drain_partition_;
-          break;  // next partition
-        }
-        drain_arena_.Reset();
-        probe_format_.WriteValues(drain_probe_row_.data(), row, &drain_arena_);
-        uint64_t hash =
-            probe_format_.HashKeys(drain_probe_row_.data(), probe_keys);
-        chain_ = drain_table_->ChainHead(hash);
-        row_matched_ = false;
-        drain_row_pending_ = true;
-      }
-
-      while (chain_ != nullptr) {
-        if (out_rows_ == output_->capacity()) return true;
-        const uint8_t* entry = chain_;
-        const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
-        if (CrossFormatKeysEqual(build_format, payload, build_keys,
-                                 probe_format_, drain_probe_row_.data(),
-                                 probe_keys)) {
-          row_matched_ = true;
-          if (jt == JoinType::kInner || jt == JoinType::kLeftOuter) {
-            emitter_.EmitFromSerialized(output_.get(), drain_probe_row_.data(),
-                                        payload, out_rows_++);
-          } else {
-            chain_ = nullptr;
-            break;
+    drain_table_ = std::make_unique<SerializedRowHashTable>(
+        std::max<int64_t>(part.build_file.rows(), 1));
+    drain_table_->SetMemoryTracker(shared_->memory_tracker());
+    VSTORE_RETURN_IF_ERROR(ForEachBuildRecord(
+        &part.build_file, build_batch_.get(), &read_buf_,
+        shared_->options().build_keys, &build_hashes_,
+        [&](const Batch& batch, const uint64_t* hashes) {
+          for (int64_t i = 0; i < batch.num_rows(); ++i) {
+            uint8_t* entry = drain_build_arena_.Allocate(entry_size);
+            // Copies strings out of the read buffer into the arena.
+            build_format.Write(entry + SerializedRowHashTable::kHeaderSize,
+                               batch, i, &drain_build_arena_);
+            drain_table_->Insert(entry, hashes[i]);
           }
-        }
-        if (chain_ != nullptr) {
-          chain_ = SerializedRowHashTable::ChainNext(entry);
-        }
-      }
-
-      bool emit_probe_only = (jt == JoinType::kLeftSemi && row_matched_) ||
-                             (jt == JoinType::kLeftAnti && !row_matched_);
-      bool emit_null_extended = jt == JoinType::kLeftOuter && !row_matched_;
-      if (emit_probe_only || emit_null_extended) {
-        if (out_rows_ == output_->capacity()) return true;
-        emitter_.EmitFromSerialized(output_.get(), drain_probe_row_.data(),
-                                    nullptr, out_rows_++);
-      }
-      drain_row_pending_ = false;
-    }
+        }));
+    VSTORE_RETURN_IF_ERROR(part.probe_file.Rewind());
+    drain_loaded_ = true;
   }
 }
 

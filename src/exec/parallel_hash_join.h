@@ -2,7 +2,6 @@
 #define VSTORE_EXEC_PARALLEL_HASH_JOIN_H_
 
 #include <atomic>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -31,12 +30,14 @@ namespace vstore {
 // synchronization.
 //
 // Spilling: when the resident build exceeds `memory_budget`, the inserting
-// thread flushes the largest resident partition to a temp file (spill_mu_
-// serializes victim selection so exactly one flush runs at a time). Probe
-// fragments append probe rows of spilled partitions to a shared
-// per-partition file under the partition lock; the last fragment to finish
-// probing (FinishProbeFragment) drains the spilled partition pairs through
-// the single-threaded grace-join path.
+// thread flushes the largest resident partition to a SpillFile (spill_mu_
+// serializes victim selection so exactly one flush runs at a time). Build
+// and probe fragments append the rows of spilled partitions as
+// batch-columnar records, one per (input batch, partition), to the shared
+// per-partition files under the partition lock, each through its own write
+// buffer. The last fragment to finish probing (FinishProbeFragment) drains
+// the spilled partition pairs single-threaded, one partition resident at a
+// time, through the same JoinProber loop as its probe input.
 //
 // A SharedHashJoinBuild supports one execution; the executor lowers a
 // fresh physical plan per query, so operators over it are never reopened.
@@ -60,10 +61,8 @@ class SharedHashJoinBuild {
     // victim selection.
     std::atomic<int64_t> bytes{0};
     bool spilled = false;
-    std::FILE* build_file = nullptr;
-    std::FILE* probe_file = nullptr;
-    int64_t build_rows_on_disk = 0;
-    int64_t probe_rows_on_disk = 0;
+    SpillFile build_file;
+    SpillFile probe_file;
     // Built at the finalize barrier; read-only once EnsureBuilt returns.
     std::unique_ptr<SerializedRowHashTable> table;
   };
@@ -94,9 +93,12 @@ class SharedHashJoinBuild {
   Partition& partition(int p) { return *partitions_[static_cast<size_t>(p)]; }
   bool has_spilled_partitions() const { return spill_partitions_ > 0; }
 
-  // Thread-safe append of a probe row belonging to spilled partition `p`.
-  Status SpillProbeRow(int p, const std::vector<Value>& row,
-                       ExecContext* fctx);
+  // Thread-safe append of rows sel[0..n) of `batch` to spilled partition
+  // `p`'s probe file (build file when `build_side`), through the caller's
+  // write buffer.
+  Status SpillRows(int p, bool build_side, const Batch& batch,
+                   const int32_t* sel, int64_t n, SpillBuffer* scratch,
+                   ExecContext* fctx);
 
   // Each probe fragment calls this exactly once when its probe input is
   // exhausted; returns true for the last fragment, which then owns the
@@ -116,9 +118,12 @@ class SharedHashJoinBuild {
     return spill_bytes_.load(std::memory_order_relaxed);
   }
   // Non-null once RunBuild has started under a tracking query; fragment 0's
-  // probe operator folds its peak into the profile, and the draining
-  // fragment attaches its reload arenas here.
+  // probe operator folds its peak into the profile, and the probe
+  // fragments charge their spill buffers and drain reloads here.
   MemoryTracker* memory_tracker() const { return mem_.get(); }
+  // Rows per spill record (the query's batch size); valid after
+  // EnsureBuilt().
+  int64_t record_rows() const { return record_rows_; }
 
  private:
   Status RunBuild(ExecContext* caller_ctx);
@@ -130,10 +135,12 @@ class SharedHashJoinBuild {
   // when `query_pressure`: the query-level tracker crossed its budget, so
   // shed the largest partition regardless of the local budget).
   Status MaybeSpill(ExecContext* fctx, bool query_pressure);
+  // Writes a victim's resident rows to its new build file; the caller
+  // holds spill_mu_ (which guards spill_buf_ and spill_batch_) and the
+  // partition lock.
   Status SpillPartitionLocked(Partition* part, ExecContext* fctx);
-  // WriteSpillRow plus shared + global spill-byte accounting.
-  Status SpillRowLocked(std::FILE* f, const Schema& schema,
-                        const std::vector<Value>& row);
+  // Shared + global spill-byte accounting.
+  void AddSpillBytes(int64_t bytes);
   // Consumes the budget-crossing edge / polls the query tracker.
   bool QueryMemoryPressure() const;
 
@@ -154,11 +161,14 @@ class SharedHashJoinBuild {
   mutable std::atomic<bool> pressure_{false};
   int pressure_listener_ = 0;
   std::atomic<int64_t> spill_bytes_{0};
+  int64_t record_rows_ = kDefaultBatchSize;
 
   std::vector<std::unique_ptr<Partition>> partitions_;
   std::atomic<int64_t> total_bytes_{0};
   std::atomic<int64_t> peak_bytes_{0};
   std::mutex spill_mu_;  // serializes victim selection + flush
+  SpillBuffer spill_buf_;               // guarded by spill_mu_
+  std::unique_ptr<Batch> spill_batch_;  // guarded by spill_mu_
 
   // Build orchestration: first EnsureBuilt caller runs the build while the
   // mutex holds the others; the saved status is returned to all.
@@ -186,7 +196,7 @@ class SharedHashJoinBuild {
 // Probe-side operator of a parallel hash join: one per exchange fragment,
 // all sharing one SharedHashJoinBuild. Open() triggers (or waits for) the
 // shared build, then streams the fragment's probe chain against the shared
-// read-only tables — the same grace-hash logic as HashJoinOperator, with
+// read-only tables with the same JoinProber as HashJoinOperator, with
 // spilled probe rows routed to the shared partition files and the spill
 // drain executed by whichever fragment finishes probing last.
 class HashJoinProbeOperator final : public BatchOperator {
@@ -211,7 +221,10 @@ class HashJoinProbeOperator final : public BatchOperator {
 
  private:
   Result<bool> PumpProbe();
-  Result<bool> PumpSpill();
+  Result<bool> PumpDrain();
+  // Counts the probe batch's active rows and writes those of spilled
+  // partitions to the shared probe files.
+  Status SpillProbeRows(const Batch& batch);
 
   BatchOperatorPtr probe_;
   std::shared_ptr<SharedHashJoinBuild> shared_;
@@ -219,20 +232,25 @@ class HashJoinProbeOperator final : public BatchOperator {
   ExecContext* ctx_;
 
   Schema output_schema_;
-  RowFormat probe_format_;
-  JoinRowEmitter emitter_;
+  JoinProber prober_;
 
   std::unique_ptr<Batch> output_;
   int64_t out_rows_ = 0;
 
   enum class Phase { kInit, kProbe, kSpillDrain, kDone };
   Phase phase_ = Phase::kInit;
-  Batch* probe_batch_ = nullptr;
-  int64_t probe_row_ = 0;
-  std::vector<uint64_t> probe_hashes_;
-  const uint8_t* chain_ = nullptr;
-  bool row_matched_ = false;
   bool finish_reported_ = false;
+
+  // Spill scratch (one record each): write_buf_ and spill_sel_ route probe
+  // rows to the shared files; the drain reads records through read_buf_
+  // into build_batch_ and drain_batch_. Buffers charge the shared build's
+  // tracker.
+  SpillBuffer write_buf_;
+  SpillBuffer read_buf_;
+  std::vector<std::vector<int32_t>> spill_sel_;
+  std::unique_ptr<Batch> build_batch_;
+  std::unique_ptr<Batch> drain_batch_;
+  std::vector<uint64_t> build_hashes_;
 
   // Spill-drain state (only used by the draining fragment); the drained
   // build rows live in local storage so shared partitions stay read-only.
@@ -240,9 +258,6 @@ class HashJoinProbeOperator final : public BatchOperator {
   bool drain_loaded_ = false;
   std::unique_ptr<SerializedRowHashTable> drain_table_;
   Arena drain_build_arena_;
-  std::vector<uint8_t> drain_probe_row_;
-  bool drain_row_pending_ = false;
-  Arena drain_arena_;
 
   int64_t probe_rows_ = 0;
   int64_t probe_rows_spilled_ = 0;

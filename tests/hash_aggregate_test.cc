@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <map>
 
@@ -335,6 +336,167 @@ TEST(AggPhaseTest, PartialThenFinalEqualsComplete) {
       }
     }
   }
+}
+
+// Every partial state kind through disk: the flushed partial rows are
+// written as spill records by the typed partial-row writer and merged back,
+// in kComplete and in kPartial -> kFinal. Doubles are multiples of 1/8, so
+// every sum is exact however flushes split it, and the results must equal
+// the unbudgeted run bit for bit.
+Schema EveryKindSchema() {
+  return Schema({{"g", DataType::kInt64, true},
+                 {"i", DataType::kInt64, true},
+                 {"f", DataType::kDouble, true},
+                 {"s", DataType::kString, true},
+                 {"dt", DataType::kDate32, true},
+                 {"i32", DataType::kInt32, true},
+                 {"b", DataType::kBool, true}});
+}
+
+TableData EveryKindData() {
+  Random rng(123);
+  TableData data(EveryKindSchema());
+  auto maybe = [&rng](Value v) {
+    return rng.Uniform(0, 9) == 0 ? Value::Null(v.type()) : v;
+  };
+  for (int64_t r = 0; r < 6000; ++r) {
+    if (r % 1000 == 17) {
+      // The all-NULL group: every aggregated column is NULL.
+      data.AppendRow({Value::Int64(-1), Value::Null(DataType::kInt64),
+                      Value::Null(DataType::kDouble),
+                      Value::Null(DataType::kString),
+                      Value::Null(DataType::kDate32),
+                      Value::Null(DataType::kInt32),
+                      Value::Null(DataType::kBool)});
+      continue;
+    }
+    const int64_t n = rng.Uniform(0, 9999);
+    data.AppendRow(
+        {Value::Int64(rng.Uniform(0, 699)), maybe(Value::Int64(n - 5000)),
+         maybe(Value::Double(static_cast<double>(rng.Uniform(-8000, 8000)) /
+                             8.0)),
+         maybe(Value::String(n % 7 == 0 ? "" : "s" + std::to_string(n))),
+         maybe(Value::Date32(static_cast<int32_t>(8000 + n % 3000))),
+         maybe(Value::Int32(static_cast<int32_t>(n % 1000 - 500))),
+         maybe(Value::Bool(n % 2 == 0))});
+  }
+  return data;
+}
+
+std::vector<AggSpec> EveryKindAggregates() {
+  return {{AggFn::kSum, 1, "sum_i"},   {AggFn::kSum, 2, "sum_f"},
+          {AggFn::kAvg, 2, "avg_f"},   {AggFn::kMin, 1, "min_i"},
+          {AggFn::kMax, 1, "max_i"},   {AggFn::kMin, 2, "min_f"},
+          {AggFn::kMax, 2, "max_f"},   {AggFn::kMin, 3, "min_s"},
+          {AggFn::kMax, 3, "max_s"},   {AggFn::kCount, 1, "cnt_i"},
+          {AggFn::kCountStar, -1, "cnt"}, {AggFn::kMin, 4, "min_dt"},
+          {AggFn::kMax, 5, "max_i32"}, {AggFn::kMin, 6, "min_b"},
+          {AggFn::kMax, 6, "max_b"}};
+}
+
+void ExpectBitIdentical(const std::vector<std::vector<Value>>& got,
+                        const std::vector<std::vector<Value>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size());
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      const Value& a = got[r][c];
+      const Value& b = want[r][c];
+      ASSERT_EQ(a.type(), b.type()) << r << "," << c;
+      ASSERT_EQ(a.is_null(), b.is_null()) << r << "," << c;
+      if (a.is_null()) continue;
+      if (a.type() == DataType::kDouble) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(a.dbl()),
+                  std::bit_cast<uint64_t>(b.dbl()))
+            << r << "," << c;
+      } else {
+        ASSERT_EQ(a, b) << r << "," << c;
+      }
+    }
+  }
+}
+
+TEST(AggSpillTest, EveryStateKindThroughDiskIsBitIdentical) {
+  const TableData data = EveryKindData();
+  HashAggregateOperator::Options logical;
+  logical.group_by = {0};
+  logical.aggregates = EveryKindAggregates();
+  const size_t num_aggs = logical.aggregates.size();
+
+  // kComplete.
+  ExecContext plain;
+  auto expected = RunAgg(data, logical, &plain);
+  ExecContext tiny;
+  tiny.operator_memory_budget = 4 * 1024;
+  auto complete = RunAgg(data, logical, &tiny);
+  EXPECT_GT(tiny.stats.build_rows_spilled, 0);
+  ExpectBitIdentical(complete, expected);
+
+  // kPartial -> kFinal, both stages under the same budget.
+  auto two_stage = [&](int64_t budget, int64_t* rows_spilled,
+                       TableData* partial_out) {
+    ExecContext ctx;
+    ctx.operator_memory_budget = budget;
+    HashAggregateOperator::Options popts = logical;
+    popts.phase = AggPhase::kPartial;
+    HashAggregateOperator partial(
+        std::make_unique<TableSourceOperator>(&data, &ctx), popts, &ctx);
+    *partial_out = TableData(partial.output_schema());
+    for (const auto& row : DrainOperator(&partial)) partial_out->AppendRow(row);
+
+    HashAggregateOperator::Options fopts;
+    fopts.phase = AggPhase::kFinal;
+    fopts.group_by = {0};
+    fopts.aggregates = logical.aggregates;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      fopts.aggregates[a].column = static_cast<int>(1 + 2 * a);
+    }
+    HashAggregateOperator final_agg(
+        std::make_unique<TableSourceOperator>(partial_out, &ctx), fopts, &ctx);
+    auto rows = DrainOperator(&final_agg);
+    SortRows(&rows);
+    *rows_spilled = ctx.stats.build_rows_spilled;
+    return rows;
+  };
+  int64_t spilled_plain = 0, spilled_tiny = 0;
+  TableData partial_plain(EveryKindSchema()), partial_tiny(EveryKindSchema());
+  auto final_plain = two_stage(0, &spilled_plain, &partial_plain);
+  auto final_tiny = two_stage(4 * 1024, &spilled_tiny, &partial_tiny);
+  EXPECT_EQ(spilled_plain, 0);
+  EXPECT_GT(spilled_tiny, 0);
+  ExpectBitIdentical(final_tiny, final_plain);
+  ExpectBitIdentical(final_tiny, expected);
+
+  // The typed writer keeps the PartialSchema types, and the all-NULL group
+  // carries NULL values with zero counts (COUNT(*) counts its rows).
+  const Schema& ps = partial_tiny.schema();
+  auto value_col = [](size_t agg) { return static_cast<int>(1 + 2 * agg); };
+  EXPECT_EQ(ps.field(value_col(11)).type, DataType::kDate32);  // min_dt
+  EXPECT_EQ(ps.field(value_col(12)).type, DataType::kInt32);   // max_i32
+  EXPECT_EQ(ps.field(value_col(13)).type, DataType::kBool);    // min_b
+  EXPECT_EQ(ps.field(value_col(7)).type, DataType::kString);   // min_s
+  bool saw_null_group = false;
+  for (int64_t r = 0; r < partial_tiny.num_rows(); ++r) {
+    std::vector<Value> row = partial_tiny.GetRow(r);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const Value& v = row[static_cast<size_t>(value_col(a))];
+      if (!v.is_null()) {
+        EXPECT_EQ(v.type(), ps.field(value_col(a)).type);
+      }
+    }
+    if (row[0] != Value::Int64(-1)) continue;
+    saw_null_group = true;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const Value& count = row[static_cast<size_t>(value_col(a) + 1)];
+      EXPECT_TRUE(row[static_cast<size_t>(value_col(a))].is_null()) << a;
+      if (logical.aggregates[a].fn == AggFn::kCountStar) {
+        EXPECT_GT(count.int64(), 0);
+      } else {
+        EXPECT_EQ(count, Value::Int64(0)) << a;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_null_group);
 }
 
 TEST(AggPhaseTest, FinalScalarOverEmptyInputEmitsOneRow) {

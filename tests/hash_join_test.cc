@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/memory_tracker.h"
 #include "common/random.h"
 #include "exec/hash_join.h"
 #include "test_operators.h"
@@ -293,6 +294,104 @@ TEST(HashJoinTest, SpillingSemiAndAntiMatchInMemory) {
     auto spilled = RunJoin(probe, build, options, &spill_ctx);
     EXPECT_EQ(in_memory, spilled) << JoinTypeName(jt);
   }
+}
+
+// Probe and build rows with NULL keys and NULL or empty string payloads.
+TableData NullableRows(const Schema& schema, int rows, int64_t key_domain,
+                       const std::string& prefix, uint64_t seed) {
+  Random rng(seed);
+  TableData data(schema);
+  for (int i = 0; i < rows; ++i) {
+    Value key = rng.Uniform(0, 19) == 0
+                    ? Value::Null(DataType::kInt64)
+                    : Value::Int64(rng.Uniform(0, key_domain));
+    Value payload;
+    switch (rng.Uniform(0, 5)) {
+      case 0:
+        payload = Value::Null(DataType::kString);
+        break;
+      case 1:
+        payload = Value::String("");
+        break;
+      default:
+        payload = Value::String(prefix + std::to_string(i));
+    }
+    data.AppendRow({key, payload});
+  }
+  return data;
+}
+
+TEST(HashJoinTest, SpillingOuterSemiAntiWithNullsMatchInMemory) {
+  TableData probe = NullableRows(LeftSchema(), 2000, 399, "p", 66);
+  TableData build = NullableRows(RightSchema(), 600, 299, "b", 67);
+  int64_t null_probe_keys = 0;
+  for (int64_t i = 0; i < probe.num_rows(); ++i) {
+    null_probe_keys += probe.column(0).IsNull(i) ? 1 : 0;
+  }
+  ASSERT_GT(null_probe_keys, 0);
+  // 4 KiB spills most partitions; one byte spills every partition that
+  // holds a build row, so the drain emits all of the output.
+  for (int64_t budget : {int64_t{4 * 1024}, int64_t{1}}) {
+    for (JoinType jt : {JoinType::kInner, JoinType::kLeftOuter,
+                        JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+      auto options = InnerOn0();
+      options.join_type = jt;
+      ExecContext mem_ctx;
+      auto in_memory = RunJoin(probe, build, options, &mem_ctx);
+      ExecContext spill_ctx;
+      spill_ctx.operator_memory_budget = budget;
+      auto spilled = RunJoin(probe, build, options, &spill_ctx);
+      EXPECT_GT(spill_ctx.stats.probe_rows_spilled, 0) << JoinTypeName(jt);
+      EXPECT_EQ(in_memory, spilled) << JoinTypeName(jt) << " " << budget;
+      if (jt == JoinType::kLeftOuter || jt == JoinType::kLeftAnti) {
+        // NULL-key probe rows never match but are still emitted.
+        int64_t null_keys_out = 0;
+        for (const auto& row : spilled) null_keys_out += row[0].is_null();
+        EXPECT_EQ(null_keys_out, null_probe_keys) << JoinTypeName(jt);
+      }
+    }
+  }
+}
+
+// The drain holds one spilled partition at a time: a spilling join's
+// operator-tracker peak stays well below the unbudgeted join's, whose
+// whole build is resident.
+TEST(HashJoinTest, SpillDrainReleasesEachPartition) {
+  Random rng(99);
+  TableData probe(LeftSchema());
+  TableData build(RightSchema());
+  for (int i = 0; i < 20000; ++i) {
+    probe.AppendRow({Value::Int64(rng.Uniform(0, 59999)),
+                     Value::String("p" + std::to_string(i))});
+  }
+  for (int i = 0; i < 40000; ++i) {
+    build.AppendRow({Value::Int64(rng.Uniform(0, 59999)),
+                     Value::String("b" + std::to_string(i))});
+  }
+  auto run = [&](int64_t budget, OperatorProfile* profile) {
+    MemoryTracker query("query", "test", nullptr);
+    ExecContext ctx;
+    ctx.memory_tracker = &query;
+    ctx.operator_memory_budget = budget;
+    HashJoinOperator join(std::make_unique<TableSourceOperator>(&probe, &ctx),
+                          std::make_unique<TableSourceOperator>(&build, &ctx),
+                          InnerOn0(), &ctx);
+    auto rows = DrainOperator(&join);
+    SortRows(&rows);
+    *profile = join.BuildProfile();
+    if (budget > 0) {
+      EXPECT_GT(ctx.stats.spill_partitions, 0);
+    }
+    return rows;
+  };
+  OperatorProfile unbudgeted, budgeted;
+  auto expected = run(0, &unbudgeted);
+  auto rows = run(16 * 1024, &budgeted);
+  EXPECT_EQ(rows, expected);
+  // peak_memory_bytes is the operator tracker's high-water mark.
+  EXPECT_GT(budgeted.peak_memory_bytes, 0);
+  EXPECT_LT(budgeted.peak_memory_bytes, unbudgeted.peak_memory_bytes / 2)
+      << budgeted.peak_memory_bytes << " vs " << unbudgeted.peak_memory_bytes;
 }
 
 TEST(HashJoinTest, OutputSpansManyBatches) {

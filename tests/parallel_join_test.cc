@@ -153,6 +153,21 @@ TEST(ParallelJoinTest, LeftOuterJoinWithSpillMatchesSerial) {
   EXPECT_EQ(SortedRowStrings(parallel), SortedRowStrings(serial));
 }
 
+TEST(ParallelJoinTest, SemiAndAntiJoinsWithSpillMatchSerial) {
+  JoinFixture f;
+  for (JoinType type : {JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    PlanPtr plan = JoinPlan(f.catalog, type);
+    QueryResult serial = RunQuery(f.catalog, plan, 1);
+    QueryResult parallel =
+        RunQuery(f.catalog, plan, 4, /*memory_budget=*/32 * 1024);
+
+    EXPECT_GT(parallel.stats.spill_partitions, 0) << JoinTypeName(type);
+    EXPECT_GT(parallel.stats.probe_rows_spilled, 0) << JoinTypeName(type);
+    EXPECT_EQ(SortedRowStrings(parallel), SortedRowStrings(serial))
+        << JoinTypeName(type);
+  }
+}
+
 TEST(ParallelJoinTest, JoinThenAggregateParallelizesAsOneFragmentTree) {
   JoinFixture f;
   PlanBuilder dim = PlanBuilder::Scan(f.catalog, "dim");
