@@ -37,9 +37,9 @@ uint8_t* Arena::Allocate(size_t size, size_t alignment) {
   }
   // Start a new block; oversized requests get a dedicated block.
   size_t block_size = std::max(next_block_size_, size + alignment);
-  next_block_size_ = std::min<size_t>(next_block_size_ * 2, 8 * 1024 * 1024);
+  next_block_size_ = std::min(next_block_size_ * 2, kMaxBlockSize);
   Block block;
-  block.data = std::make_unique<uint8_t[]>(block_size);
+  block.data = std::make_unique_for_overwrite<uint8_t[]>(block_size);
   block.size = block_size;
   uintptr_t base = reinterpret_cast<uintptr_t>(block.data.get());
   size_t offset = (alignment - (base & (alignment - 1))) & (alignment - 1);
@@ -62,6 +62,9 @@ void Arena::Reset() {
     blocks_.push_back(std::move(first));
   }
   if (!blocks_.empty()) blocks_.front().used = 0;
+  next_block_size_ = blocks_.empty()
+                         ? initial_block_size_
+                         : std::min(initial_block_size_ * 2, kMaxBlockSize);
   if (tracker_ != nullptr && bytes_reserved_ > kept) {
     tracker_->Release(static_cast<int64_t>(bytes_reserved_ - kept));
   }

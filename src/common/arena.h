@@ -18,13 +18,19 @@ class MemoryTracker;
 // batches, hash-table build rows). Memory is freed all at once on Reset()
 // or destruction. Not thread-safe; each operator owns its own arena.
 //
+// Blocks double in size up to 8 MiB (an oversized request gets a block of
+// its own) and are not zero-filled. Reset() keeps the first block and
+// restarts the doubling after it, so a reused arena reserves what a fresh
+// one would.
+//
 // With a MemoryTracker attached, whole blocks are charged as they are
 // malloc'd and released on Reset()/destruction — block granularity keeps
 // the per-Allocate fast path free of accounting.
 class Arena {
  public:
   explicit Arena(size_t initial_block_size = 64 * 1024)
-      : next_block_size_(initial_block_size) {}
+      : initial_block_size_(initial_block_size),
+        next_block_size_(initial_block_size) {}
   ~Arena();
 
   VSTORE_DISALLOW_COPY_AND_ASSIGN(Arena);
@@ -46,7 +52,8 @@ class Arena {
     return std::string_view(reinterpret_cast<const char*>(dst), s.size());
   }
 
-  // Frees all blocks except the first, which is recycled.
+  // Frees all blocks except the first, which is recycled; the next block
+  // is sized as if the first had just been allocated.
   void Reset();
 
   size_t bytes_allocated() const { return bytes_allocated_; }
@@ -60,7 +67,10 @@ class Arena {
     size_t used = 0;
   };
 
+  static constexpr size_t kMaxBlockSize = 8 * 1024 * 1024;
+
   std::vector<Block> blocks_;
+  size_t initial_block_size_;
   size_t next_block_size_;
   size_t bytes_allocated_ = 0;
   size_t bytes_reserved_ = 0;

@@ -21,8 +21,8 @@ namespace vstore {
 // exchange for parallel plans; fragments typically cover disjoint row-group
 // ranges of a scan, often with partial aggregation on top).
 //
-// Each fragment gets its own ExecContext; their stats are merged into the
-// parent context when the fragment finishes.
+// Each fragment gets its own ExecContext (FragmentContext); their stats
+// are merged into the parent context when the exchange closes.
 class ExchangeOperator final : public BatchOperator {
  public:
   // Builds the operator tree for fragment `i` against `fragment_ctx`.

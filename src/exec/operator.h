@@ -39,7 +39,6 @@ struct ExecStats {
   }
 };
 
-class ThreadPool;
 class QuerySpanRecorder;
 class MemoryTracker;
 struct ActiveQuery;
@@ -55,7 +54,6 @@ struct ExecContext {
   // Compile Filter/Project expressions to bytecode at build time; off
   // forces the tree-interpreter path (the differential oracle).
   bool compile_expressions = true;
-  ThreadPool* thread_pool = nullptr;  // used by exchange operators
   // Query tracing hooks, null when the query runs untraced. Operators
   // reach the span tree through the thread-local QueryTraceContext; these
   // pointers exist so the exchange can re-install that context on its
@@ -70,6 +68,17 @@ struct ExecContext {
   MemoryTracker* memory_tracker = nullptr;
   ExecStats stats;
 };
+
+// Context of a plan fragment that runs for `parent` (exchange fragments,
+// hash join build fragments): the parent's settings and trace hooks, fresh
+// stats for the owner to merge, and `tracker` as its memory tracker.
+inline ExecContext FragmentContext(const ExecContext& parent,
+                                   MemoryTracker* tracker) {
+  ExecContext fctx = parent;
+  fctx.memory_tracker = tracker;
+  fctx.stats = ExecStats();
+  return fctx;
+}
 
 // Pull-based vectorized operator (paper §5: operators consume and produce
 // batches). Protocol: Open() once, then Next() until it yields nullptr,

@@ -9,7 +9,6 @@
 #include "exec/hash_aggregate.h"
 #include "exec/hash_join.h"
 #include "exec/mem_scan.h"
-#include "exec/parallel_hash_join.h"
 #include "exec/row/row_operator.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
@@ -166,8 +165,8 @@ ChainFragments PlanChainFragments(const Catalog& catalog,
 }
 
 // Shared build state for joins inside a parallelized plan region, keyed by
-// the logical join node. Fragment lowerings consult this to wrap probe
-// sides in HashJoinProbeOperators instead of full hash joins.
+// the logical join node. Fragment lowerings consult this to probe the
+// chain's shared builds instead of giving each fragment its own build.
 using SharedJoinMap =
     std::map<const LogicalPlan*, std::shared_ptr<SharedHashJoinBuild>>;
 
@@ -207,7 +206,8 @@ class Lowering {
   // apply.
   Result<BatchOperatorPtr> TryParallelJoin(const PlanPtr& plan,
                                            std::vector<PendingBloom> blooms);
-  // Creates the shared build (factory + Bloom filter) for one chain join.
+  // Creates the build (factory + Bloom filter) of one join probed by
+  // `probe_dop` fragments: 1 for a serial join.
   Result<std::shared_ptr<SharedHashJoinBuild>> PrepareSharedJoin(
       const PlanPtr& plan, int probe_dop);
   // Creates the shared builds for every join in a parallelized chain.
@@ -553,22 +553,24 @@ Result<std::shared_ptr<SharedHashJoinBuild>> Lowering::PrepareSharedJoin(
       join_options.build_keys,
       ResolveColumns(plan->children[1]->schema, plan->right_keys));
   if (plan->use_bloom && plan->left_keys.size() == 1) {
-    // Same single-key restriction as the serial join lowering: multi-key
-    // combined hashes differ between scan-side and joint key hashing.
+    // Single-key blooms only: multi-key combined hashes differ between the
+    // per-column scan hash and the joint key hash.
     auto filter = std::make_unique<BloomFilter>();
     join_options.bloom_target = filter.get();
     out_->bloom_filters.push_back(std::move(filter));
   }
 
-  // The build parallelizes only when the build side is itself a plain
-  // scan/filter/project chain over enough row groups; anything else (nested
-  // joins, aggregates) is lowered and drained by a single build fragment.
+  // The build of a parallel join parallelizes only when the build side is
+  // itself a plain scan/filter/project chain over enough row groups;
+  // anything else (nested joins, aggregates) is lowered and drained by a
+  // single build fragment.
   PlanPtr build_plan = plan->children[1];
   std::string build_table;
   int64_t build_groups = 0;
   int build_dop = 1;
   TableSnapshot build_snapshot;
-  if (IsFragmentableChain(catalog_, build_plan, &build_table)) {
+  if (probe_dop > 1 &&
+      IsFragmentableChain(catalog_, build_plan, &build_table)) {
     const ColumnStoreTable* table = catalog_.GetColumnStore(build_table);
     build_snapshot = table->Snapshot();
     build_groups = build_snapshot->num_row_groups();
@@ -579,7 +581,9 @@ Result<std::shared_ptr<SharedHashJoinBuild>> Lowering::PrepareSharedJoin(
 
   const Catalog* catalog = &catalog_;
   PhysicalPlanOptions options = options_;
-  options.dop = 1;  // build fragments must not nest exchanges
+  // Build fragments of a parallel join must not nest exchanges; a serial
+  // join's build side lowers like any other subtree.
+  if (probe_dop > 1) options.dop = 1;
   bool include_deltas = options_.include_deltas;
   int64_t groups = build_groups;
   int dop = build_dop;
@@ -607,9 +611,8 @@ Result<std::shared_ptr<SharedHashJoinBuild>> Lowering::PrepareSharedJoin(
     return op;
   };
   return std::make_shared<SharedHashJoinBuild>(
-      plan->children[1]->schema, plan->children[0]->schema,
-      std::move(join_options), std::move(factory), build_dop, probe_dop,
-      ctx_->operator_memory_budget);
+      plan->children[1]->schema, std::move(join_options), std::move(factory),
+      build_dop, probe_dop);
 }
 
 Result<std::shared_ptr<SharedJoinMap>> Lowering::PrepareSharedJoins(
@@ -768,55 +771,35 @@ Result<BatchOperatorPtr> Lowering::BuildBatch(
     }
 
     case PlanKind::kJoin: {
-      // Inside a parallel fragment: a chain join becomes a probe operator
-      // over the shared build (the Bloom filter, if any, was created when
-      // the shared build was prepared and is populated by it).
+      // Inside a parallel fragment a chain join probes the build shared by
+      // the whole chain (its Bloom filter, if any, was created with it);
+      // elsewhere the join gets its own build, probed by one fragment
+      // unless the whole chain parallelizes.
+      std::shared_ptr<SharedHashJoinBuild> shared;
+      int fragment = 0;
       if (shared_joins_ != nullptr) {
         auto it = shared_joins_->find(plan.get());
         if (it != shared_joins_->end()) {
-          const std::shared_ptr<SharedHashJoinBuild>& shared = it->second;
-          if (shared->bloom_target() != nullptr) {
-            blooms.push_back(
-                PendingBloom{plan->left_keys[0], shared->bloom_target()});
-          }
-          VSTORE_ASSIGN_OR_RETURN(
-              BatchOperatorPtr probe,
-              BuildBatch(plan->children[0], std::move(blooms)));
-          return BatchOperatorPtr(std::make_unique<HashJoinProbeOperator>(
-              std::move(probe), shared, fragment_id_, ctx_));
+          shared = it->second;
+          fragment = fragment_id_;
         }
       } else if (options_.dop > 1 && forced_scan_range_ == nullptr) {
         VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr parallel,
                                 TryParallelJoin(plan, blooms));
         if (parallel != nullptr) return parallel;
       }
-      VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr build,
-                              BuildBatch(plan->children[1], {}));
-      HashJoinOperator::Options join_options;
-      join_options.join_type = plan->join_type;
-      VSTORE_ASSIGN_OR_RETURN(
-          join_options.probe_keys,
-          ResolveColumns(plan->children[0]->schema, plan->left_keys));
-      VSTORE_ASSIGN_OR_RETURN(
-          join_options.build_keys,
-          ResolveColumns(plan->children[1]->schema, plan->right_keys));
-
-      if (plan->use_bloom) {
-        auto filter = std::make_unique<BloomFilter>();
-        // Single-key blooms only: multi-key combined hashes differ between
-        // the per-column scan hash and the joint key hash, so push the
-        // filter only when there is exactly one key.
-        if (plan->left_keys.size() == 1) {
-          blooms.push_back(PendingBloom{plan->left_keys[0], filter.get()});
-          join_options.bloom_target = filter.get();
-          out_->bloom_filters.push_back(std::move(filter));
-        }
+      if (shared == nullptr) {
+        VSTORE_ASSIGN_OR_RETURN(shared, PrepareSharedJoin(plan, 1));
+      }
+      if (shared->bloom_target() != nullptr) {
+        blooms.push_back(
+            PendingBloom{plan->left_keys[0], shared->bloom_target()});
       }
       VSTORE_ASSIGN_OR_RETURN(
           BatchOperatorPtr probe,
           BuildBatch(plan->children[0], std::move(blooms)));
       return BatchOperatorPtr(std::make_unique<HashJoinOperator>(
-          std::move(probe), std::move(build), std::move(join_options), ctx_));
+          std::move(probe), std::move(shared), fragment, ctx_));
     }
 
     case PlanKind::kAggregate: {

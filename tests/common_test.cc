@@ -192,6 +192,20 @@ TEST(ArenaTest, ResetReclaims) {
   ASSERT_NE(p, nullptr);
 }
 
+// A reused arena reserves what a fresh one does: block growth restarts
+// after the kept first block instead of doubling across resets.
+TEST(ArenaTest, ResetRestartsBlockGrowth) {
+  Arena arena;  // 64 KiB first block
+  size_t first_cycle = 0;
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    for (int i = 0; i < 100; ++i) arena.Allocate(1024);  // 100 KiB
+    if (cycle == 0) first_cycle = arena.bytes_reserved();
+    EXPECT_LE(arena.bytes_reserved(), first_cycle) << "cycle " << cycle;
+    arena.Reset();
+  }
+  EXPECT_EQ(first_cycle, size_t{192 * 1024});
+}
+
 // --- Random ------------------------------------------------------------------------
 
 TEST(RandomTest, DeterministicForSeed) {

@@ -193,10 +193,13 @@ TEST(HashJoinTest, BloomFilterPopulatedDuringBuild) {
   HashJoinOperator join(std::move(probe_op), std::move(build_op), options,
                         &ctx);
   join.Open().CheckOK();
-  RowFormat fmt(RightSchema());
-  // The filter must admit the build keys' hashes.
-  EXPECT_TRUE(filter.MayContain(HashInt64(0) /* placeholder probe */) ||
-              true);
+  // The filter must admit the build keys, hashed as the probe-side scan
+  // hashes the values it tests.
+  for (int64_t k : {7, 9}) {
+    EXPECT_TRUE(
+        filter.MayContain(SingleKeyHash(HashInt64(static_cast<uint64_t>(k)))))
+        << k;
+  }
   join.Close();
   EXPECT_EQ(join.bloom_filter(), &filter);
 }

@@ -168,6 +168,90 @@ TEST(ParallelJoinTest, SemiAndAntiJoinsWithSpillMatchSerial) {
   }
 }
 
+// The profile reports every build row a parallel join spilled: the
+// executor's spill metrics and the Query Store sum the profile.
+TEST(ParallelJoinTest, SpillingJoinProfilesBuildRowsSpilled) {
+  JoinFixture f;
+  PlanPtr plan = JoinPlan(f.catalog, JoinType::kInner);
+  QueryResult parallel =
+      RunQuery(f.catalog, plan, 4, /*memory_budget=*/32 * 1024);
+
+  ASSERT_NE(FindNode(parallel.profile, "HashJoinProbe"), nullptr);
+  EXPECT_GT(parallel.stats.build_rows_spilled, 0);
+  EXPECT_EQ(parallel.profile.CounterDeep("build_rows_spilled"),
+            parallel.stats.build_rows_spilled);
+  EXPECT_EQ(parallel.profile.CounterDeep("probe_rows_spilled"),
+            parallel.stats.probe_rows_spilled);
+}
+
+// The last probe fragment to close frees the build: nothing the build
+// charged is still resident when the profile is taken, at either degree.
+TEST(ParallelJoinTest, LastCloseFreesTheBuild) {
+  JoinFixture f;
+  PlanPtr plan = JoinPlan(f.catalog, JoinType::kInner);
+  for (int dop : {1, 4}) {
+    QueryResult result =
+        RunQuery(f.catalog, plan, dop, /*memory_budget=*/32 * 1024);
+    const OperatorProfile* join =
+        FindNode(result.profile, dop == 1 ? "HashJoin(" : "HashJoinProbe(");
+    ASSERT_NE(join, nullptr) << "dop " << dop;
+    EXPECT_GT(result.stats.spill_partitions, 0) << "dop " << dop;
+    EXPECT_GT(join->peak_memory_bytes, 0) << "dop " << dop;
+    EXPECT_EQ(join->mem_current_bytes, 0) << "dop " << dop;
+  }
+}
+
+// Build fragments run under the query's settings: with compilation off, no
+// Filter or Project of a join plan runs compiled, on either side, serial
+// or parallel.
+TEST(ParallelJoinTest, BuildFragmentsHonourCompileExpressionsOff) {
+  JoinFixture f;
+  // amount + 1 > 0 keeps every row and is not pushed into the scan.
+  auto filter = [](const Schema& schema) {
+    return expr::Gt(expr::Add(expr::Column(schema, "amount"),
+                              expr::Lit(Value::Double(1.0))),
+                    expr::Lit(Value::Double(0.0)));
+  };
+  PlanBuilder dim = PlanBuilder::Scan(f.catalog, "dim");
+  dim.Filter(filter(dim.schema()));
+  dim.Select({"id", "amount"});
+  PlanBuilder renamed = PlanBuilder::From(dim.Build());
+  renamed.Project({expr::Column(renamed.schema(), "id"),
+                   expr::Column(renamed.schema(), "amount")},
+                  {"did", "damount"});
+  PlanBuilder b = PlanBuilder::Scan(f.catalog, "fact");
+  b.Filter(filter(b.schema()));
+  b.Join(JoinType::kInner, renamed.Build(), {"id"}, {"did"});
+  PlanPtr plan = b.Build();
+
+  for (int dop : {1, 4}) {
+    QueryOptions options;
+    options.mode = ExecutionMode::kBatch;
+    options.dop = dop;
+    options.compile_expressions = false;
+    QueryExecutor exec(&f.catalog, options);
+    QueryResult result = exec.Execute(plan).ValueOrDie();
+    EXPECT_EQ(result.rows_returned, 10000);
+    int filters = 0;
+    int projects = 0;
+    std::vector<const OperatorProfile*> stack = {&result.profile};
+    while (!stack.empty()) {
+      const OperatorProfile* node = stack.back();
+      stack.pop_back();
+      if (node->name == "Filter" || node->name == "Project") {
+        (node->name == "Filter" ? filters : projects) += 1;
+        EXPECT_EQ(node->Counter("compiled", -1), 0)
+            << node->name << " at dop " << dop;
+      }
+      for (const OperatorProfile& child : node->children) {
+        stack.push_back(&child);
+      }
+    }
+    EXPECT_EQ(filters, 2) << "dop " << dop;
+    EXPECT_GE(projects, 1) << "dop " << dop;
+  }
+}
+
 TEST(ParallelJoinTest, JoinThenAggregateParallelizesAsOneFragmentTree) {
   JoinFixture f;
   PlanBuilder dim = PlanBuilder::Scan(f.catalog, "dim");
