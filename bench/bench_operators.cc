@@ -119,6 +119,29 @@ void BM_BatchHashAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchHashAggregate);
 
+// High-cardinality GROUP BY: (event_date, store_id) has about 122k groups
+// of ~2 rows, clustered by the sorted date, so the group table, not the
+// fold, sets the cost (the shape of TPC-H's GROUP BY l_orderkey).
+void BM_BatchHashAggregateManyGroups(benchmark::State& state) {
+  Fixture& f = GetFixture();
+  ExecContext ctx;
+  int64_t groups = 0;
+  for (auto _ : state) {
+    auto scan = std::make_unique<ColumnStoreScanOperator>(
+        f.column_store.get(), ColumnStoreScanOperator::Options{}, &ctx);
+    HashAggregateOperator::Options options;
+    options.group_by = {0, 1};  // event_date, store_id
+    options.aggregates = {{AggFn::kSum, 3, "units"},
+                          {AggFn::kCountStar, -1, "cnt"}};
+    HashAggregateOperator agg(std::move(scan), options, &ctx);
+    groups = DrainBatchCount(&agg);
+    benchmark::DoNotOptimize(groups);
+  }
+  state.counters["groups"] = static_cast<double>(groups);
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_BatchHashAggregateManyGroups);
+
 void BM_RowHashAggregate(benchmark::State& state) {
   Fixture& f = GetFixture();
   for (auto _ : state) {

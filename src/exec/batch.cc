@@ -119,4 +119,52 @@ std::vector<Value> Batch::GetActiveRow(int64_t i) const {
   return row;
 }
 
+void MaterializeActiveRows(const Batch& batch, TableData* out) {
+  VSTORE_DCHECK(out->num_columns() == batch.num_columns());
+  const int64_t n = batch.num_rows();
+  const uint8_t* active = batch.active();
+  for (int c = 0; c < batch.num_columns(); ++c) {
+    const ColumnVector& src = batch.column(c);
+    ColumnData& dst = out->column(c);
+    VSTORE_DCHECK(PhysicalTypeOf(dst.type()) == src.physical_type());
+    const uint8_t* valid = src.validity();
+    // One pass over the column: append(i) for each active non-null row.
+    auto each = [&](auto append) {
+      for (int64_t i = 0; i < n; ++i) {
+        if (!active[i]) continue;
+        if (valid[i]) {
+          append(i);
+        } else {
+          dst.AppendNull();
+        }
+      }
+    };
+    const int64_t* ints = src.ints();
+    switch (src.type()) {
+      case DataType::kBool:
+        each([&](int64_t i) { dst.AppendInt64(ints[i] != 0 ? 1 : 0); });
+        break;
+      case DataType::kInt32:
+      case DataType::kDate32:
+        each([&](int64_t i) {
+          dst.AppendInt64(static_cast<int32_t>(ints[i]));
+        });
+        break;
+      case DataType::kInt64:
+        each([&](int64_t i) { dst.AppendInt64(ints[i]); });
+        break;
+      case DataType::kDouble: {
+        const double* doubles = src.doubles();
+        each([&](int64_t i) { dst.AppendDouble(doubles[i]); });
+        break;
+      }
+      case DataType::kString: {
+        const std::string_view* strings = src.strings();
+        each([&](int64_t i) { dst.AppendString(std::string(strings[i])); });
+        break;
+      }
+    }
+  }
+}
+
 }  // namespace vstore

@@ -9,6 +9,7 @@
 #include "common/arena.h"
 #include "common/macros.h"
 #include "types/schema.h"
+#include "types/table_data.h"
 #include "types/value.h"
 
 namespace vstore {
@@ -165,6 +166,13 @@ class Batch {
   std::vector<uint8_t> active_;
   Arena arena_;
 };
+
+// Appends the active rows of `batch` to `out`, whose columns must have the
+// batch's physical types, one column at a time. Values are those
+// out->AppendRow(batch.GetActiveRow(i)) appends: bools stored as 0/1,
+// INT32 and DATE32 through an int32_t cast, strings copied (they outlive
+// the batch), NULLs stored as 0 or an empty string and counted.
+void MaterializeActiveRows(const Batch& batch, TableData* out);
 
 }  // namespace vstore
 

@@ -212,11 +212,12 @@ HashAggregateOperator::~HashAggregateOperator() {
 }
 
 void HashAggregateOperator::ResetAggState(int64_t expected_rows) {
-  entries_.clear();
   std::fill(code_slots_.begin(), code_slots_.end(), nullptr);
+  table_.reset();
   arena_ = std::make_unique<Arena>();
   arena_->SetMemoryTracker(mem_.get());
-  table_ = std::make_unique<SerializedRowHashTable>(expected_rows);
+  table_ = std::make_unique<GroupHashTable>(arena_.get(), payload_size(),
+                                            expected_rows);
   table_->SetMemoryTracker(mem_.get());
 }
 
@@ -358,58 +359,17 @@ void HashAggregateOperator::FoldBatch(const Batch& batch, bool partial_input) {
   }
 }
 
-namespace {
-
-// GROUP BY key equality: nulls compare equal (one null group).
-bool GroupKeysEqualBatch(const RowFormat& fmt, const uint8_t* row,
-                         const std::vector<int>& row_keys, const Batch& batch,
-                         int64_t i, const std::vector<int>& batch_cols) {
-  for (size_t k = 0; k < row_keys.size(); ++k) {
-    const ColumnVector& cv = batch.column(batch_cols[k]);
-    bool na = fmt.IsNull(row, row_keys[k]);
-    bool nb = cv.validity()[i] == 0;
-    if (na != nb) return false;
-    if (na) continue;
-    switch (cv.physical_type()) {
-      case PhysicalType::kInt64:
-        if (fmt.GetInt64(row, row_keys[k]) != cv.ints()[i]) return false;
-        break;
-      case PhysicalType::kDouble:
-        if (fmt.GetDouble(row, row_keys[k]) != cv.doubles()[i]) return false;
-        break;
-      case PhysicalType::kString:
-        if (fmt.GetString(row, row_keys[k]) != cv.strings()[i]) return false;
-        break;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-uint8_t* HashAggregateOperator::GroupStateFromBatch(
-    const Batch& batch, int64_t i, const std::vector<int>& key_cols,
-    uint64_t hash) {
-  uint8_t* found = nullptr;
-  table_->ForEachCandidate(hash, [&](const uint8_t* payload) {
-    if (GroupKeysEqualBatch(*key_format_, payload, key_indices_, batch, i,
-                            key_cols)) {
-      found = const_cast<uint8_t*>(payload);
-      return false;
-    }
-    return true;
-  });
-  if (found != nullptr) {
-    return entry_state(found - SerializedRowHashTable::kHeaderSize);
-  }
-
-  uint8_t* entry = arena_->Allocate(entry_size());
-  uint8_t* payload = entry + SerializedRowHashTable::kHeaderSize;
-  key_format_->WriteKeysFromBatch(payload, batch, i, key_cols, arena_.get());
-  InitState(entry_state(entry));
-  table_->Insert(entry, hash);
-  entries_.push_back(entry);
-  return entry_state(entry);
+uint8_t* HashAggregateOperator::GroupState(int64_t i, uint64_t hash) {
+  uint8_t* payload = table_->FindOrInsert(
+      hash,
+      [this, i](const uint8_t* keys) {
+        return batch_keys_.GroupKeysEqual(keys, i);
+      },
+      [this, i](uint8_t* keys) {
+        batch_keys_.Write(keys, i, arena_.get());
+        InitState(payload_state(keys));
+      });
+  return payload_state(payload);
 }
 
 bool HashAggregateOperator::PrepareCodeCache(
@@ -444,6 +404,7 @@ void HashAggregateOperator::ResolveGroups(const Batch& batch,
   }
   const size_t m = order_.size();
   runs_.clear();
+  batch_keys_.Reset(*key_format_, key_indices_, batch, key_cols);
 
   if (PrepareCodeCache(batch, key_cols)) {
     // Pack the key codes into one index: code + 1 per key (0 = null),
@@ -470,9 +431,8 @@ void HashAggregateOperator::ResolveGroups(const Batch& batch,
       if (run < 0) {
         uint8_t*& state = code_slots_[slot];
         if (state == nullptr) {
-          state = GroupStateFromBatch(
-              batch, order_[j], key_cols,
-              key_format_->HashKeysFromBatch(batch, order_[j], key_cols));
+          state = GroupState(order_[j], key_format_->HashKeysFromBatch(
+                                            batch, order_[j], key_cols));
         }
         run = static_cast<int32_t>(runs_.size());
         runs_.push_back(GroupRun{state, 0, slot});
@@ -505,8 +465,7 @@ void HashAggregateOperator::ResolveGroups(const Batch& batch,
   HashKeysBatch(batch, key_cols, active, hashes_.data());
   for (size_t j = 0; j < m; ++j) {
     const int32_t i = order_[j];
-    uint8_t* state = GroupStateFromBatch(batch, i, key_cols,
-                                         hashes_[static_cast<size_t>(i)]);
+    uint8_t* state = GroupState(i, hashes_[static_cast<size_t>(i)]);
     if (runs_.empty() || runs_.back().state != state) {
       runs_.push_back(GroupRun{state, 0, 0});
     }
@@ -524,12 +483,12 @@ void HashAggregateOperator::ConsumeBatch(const Batch& batch,
 void HashAggregateOperator::WritePartialRow(uint8_t* entry, Batch* out,
                                             int64_t row,
                                             Arena* string_arena) const {
-  const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
+  uint8_t* payload = GroupHashTable::EntryPayload(entry);
   const int num_keys = static_cast<int>(key_indices_.size());
   for (int k = 0; k < num_keys; ++k) {
     key_format_->CopyToVector(payload, k, &out->column(k), row, string_arena);
   }
-  uint8_t* state = entry_state(entry);
+  uint8_t* state = payload_state(payload);
   for (size_t a = 0; a < options_.aggregates.size(); ++a) {
     StateRef s{state + a * kStateSlot};
     const int value_col = num_keys + 2 * static_cast<int>(a);
@@ -579,16 +538,16 @@ Status HashAggregateOperator::FlushToPartitions() {
   // Groups go out a batch-full at a time, in entry order: the batch's rows
   // of each partition become one record of that partition's file.
   Batch& batch = *spill_batch_;
-  const int64_t total = static_cast<int64_t>(entries_.size());
+  const std::vector<uint8_t*>& entries = table_->entries();
+  const int64_t total = table_->size();
   for (int64_t begin = 0; begin < total; begin += batch.capacity()) {
     const int64_t n = std::min(batch.capacity(), total - begin);
     batch.Reset();
     for (int64_t i = 0; i < n; ++i) {
-      uint8_t* entry = entries_[static_cast<size_t>(begin + i)];
+      uint8_t* entry = entries[static_cast<size_t>(begin + i)];
       // Strings view the state arena, which outlives the write.
       WritePartialRow(entry, &batch, i, nullptr);
-      const int p =
-          static_cast<int>(SerializedRowHashTable::EntryHash(entry) >> shift);
+      const int p = static_cast<int>(GroupHashTable::EntryHash(entry) >> shift);
       spill_sel_[static_cast<size_t>(p)].push_back(static_cast<int32_t>(i));
     }
     batch.set_num_rows(n);
@@ -626,12 +585,12 @@ Status HashAggregateOperator::ConsumeInput() {
     rows_aggregated_ += static_cast<int64_t>(order_.size());
     // Budget and peak checks once per batch.
     RecordPeakMemory(static_cast<int64_t>(arena_->bytes_allocated()));
-    if (!entries_.empty() && UnderMemoryPressure(budget)) {
+    if (table_->size() > 0 && UnderMemoryPressure(budget)) {
       VSTORE_RETURN_IF_ERROR(FlushToPartitions());
     }
   }
   input_->Close();
-  if (spilled_ && !entries_.empty()) {
+  if (spilled_ && table_->size() > 0) {
     VSTORE_RETURN_IF_ERROR(FlushToPartitions());
   }
   return Status::OK();
@@ -655,19 +614,20 @@ Status HashAggregateOperator::EmitEntries() {
   const int num_keys = static_cast<int>(key_indices_.size());
   const bool emit_partial = options_.phase == AggPhase::kPartial;
   int64_t out_row = 0;
-  while (emit_pos_ < entries_.size() && out_row < output_->capacity()) {
-    uint8_t* entry = entries_[emit_pos_++];
+  const std::vector<uint8_t*>& entries = table_->entries();
+  while (emit_pos_ < entries.size() && out_row < output_->capacity()) {
+    uint8_t* entry = entries[emit_pos_++];
     ++groups_;
     if (emit_partial) {
       WritePartialRow(entry, output_.get(), out_row++, output_->arena());
       continue;
     }
-    const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
+    uint8_t* payload = GroupHashTable::EntryPayload(entry);
     for (int k = 0; k < num_keys; ++k) {
       key_format_->CopyToVector(payload, k, &output_->column(k), out_row,
                                 output_->arena());
     }
-    uint8_t* state = entry_state(entry);
+    uint8_t* state = payload_state(payload);
 
     for (size_t a = 0; a < options_.aggregates.size(); ++a) {
       const AggSpec& spec = options_.aggregates[a];
@@ -741,15 +701,14 @@ Status HashAggregateOperator::OpenImpl() {
   done_ = false;
   output_ = std::make_unique<Batch>(output_schema_, ctx_->batch_size);
   VSTORE_RETURN_IF_ERROR(ConsumeInput());
-  if (spilled_) {
-    entries_.clear();
-  } else if (options_.phase != AggPhase::kPartial && key_indices_.empty() &&
-             entries_.empty()) {
+  if (!spilled_ && options_.phase != AggPhase::kPartial &&
+      key_indices_.empty() && table_->size() == 0) {
     // Scalar aggregation over zero rows still yields one row (COUNT = 0,
-    // other aggregates null).
-    uint8_t* entry = arena_->Allocate(entry_size());
-    InitState(entry_state(entry));
-    entries_.push_back(entry);
+    // other aggregates null): the group of the empty key, whose hash is
+    // the seed.
+    table_->FindOrInsert(
+        kKeyHashSeed, [](const uint8_t*) { return true; },
+        [this](uint8_t* payload) { InitState(payload_state(payload)); });
   }
   return Status::OK();
 }
@@ -757,7 +716,7 @@ Status HashAggregateOperator::OpenImpl() {
 Result<Batch*> HashAggregateOperator::NextImpl() {
   if (done_) return static_cast<Batch*>(nullptr);
   for (;;) {
-    if (emit_pos_ < entries_.size()) {
+    if (emit_pos_ < table_->entries().size()) {
       VSTORE_RETURN_IF_ERROR(EmitEntries());
       if (output_->num_rows() > 0) return output_.get();
     }
@@ -783,7 +742,6 @@ void HashAggregateOperator::CloseImpl() {
   spill_sel_.clear();
   write_buf_.Release();
   read_buf_.Release();
-  entries_.clear();
   code_slots_.clear();
   slot_runs_.clear();
   code_keys_.clear();

@@ -22,15 +22,16 @@ namespace vstore {
 //  - kFinal:    partial rows in, finalized results out.
 enum class AggPhase { kComplete, kPartial, kFinal };
 
-// Batch-mode hash aggregation (paper §5.4). Groups are kept in a hash
-// table of serialized keys with fixed-size accumulator state appended to
-// each entry. When the state exceeds the context's operator_memory_budget,
-// the whole table is flushed as partial rows (the PartialSchema layout,
-// written by the same typed writer as kPartial output) into
-// hash-partitioned SpillFiles, as batch-columnar records of at most one
-// batch per partition. At the end each partition's records are read back
-// and merged as partial input batches, one partition at a time — merging
-// partials is exact for every supported function (AVG carries sum+count).
+// Batch-mode hash aggregation (paper §5.4). Groups are kept in a
+// GroupHashTable whose entries are serialized keys with fixed-size
+// accumulator state appended. When the state exceeds the context's
+// operator_memory_budget, the whole table is flushed as partial rows (the
+// PartialSchema layout, written by the same typed writer as kPartial
+// output) into hash-partitioned SpillFiles, as batch-columnar records of
+// at most one batch per partition. At the end each partition's records
+// are read back and merged as partial input batches, one partition at a
+// time — merging partials is exact for every supported function (AVG
+// carries sum+count).
 //
 // Each input batch is consumed in two steps: first every active row's
 // group state is found, then one typed loop per aggregate folds the batch
@@ -44,9 +45,12 @@ enum class AggPhase { kComplete, kPartial, kFinal };
 //    table with the same hash the hash path uses, so coded and uncoded
 //    batches with equal keys land in one group. Zero keys is this path
 //    with a domain of one (scalar aggregation).
-//  - by hash: a vectorized key hash per batch, then a probe per row.
+//  - by hash: a vectorized key hash per batch, then a probe per row that
+//    compares keys through the batch's resolved key arrays (BatchKeys).
 //
 // GROUP BY follows SQL semantics: null keys compare equal (one null group).
+// Double keys compare by bit pattern (BatchKeys): NaN rows form one group,
+// and -0.0 and 0.0 are two.
 // Without GROUP BY (no keys) the operator emits exactly one row even for
 // empty input (COUNT = 0, other aggregates null), except in kPartial.
 class HashAggregateOperator final : public BatchOperator {
@@ -88,13 +92,12 @@ class HashAggregateOperator final : public BatchOperator {
   // Per-aggregate accumulator: 24 bytes — [acc:8][aux:8][count:8].
   static constexpr size_t kStateSlot = 24;
 
-  size_t entry_size() const {
-    return SerializedRowHashTable::kHeaderSize + key_format_->row_size() +
-           kStateSlot * options_.aggregates.size();
+  // A group's payload in the table: its key row, then the states.
+  size_t payload_size() const {
+    return key_format_->row_size() + kStateSlot * options_.aggregates.size();
   }
-  uint8_t* entry_state(uint8_t* entry) const {
-    return entry + SerializedRowHashTable::kHeaderSize +
-           key_format_->row_size();
+  uint8_t* payload_state(uint8_t* payload) const {
+    return payload + key_format_->row_size();
   }
 
   // Largest product of key code domains grouped on codes: 4096 slots of a
@@ -114,11 +117,10 @@ class HashAggregateOperator final : public BatchOperator {
   // True when `batch` can be grouped on codes; (re)builds the code cache
   // when its dictionaries or domains differ from the cached ones.
   bool PrepareCodeCache(const Batch& batch, const std::vector<int>& key_cols);
-  // The state of row `i`'s group, found or inserted under `hash` (the
-  // row's key hash as HashKeysBatch computes it).
-  uint8_t* GroupStateFromBatch(const Batch& batch, int64_t i,
-                               const std::vector<int>& key_cols,
-                               uint64_t hash);
+  // The state of row `i`'s group in the batch batch_keys_ was reset to,
+  // found or inserted under `hash` (the row's key hash as HashKeysBatch
+  // computes it).
+  uint8_t* GroupState(int64_t i, uint64_t hash);
   void InitState(uint8_t* state) const;
   // Folds the resolved rows into every aggregate, one loop per aggregate.
   void FoldBatch(const Batch& batch, bool partial_input);
@@ -139,10 +141,10 @@ class HashAggregateOperator final : public BatchOperator {
   void ResetAggState(int64_t expected_rows);
   // Local operator budget exceeded, or query-level budget pressure.
   bool UnderMemoryPressure(int64_t local_budget) const;
-  // Writes group `entry` as partial row `row` of `out`: the keys, then per
-  // aggregate its typed $value (null when no value was folded, and always
-  // for COUNT) and $count. Strings are copied into `string_arena`, or view
-  // the state arena when it is null.
+  // Writes group `entry` (a table entry) as partial row `row` of `out`:
+  // the keys, then per aggregate its typed $value (null when no value was
+  // folded, and always for COUNT) and $count. Strings are copied into
+  // `string_arena`, or view the state arena when it is null.
   void WritePartialRow(uint8_t* entry, Batch* out, int64_t row,
                        Arena* string_arena) const;
 
@@ -158,8 +160,7 @@ class HashAggregateOperator final : public BatchOperator {
   std::vector<uint8_t> state_kinds_;  // precomputed per-aggregate StateKind
 
   std::unique_ptr<Arena> arena_;
-  std::unique_ptr<SerializedRowHashTable> table_;
-  std::vector<uint8_t*> entries_;
+  std::unique_ptr<GroupHashTable> table_;
 
   // Per-operator tracker under the query tracker (null when tracking is
   // off); the state arena and group table charge here. The pressure flag
@@ -189,6 +190,7 @@ class HashAggregateOperator final : public BatchOperator {
   std::vector<GroupRun> runs_;
   std::vector<int32_t> sorted_;     // counting-sort output (code path)
   std::vector<uint64_t> hashes_;    // key hash per batch row (hash path)
+  BatchKeys batch_keys_;            // the batch's key columns
   std::vector<uint64_t> slot_ids_;  // code slot, then run, per order_ row
   std::vector<int32_t> slot_runs_;  // per code slot: run in this batch or -1
 

@@ -44,6 +44,7 @@ void JoinProber::Start(const Batch* batch) {
   row_ = 0;
   chain_ = nullptr;
   matched_ = false;
+  keys_.Reset(*build_format_, *build_keys_, *batch, *probe_keys_);
   hashes_.resize(static_cast<size_t>(batch->num_rows()));
   HashKeysBatch(*batch, *probe_keys_, batch->active(), hashes_.data());
 }

@@ -36,10 +36,10 @@ Schema HashJoinOutputSchema(const Schema& probe, const Schema& build,
 
 // The batch probe loop of every hash join probe fragment, used both for
 // probe input and for probe records read back in a spill drain. Start()
-// hashes a probe batch's keys once; Run() walks each active row's bucket
-// chain and writes output rows (the probe columns, then the build row's
-// columns or nulls) into an accumulating output batch, pausing mid-row
-// when that batch fills.
+// hashes a probe batch's keys and resolves its key columns (BatchKeys)
+// once; Run() walks each active row's bucket chain and writes output rows
+// (the probe columns, then the build row's columns or nulls) into an
+// accumulating output batch, pausing mid-row when that batch fills.
 class JoinProber {
  public:
   JoinProber(JoinType type, const RowFormat* build_format,
@@ -78,6 +78,7 @@ class JoinProber {
   bool emit_build_columns_;
 
   const Batch* batch_ = nullptr;
+  BatchKeys keys_;  // the started batch's probe keys
   std::vector<uint64_t> hashes_;
   int64_t row_ = 0;
   const uint8_t* chain_ = nullptr;  // resume point within a bucket chain
@@ -115,8 +116,7 @@ bool JoinProber::Run(TableOf table_of, Batch* output, int64_t* out_rows) {
       const uint8_t* entry = chain;
       const uint8_t* payload = SerializedRowHashTable::EntryPayload(entry);
       if (SerializedRowHashTable::EntryHash(entry) == hash &&
-          build_format_->KeysEqualBatch(payload, *build_keys_, probe, row,
-                                        *probe_keys_)) {
+          keys_.JoinKeysEqual(payload, row)) {
         matched = true;
         if (!emit_build_columns_) break;  // semi/anti need only existence
         Emit(output, probe, row, payload, out++);

@@ -1,5 +1,6 @@
 #include "exec/hash_table.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -27,38 +28,6 @@ void RowFormat::Write(uint8_t* dst, const Batch& batch, int64_t row,
                       Arena* arena) const {
   for (int c = 0; c < num_columns(); ++c) {
     const ColumnVector& cv = batch.column(c);
-    uint8_t valid = cv.validity()[row];
-    dst[c] = valid;
-    uint8_t* slot = dst + slot_offset(c);
-    if (!valid) {
-      std::memset(slot, 0, 8);
-      continue;
-    }
-    switch (cv.physical_type()) {
-      case PhysicalType::kInt64:
-        std::memcpy(slot, cv.ints() + row, 8);
-        break;
-      case PhysicalType::kDouble:
-        std::memcpy(slot, cv.doubles() + row, 8);
-        break;
-      case PhysicalType::kString: {
-        std::string_view stable = arena->CopyString(cv.strings()[row]);
-        const char* ptr = stable.data();
-        uint64_t len = stable.size();
-        std::memcpy(slot, &ptr, 8);
-        std::memcpy(slot + 8, &len, 8);
-        break;
-      }
-    }
-  }
-}
-
-void RowFormat::WriteKeysFromBatch(uint8_t* dst, const Batch& batch,
-                                   int64_t row,
-                                   const std::vector<int>& batch_cols,
-                                   Arena* arena) const {
-  for (int c = 0; c < num_columns(); ++c) {
-    const ColumnVector& cv = batch.column(batch_cols[static_cast<size_t>(c)]);
     uint8_t valid = cv.validity()[row];
     dst[c] = valid;
     uint8_t* slot = dst + slot_offset(c);
@@ -184,27 +153,46 @@ void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
   }
 }
 
-bool RowFormat::KeysEqualBatch(const uint8_t* row,
-                               const std::vector<int>& row_keys,
-                               const Batch& batch, int64_t i,
-                               const std::vector<int>& batch_keys) const {
-  for (size_t k = 0; k < row_keys.size(); ++k) {
-    int rk = row_keys[k];
-    const ColumnVector& cv = batch.column(batch_keys[k]);
-    if (IsNull(row, rk) || !cv.validity()[i]) return false;
+void BatchKeys::Reset(const RowFormat& format,
+                      const std::vector<int>& row_cols, const Batch& batch,
+                      const std::vector<int>& batch_cols) {
+  keys_.clear();
+  for (size_t k = 0; k < row_cols.size(); ++k) {
+    const ColumnVector& cv = batch.column(batch_cols[k]);
+    Key key{cv.validity(), nullptr, nullptr, row_cols[k],
+            format.slot_offset(row_cols[k])};
     switch (cv.physical_type()) {
       case PhysicalType::kInt64:
-        if (GetInt64(row, rk) != cv.ints()[i]) return false;
+        key.words = reinterpret_cast<const uint8_t*>(cv.ints());
         break;
       case PhysicalType::kDouble:
-        if (GetDouble(row, rk) != cv.doubles()[i]) return false;
+        key.words = reinterpret_cast<const uint8_t*>(cv.doubles());
         break;
       case PhysicalType::kString:
-        if (GetString(row, rk) != cv.strings()[i]) return false;
+        key.strings = cv.strings();
         break;
     }
+    keys_.push_back(key);
   }
-  return true;
+}
+
+void BatchKeys::Write(uint8_t* row, int64_t i, Arena* arena) const {
+  for (const Key& k : keys_) {
+    const uint8_t valid = k.valid[i];
+    row[k.column] = valid;
+    uint8_t* slot = row + k.offset;
+    if (!valid) {
+      std::memset(slot, 0, 8);
+    } else if (k.strings != nullptr) {
+      const std::string_view stable = arena->CopyString(k.strings[i]);
+      const char* ptr = stable.data();
+      const uint64_t len = stable.size();
+      std::memcpy(slot, &ptr, 8);
+      std::memcpy(slot + 8, &len, 8);
+    } else {
+      std::memcpy(slot, k.words + i * 8, 8);
+    }
+  }
 }
 
 SerializedRowHashTable::SerializedRowHashTable(int64_t expected_rows) {
@@ -253,6 +241,26 @@ void SerializedRowHashTable::Grow() {
       buckets_[b] = entry;
       entry = next;
     }
+  }
+}
+
+GroupHashTable::GroupHashTable(Arena* arena, size_t payload_size,
+                               int64_t expected_entries)
+    : arena_(arena), entry_size_(kHashSize + payload_size) {
+  Resize(std::bit_ceil(static_cast<size_t>(
+      std::max<int64_t>(expected_entries * 4 / 3, 16))));
+}
+
+void GroupHashTable::Resize(size_t num_slots) {
+  slots_.assign(num_slots, 0);
+  mask_ = num_slots - 1;
+  max_entries_ = num_slots / 4 * 3;
+  reservation_.Set(slot_bytes());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const uint64_t hash = EntryHash(entries_[i]);
+    size_t pos = static_cast<size_t>(hash) & mask_;
+    while (slots_[pos] != 0) pos = (pos + 1) & mask_;
+    slots_[pos] = SaltOf(hash) | i;
   }
 }
 

@@ -2,6 +2,7 @@
 #define VSTORE_EXEC_HASH_TABLE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -44,13 +45,6 @@ class RowFormat {
   // payloads are copied into `arena`.
   void Write(uint8_t* dst, const Batch& batch, int64_t row,
              Arena* arena) const;
-  // Serializes a column subset of batch row `row` into `dst`: serialized
-  // column k takes its value from batch column `batch_cols[k]` (hash
-  // aggregation's new-group path).
-  void WriteKeysFromBatch(uint8_t* dst, const Batch& batch, int64_t row,
-                          const std::vector<int>& batch_cols,
-                          Arena* arena) const;
-
   bool IsNull(const uint8_t* row, int c) const {
     return row[static_cast<size_t>(c)] == 0;
   }
@@ -70,15 +64,10 @@ class RowFormat {
   uint64_t HashKeysFromBatch(const Batch& batch, int64_t i,
                              const std::vector<int>& keys) const;
 
-  // Compares a serialized row's keys against a batch row's keys (null keys
-  // never compare equal).
-  bool KeysEqualBatch(const uint8_t* row, const std::vector<int>& row_keys,
-                      const Batch& batch, int64_t i,
-                      const std::vector<int>& batch_keys) const;
-
- private:
+  // Byte offset of column `c`'s value slot within a row.
   size_t slot_offset(int c) const { return offsets_[static_cast<size_t>(c)]; }
 
+ private:
   std::vector<size_t> offsets_;
   std::vector<DataType> types_;
   size_t row_size_ = 0;
@@ -94,9 +83,81 @@ class RowFormat {
 void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
                    const uint8_t* active, uint64_t* out);
 
-// Chained hash table over serialized rows. Each entry is a row prefixed by
-// a 16-byte header: [next pointer : 8][hash : 8]. Rows live in an Arena
-// owned by the caller; the table stores only bucket heads.
+// The key columns of one batch, resolved once per batch into raw arrays,
+// compared against and written into serialized rows. This holds the one
+// key-equality rule of joins and GROUP BY: fixed-width keys (int64 and
+// double alike) compare as their 8-byte words, so doubles compare by bit
+// pattern, the way they hash. A NaN equals a NaN with the same bits, and
+// -0.0 and 0.0 differ. Strings compare by content. Expression `=` keeps
+// IEEE semantics; only key matching uses this rule.
+class BatchKeys {
+ public:
+  // Key k is batch column batch_cols[k] against column row_cols[k] of rows
+  // in `format`. The batch must outlive the comparisons.
+  void Reset(const RowFormat& format, const std::vector<int>& row_cols,
+             const Batch& batch, const std::vector<int>& batch_cols);
+
+  // GROUP BY equality of `row`'s keys and batch row `i`: null keys compare
+  // equal (one null group).
+  bool GroupKeysEqual(const uint8_t* row, int64_t i) const {
+    return Equal<true>(row, i);
+  }
+  // Join equality: a null key never matches.
+  bool JoinKeysEqual(const uint8_t* row, int64_t i) const {
+    return Equal<false>(row, i);
+  }
+
+  // Writes batch row `i`'s keys into `row`; strings are copied into
+  // `arena`.
+  void Write(uint8_t* row, int64_t i, Arena* arena) const;
+
+ private:
+  struct Key {
+    const uint8_t* valid;
+    const uint8_t* words;             // 8 bytes a row; null for strings
+    const std::string_view* strings;  // null for fixed-width keys
+    int column;                       // the key's validity byte in a row
+    size_t offset;                    // its value slot in a row
+  };
+
+  template <bool kNullsEqual>
+  bool Equal(const uint8_t* row, int64_t i) const;
+
+  std::vector<Key> keys_;
+};
+
+template <bool kNullsEqual>
+bool BatchKeys::Equal(const uint8_t* row, int64_t i) const {
+  for (const Key& k : keys_) {
+    const bool row_valid = row[k.column] != 0;
+    const bool valid = k.valid[i] != 0;
+    if (kNullsEqual) {
+      if (row_valid != valid) return false;
+      if (!valid) continue;
+    } else if (!row_valid || !valid) {
+      return false;
+    }
+    const uint8_t* slot = row + k.offset;
+    if (k.strings != nullptr) {
+      const char* ptr;
+      uint64_t len;
+      std::memcpy(&ptr, slot, 8);
+      std::memcpy(&len, slot + 8, 8);
+      if (std::string_view(ptr, len) != k.strings[i]) return false;
+    } else {
+      uint64_t a, b;
+      std::memcpy(&a, slot, 8);
+      std::memcpy(&b, k.words + i * 8, 8);
+      if (a != b) return false;
+    }
+  }
+  return true;
+}
+
+// Chained hash table over serialized rows, the hash join's build table.
+// Each entry is a row prefixed by a 16-byte header: [next pointer : 8]
+// [hash : 8]. Rows live in an Arena owned by the caller; the table stores
+// only bucket heads.
 class SerializedRowHashTable {
  public:
   explicit SerializedRowHashTable(int64_t expected_rows = 1024);
@@ -105,26 +166,6 @@ class SerializedRowHashTable {
 
   // `entry` points at the 16-byte header followed by the row payload.
   void Insert(uint8_t* entry, uint64_t hash);
-
-  // Walks the chain for `hash`; fn(payload) is called for entries with a
-  // matching stored hash (caller verifies key equality). Return false from
-  // fn to stop early.
-  template <typename Fn>
-  void ForEachCandidate(uint64_t hash, Fn fn) const {
-    if (buckets_.empty()) return;
-    const uint8_t* entry =
-        buckets_[static_cast<size_t>(hash) & (buckets_.size() - 1)];
-    while (entry != nullptr) {
-      uint64_t entry_hash;
-      std::memcpy(&entry_hash, entry + 8, sizeof(entry_hash));
-      const uint8_t* next;
-      std::memcpy(&next, entry, sizeof(next));
-      if (entry_hash == hash) {
-        if (!fn(entry + kHeaderSize)) return;
-      }
-      entry = next;
-    }
-  }
 
   // Raw chain access for resumable iteration (hash join emission can pause
   // mid-chain when its output batch fills).
@@ -172,6 +213,90 @@ class SerializedRowHashTable {
 // schema, every row active. Strings view the entries' storage.
 void EntriesToBatch(const RowFormat& format, const uint8_t* const* entries,
                     int64_t n, Batch* out);
+
+// Open-addressing table of hash-aggregation groups. Each group is an entry
+// allocated from the caller's arena, [hash : 8][payload], and the table
+// lists its entries in insertion order: emission and spill flushes walk
+// that list.
+//
+// A slot is 8 bytes: a 32-bit salt from the hash's upper half (never 0, so
+// an all-zero slot is empty) over the entry's 32-bit index in the list.
+// Probing is linear from the hash's low bits and reads an entry only when
+// its slot's salt matches. An insert that leaves the table more than 3/4
+// full doubles it; the new slots are filled from the entry list in order,
+// by each entry's stored hash.
+class GroupHashTable {
+ public:
+  static constexpr size_t kHashSize = 8;
+
+  // Entries hold `payload_size` bytes after their hash, allocated from
+  // `arena`.
+  GroupHashTable(Arena* arena, size_t payload_size,
+                 int64_t expected_entries = 1024);
+
+  // The payload of the entry under `hash` that eq(payload) accepts;
+  // otherwise a new entry under `hash`, whose payload init(payload) fills.
+  template <typename Eq, typename Init>
+  uint8_t* FindOrInsert(uint64_t hash, Eq eq, Init init);
+
+  int64_t size() const { return static_cast<int64_t>(entries_.size()); }
+  int64_t num_slots() const { return static_cast<int64_t>(slots_.size()); }
+  // Entries in insertion order; each points at its stored hash.
+  const std::vector<uint8_t*>& entries() const { return entries_; }
+  static uint64_t EntryHash(const uint8_t* entry) {
+    uint64_t h;
+    std::memcpy(&h, entry, sizeof(h));
+    return h;
+  }
+  static uint8_t* EntryPayload(uint8_t* entry) { return entry + kHashSize; }
+
+  // Charges the slot array against `tracker` (entries are charged through
+  // the arena). Re-charged on growth.
+  void SetMemoryTracker(MemoryTracker* tracker) {
+    reservation_.Reset(tracker);
+    reservation_.Set(slot_bytes());
+  }
+  int64_t slot_bytes() const {
+    return static_cast<int64_t>(slots_.size() * sizeof(uint64_t));
+  }
+
+ private:
+  static constexpr uint64_t kSaltMask = ~uint64_t{0xffffffff};
+
+  // The hash's upper half in a slot's upper half; 0 becomes 1.
+  static uint64_t SaltOf(uint64_t hash) {
+    const uint64_t salt = hash & kSaltMask;
+    return salt != 0 ? salt : uint64_t{1} << 32;
+  }
+  void Resize(size_t num_slots);
+
+  Arena* arena_;
+  size_t entry_size_;
+  std::vector<uint64_t> slots_;
+  size_t mask_ = 0;
+  size_t max_entries_ = 0;  // 3/4 of the slots
+  std::vector<uint8_t*> entries_;
+  MemoryReservation reservation_;
+};
+
+template <typename Eq, typename Init>
+uint8_t* GroupHashTable::FindOrInsert(uint64_t hash, Eq eq, Init init) {
+  const uint64_t salt = SaltOf(hash);
+  size_t pos = static_cast<size_t>(hash) & mask_;
+  for (uint64_t slot; (slot = slots_[pos]) != 0; pos = (pos + 1) & mask_) {
+    if ((slot & kSaltMask) != salt) continue;
+    uint8_t* payload = entries_[static_cast<uint32_t>(slot)] + kHashSize;
+    if (eq(static_cast<const uint8_t*>(payload))) return payload;
+  }
+  VSTORE_DCHECK(entries_.size() < (uint64_t{1} << 32));
+  uint8_t* entry = arena_->Allocate(entry_size_);
+  std::memcpy(entry, &hash, kHashSize);
+  init(entry + kHashSize);
+  slots_[pos] = salt | entries_.size();
+  entries_.push_back(entry);
+  if (entries_.size() > max_entries_) Resize(slots_.size() * 2);
+  return entry + kHashSize;
+}
 
 }  // namespace vstore
 

@@ -211,12 +211,7 @@ Result<QueryResult> QueryExecutor::Execute(const PlanPtr& plan) const {
                                              std::memory_order_relaxed);
         }
       }
-      if (options_.materialize) {
-        const uint8_t* active_rows = batch->active();
-        for (int64_t i = 0; i < batch->num_rows(); ++i) {
-          if (active_rows[i]) result.data.AppendRow(batch->GetActiveRow(i));
-        }
-      }
+      if (options_.materialize) MaterializeActiveRows(*batch, &result.data);
     }
     physical.root->Close();
   }

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+#include <memory>
+#include <string>
+
 #include "exec/batch.h"
 #include "exec/operator.h"
 
@@ -126,6 +131,75 @@ TEST(AppendActiveRowsTest, PreservesNulls) {
   AppendActiveRows(src, &dst);
   EXPECT_EQ(dst.column(0).validity()[0], 1);
   EXPECT_EQ(dst.column(0).validity()[1], 0);
+}
+
+// The columnar result sink appends exactly what the old row path did:
+// out->AppendRow(batch.GetActiveRow(i)) for each active row.
+TEST(MaterializeActiveRowsTest, EqualsTheRowPathForEveryType) {
+  Schema schema({{"b", DataType::kBool, true},
+                 {"i32", DataType::kInt32, true},
+                 {"i64", DataType::kInt64, true},
+                 {"dt", DataType::kDate32, true},
+                 {"f", DataType::kDouble, true},
+                 {"s", DataType::kString, true}});
+  TableData columnar(schema);
+  TableData by_row(schema);
+  for (int round = 0; round < 2; ++round) {
+    auto batch = std::make_unique<Batch>(schema, 16);
+    const int64_t n = 13;
+    for (int64_t i = 0; i < n; ++i) {
+      // Unnormalized bools and int32/date32 slots holding wide values: the
+      // sink must store what GetValue makes of them.
+      batch->column(0).mutable_ints()[i] = i % 3 == 0 ? 0 : i * 7 - 40;
+      batch->column(1).mutable_ints()[i] = (int64_t{1} << 33) + i - 6;
+      batch->column(2).mutable_ints()[i] = i * 1000003 - round;
+      batch->column(3).mutable_ints()[i] = 19000 + i - (int64_t{1} << 40);
+      batch->column(4).mutable_doubles()[i] =
+          i == 4 ? std::numeric_limits<double>::quiet_NaN()
+                 : (i == 5 ? -0.0 : 0.25 * static_cast<double>(i));
+      batch->column(5).mutable_strings()[i] = batch->arena()->CopyString(
+          i == 6 ? "" : "row" + std::to_string(i) + "r" +
+                            std::to_string(round));
+      for (int c = 0; c < 6; ++c) {
+        batch->column(c).mutable_validity()[i] = (i + c) % 5 != 0;
+      }
+    }
+    batch->set_num_rows(n);
+    batch->ActivateAll();
+    for (int64_t i : {1, 8, 12}) batch->mutable_active()[i] = 0;
+    batch->RecountActive();
+
+    MaterializeActiveRows(*batch, &columnar);
+    for (int64_t i = 0; i < n; ++i) {
+      if (batch->active()[i]) by_row.AppendRow(batch->GetActiveRow(i));
+    }
+    // The strings must outlive the batch and its arena.
+    batch->Reset();
+    batch->arena()->CopyString(std::string(256, 'x'));
+    batch.reset();
+  }
+
+  ASSERT_EQ(columnar.num_rows(), 20);
+  ASSERT_EQ(by_row.num_rows(), 20);
+  for (int c = 0; c < 6; ++c) {
+    SCOPED_TRACE(c);
+    const ColumnData& got = columnar.column(c);
+    const ColumnData& want = by_row.column(c);
+    EXPECT_EQ(got.size(), want.size());
+    EXPECT_GT(want.null_count(), 0);
+    EXPECT_EQ(got.null_count(), want.null_count());
+    EXPECT_EQ(got.ints(), want.ints());
+    EXPECT_EQ(got.strings(), want.strings());
+    ASSERT_EQ(got.doubles().size(), want.doubles().size());
+    for (size_t i = 0; i < got.doubles().size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.doubles()[i]),
+                std::bit_cast<uint64_t>(want.doubles()[i]));
+    }
+    for (int64_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got.IsNull(r), want.IsNull(r));
+    }
+  }
+  EXPECT_EQ(columnar.column(0).ints()[1], 1);  // batch row 2 held -26
 }
 
 }  // namespace

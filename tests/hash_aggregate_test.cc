@@ -1,21 +1,26 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <functional>
+#include <limits>
 #include <map>
+#include <optional>
+#include <tuple>
 
 #include "common/random.h"
 #include "exec/hash_aggregate.h"
+#include "exec/row/row_operator.h"
 #include "exec/scan.h"
 #include "exec/union_all.h"
 #include "storage/column_store.h"
 #include "storage/dictionary.h"
+#include "storage/row_store.h"
 #include "test_operators.h"
 
 namespace vstore {
 namespace {
 
 using testing_util::DrainOperator;
+using testing_util::ExpectBitIdentical;
 using testing_util::SortRows;
 using testing_util::TableSourceOperator;
 
@@ -392,28 +397,6 @@ std::vector<AggSpec> EveryKindAggregates() {
           {AggFn::kCountStar, -1, "cnt"}, {AggFn::kMin, 4, "min_dt"},
           {AggFn::kMax, 5, "max_i32"}, {AggFn::kMin, 6, "min_b"},
           {AggFn::kMax, 6, "max_b"}};
-}
-
-void ExpectBitIdentical(const std::vector<std::vector<Value>>& got,
-                        const std::vector<std::vector<Value>>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t r = 0; r < got.size(); ++r) {
-    ASSERT_EQ(got[r].size(), want[r].size());
-    for (size_t c = 0; c < got[r].size(); ++c) {
-      const Value& a = got[r][c];
-      const Value& b = want[r][c];
-      ASSERT_EQ(a.type(), b.type()) << r << "," << c;
-      ASSERT_EQ(a.is_null(), b.is_null()) << r << "," << c;
-      if (a.is_null()) continue;
-      if (a.type() == DataType::kDouble) {
-        ASSERT_EQ(std::bit_cast<uint64_t>(a.dbl()),
-                  std::bit_cast<uint64_t>(b.dbl()))
-            << r << "," << c;
-      } else {
-        ASSERT_EQ(a, b) << r << "," << c;
-      }
-    }
-  }
 }
 
 TEST(AggSpillTest, EveryStateKindThroughDiskIsBitIdentical) {
@@ -806,6 +789,237 @@ TEST(HashAggregateCodeTest, DictionarySwitchAcrossUnionAll) {
   EXPECT_EQ(coded.rows, hashed.rows);
   EXPECT_EQ(coded.rows.size(), 13u);
   EXPECT_EQ(coded.rows_code_grouped, both.num_rows());
+}
+
+// --- High-cardinality grouping --------------------------------------------
+// The group table at scale and on every key kind, in each way a GROUP BY
+// runs: one complete stage; a partial stage per half of the rows merged by
+// a final stage; and one complete stage under a budget that flushes to
+// spill partitions while the table is still growing.
+
+enum class AggMode { kComplete, kPartialFinal, kBudgeted };
+
+struct ModeRun {
+  std::vector<std::vector<Value>> rows;  // sorted
+  int64_t spill_flushes = 0;
+};
+
+ModeRun RunInMode(const TableData& data,
+                  const HashAggregateOperator::Options& logical, AggMode mode,
+                  int64_t budget, int64_t batch_size = kDefaultBatchSize) {
+  ModeRun run;
+  ExecContext ctx;
+  ctx.batch_size = batch_size;
+  if (mode != AggMode::kPartialFinal) {
+    if (mode == AggMode::kBudgeted) ctx.operator_memory_budget = budget;
+    HashAggregateOperator agg(std::make_unique<TableSourceOperator>(&data, &ctx),
+                              logical, &ctx);
+    run.rows = DrainOperator(&agg);
+    run.spill_flushes = agg.BuildProfile().Counter("spill_flushes");
+    SortRows(&run.rows);
+    return run;
+  }
+  TableData halves[2] = {TableData(data.schema()), TableData(data.schema())};
+  for (int64_t i = 0; i < data.num_rows(); ++i) {
+    halves[i % 2].AppendRow(data.GetRow(i));
+  }
+  HashAggregateOperator::Options popts = logical;
+  popts.phase = AggPhase::kPartial;
+  TableData partials(HashAggregateOperator::PartialSchema(
+      data.schema(), logical.group_by, logical.aggregates));
+  for (const TableData& half : halves) {
+    HashAggregateOperator partial(
+        std::make_unique<TableSourceOperator>(&half, &ctx), popts, &ctx);
+    for (const auto& row : DrainOperator(&partial)) partials.AppendRow(row);
+  }
+  HashAggregateOperator::Options fopts;
+  fopts.phase = AggPhase::kFinal;
+  const int num_keys = static_cast<int>(logical.group_by.size());
+  for (int k = 0; k < num_keys; ++k) fopts.group_by.push_back(k);
+  fopts.aggregates = logical.aggregates;
+  for (size_t a = 0; a < fopts.aggregates.size(); ++a) {
+    fopts.aggregates[a].column = num_keys + 2 * static_cast<int>(a);
+  }
+  HashAggregateOperator final_agg(
+      std::make_unique<TableSourceOperator>(&partials, &ctx), fopts, &ctx);
+  run.rows = DrainOperator(&final_agg);
+  SortRows(&run.rows);
+  return run;
+}
+
+constexpr AggMode kAllModes[] = {AggMode::kComplete, AggMode::kPartialFinal,
+                                 AggMode::kBudgeted};
+
+TEST(GroupTableAggregateTest, ManyShuffledDistinctKeysMatchMapReference) {
+  // 200k distinct keys in shuffled order, then 50k repeats of random ones.
+  const int64_t distinct = 200000;
+  Random rng(2024);
+  std::vector<int64_t> keys(static_cast<size_t>(distinct));
+  for (int64_t k = 0; k < distinct; ++k) {
+    keys[static_cast<size_t>(k)] = (k - distinct / 2) * 2654435761LL;
+  }
+  for (int64_t k = distinct - 1; k > 0; --k) {
+    std::swap(keys[static_cast<size_t>(k)],
+              keys[static_cast<size_t>(rng.Uniform(0, k))]);
+  }
+  for (int64_t r = 0; r < 50000; ++r) {
+    keys.push_back(keys[static_cast<size_t>(rng.Uniform(0, distinct - 1))]);
+  }
+  TableData data(Schema({{"k", DataType::kInt64, false},
+                         {"v", DataType::kInt64, false}}));
+  struct Ref {
+    int64_t sum = 0;
+    int64_t min = 0;
+    int64_t count = 0;
+  };
+  std::map<int64_t, Ref> reference;
+  for (int64_t key : keys) {
+    const int64_t v = rng.Uniform(-1000, 1000);
+    data.AppendRow({Value::Int64(key), Value::Int64(v)});
+    Ref& ref = reference[key];
+    if (ref.count == 0 || v < ref.min) ref.min = v;
+    ref.sum += v;
+    ++ref.count;
+  }
+  ASSERT_EQ(reference.size(), static_cast<size_t>(distinct));
+
+  HashAggregateOperator::Options options;
+  options.group_by = {0};
+  options.aggregates = {{AggFn::kSum, 1, "sum"},
+                        {AggFn::kMin, 1, "min"},
+                        {AggFn::kCountStar, -1, "cnt"}};
+  for (AggMode mode : kAllModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    // 1 MiB holds about 11k of these groups: each flush comes after the
+    // table has doubled from its first size, long before the 200k groups.
+    ModeRun run = RunInMode(data, options, mode, 1 << 20);
+    ASSERT_EQ(run.rows.size(), reference.size());
+    for (const auto& row : run.rows) {
+      auto it = reference.find(row[0].int64());
+      ASSERT_NE(it, reference.end());
+      ASSERT_EQ(row[1].int64(), it->second.sum);
+      ASSERT_EQ(row[2].int64(), it->second.min);
+      ASSERT_EQ(row[3].int64(), it->second.count);
+    }
+    if (mode == AggMode::kBudgeted) {
+      EXPECT_GE(run.spill_flushes, 10);
+    }
+  }
+}
+
+TEST(GroupTableAggregateTest, IntStringDoubleKeysWithNullsMatchMapReference) {
+  Schema schema({{"g", DataType::kInt64, true},
+                 {"s", DataType::kString, true},
+                 {"d", DataType::kDouble, true},
+                 {"v", DataType::kInt64, false}});
+  TableData data(schema);
+  using Key = std::tuple<std::optional<int64_t>, std::optional<std::string>,
+                         std::optional<double>>;
+  struct Ref {
+    int64_t sum = 0;
+    int64_t count = 0;
+  };
+  std::map<Key, Ref> reference;
+  Random rng(99);
+  for (int64_t i = 0; i < 60000; ++i) {
+    Key key;
+    if (rng.Uniform(0, 19) != 0) std::get<0>(key) = rng.Uniform(0, 199);
+    if (rng.Uniform(0, 19) != 0) {
+      // "" is a value of its own, not NULL.
+      const int64_t s = rng.Uniform(0, 30);
+      std::get<1>(key) = s == 30 ? "" : "key" + std::to_string(s);
+    }
+    if (rng.Uniform(0, 19) != 0) {
+      std::get<2>(key) = static_cast<double>(rng.Uniform(-4, 5)) / 4.0;
+    }
+    const int64_t v = rng.Uniform(0, 1000);
+    data.AppendRow(
+        {std::get<0>(key) ? Value::Int64(*std::get<0>(key))
+                          : Value::Null(DataType::kInt64),
+         std::get<1>(key) ? Value::String(*std::get<1>(key))
+                          : Value::Null(DataType::kString),
+         std::get<2>(key) ? Value::Double(*std::get<2>(key))
+                          : Value::Null(DataType::kDouble),
+         Value::Int64(v)});
+    Ref& ref = reference[key];
+    ref.sum += v;
+    ++ref.count;
+  }
+
+  HashAggregateOperator::Options options;
+  options.group_by = {0, 1, 2};
+  options.aggregates = {{AggFn::kSum, 3, "sum"},
+                        {AggFn::kCountStar, -1, "cnt"}};
+  for (AggMode mode : kAllModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ModeRun run = RunInMode(data, options, mode, 256 * 1024);
+    ASSERT_EQ(run.rows.size(), reference.size());
+    for (const auto& row : run.rows) {
+      Key key;
+      if (!row[0].is_null()) std::get<0>(key) = row[0].int64();
+      if (!row[1].is_null()) std::get<1>(key) = row[1].str();
+      if (!row[2].is_null()) std::get<2>(key) = row[2].dbl();
+      auto it = reference.find(key);
+      ASSERT_NE(it, reference.end());
+      ASSERT_EQ(row[3].int64(), it->second.sum);
+      ASSERT_EQ(row[4].int64(), it->second.count);
+    }
+    if (mode == AggMode::kBudgeted) {
+      EXPECT_GE(run.spill_flushes, 2);
+    }
+  }
+}
+
+TEST(GroupTableAggregateTest, NaNAndSignedZeroKeysGroupLikeTheRowEngine) {
+  // NaN rows form one group (their keys have one bit pattern), -0.0 and
+  // 0.0 stay two groups, and NULL is a group of its own: 5 groups.
+  Schema schema({{"d", DataType::kDouble, true},
+                 {"v", DataType::kInt64, false}});
+  std::vector<Value> keys;
+  for (int i = 0; i < 150; ++i) {
+    keys.push_back(Value::Double(std::numeric_limits<double>::quiet_NaN()));
+  }
+  for (int i = 0; i < 50; ++i) keys.push_back(Value::Double(-0.0));
+  for (int i = 0; i < 50; ++i) keys.push_back(Value::Double(0.0));
+  for (int i = 0; i < 100; ++i) keys.push_back(Value::Double(1.5));
+  keys.push_back(Value::Null(DataType::kDouble));
+  Random rng(7);
+  for (size_t k = keys.size() - 1; k > 0; --k) {
+    std::swap(keys[k], keys[static_cast<size_t>(
+                           rng.Uniform(0, static_cast<int64_t>(k)))]);
+  }
+  TableData data(schema);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    data.AppendRow({keys[i], Value::Int64(static_cast<int64_t>(i))});
+  }
+
+  HashAggregateOperator::Options options;
+  options.group_by = {0};
+  options.aggregates = {{AggFn::kCountStar, -1, "cnt"},
+                        {AggFn::kSum, 1, "sum"}};
+  RowStoreTable table("t", schema);
+  table.Append(data).CheckOK();
+  RowHashAggregateOperator row_agg(
+      std::make_unique<RowStoreScanOperator>(&table),
+      {options.group_by, options.aggregates});
+  std::vector<std::vector<Value>> want;
+  row_agg.Open().CheckOK();
+  std::vector<Value> row;
+  while (row_agg.Next(&row).ValueOrDie()) want.push_back(row);
+  row_agg.Close();
+  SortRows(&want);
+  ASSERT_EQ(want.size(), 5u);
+
+  for (AggMode mode : kAllModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    // Batches of 32 under a 1-byte budget: a flush after every batch, so
+    // the NaN group is merged back from many partial rows.
+    ModeRun run = RunInMode(data, options, mode, 1, /*batch_size=*/32);
+    ExpectBitIdentical(run.rows, want);
+    if (mode == AggMode::kBudgeted) {
+      EXPECT_GE(run.spill_flushes, 10);
+    }
+  }
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/memory_tracker.h"
 #include "common/random.h"
 #include "exec/hash_join.h"
+#include "exec/row/row_operator.h"
+#include "storage/row_store.h"
 #include "test_operators.h"
 
 namespace vstore {
 namespace {
 
 using testing_util::DrainOperator;
+using testing_util::ExpectBitIdentical;
 using testing_util::SortRows;
 using testing_util::TableSourceOperator;
 
@@ -410,6 +415,75 @@ TEST(HashJoinTest, OutputSpansManyBatches) {
   ctx.batch_size = 64;  // 2500 outputs / 64 per batch
   auto rows = RunJoin(probe, build, InnerOn0(), &ctx);
   EXPECT_EQ(rows.size(), 2500u);
+}
+
+// Join keys match by the rule GROUP BY uses: doubles by bit pattern. A
+// NaN probe key finds the NaN build row, -0.0 finds only -0.0, and 0.0
+// only 0.0, as in the row engine. 400 filler build keys let a small budget
+// spill the build, so spilled probe rows go through the drain's probe.
+TEST(HashJoinTest, NaNAndSignedZeroKeysMatchLikeTheRowEngine) {
+  Schema probe_schema({{"pk", DataType::kDouble, true},
+                       {"pv", DataType::kInt64, false}});
+  Schema build_schema({{"bk", DataType::kDouble, true},
+                       {"bv", DataType::kInt64, false}});
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                            0.0, 2.5};
+  TableData probe(probe_schema);
+  TableData build(build_schema);
+  int64_t id = 0;
+  for (double k : special) {
+    build.AppendRow({Value::Double(k), Value::Int64(id++)});
+    for (int i = 0; i < 20; ++i) {
+      probe.AppendRow({Value::Double(k), Value::Int64(id++)});
+    }
+  }
+  for (int i = 0; i < 400; ++i) {
+    build.AppendRow({Value::Double(100.0 + i), Value::Int64(id++)});
+  }
+  for (int i = 0; i < 50; ++i) {
+    probe.AppendRow({Value::Double(100.0 + 7 * i), Value::Int64(id++)});
+  }
+  for (int i = 0; i < 5; ++i) {
+    probe.AppendRow({Value::Double(7.0), Value::Int64(id++)});
+  }
+  for (int i = 0; i < 3; ++i) {
+    probe.AppendRow({Value::Null(DataType::kDouble), Value::Int64(id++)});
+  }
+  RowStoreTable probe_table("p", probe_schema);
+  RowStoreTable build_table("b", build_schema);
+  probe_table.Append(probe).CheckOK();
+  build_table.Append(build).CheckOK();
+
+  const std::pair<JoinType, size_t> cases[] = {{JoinType::kInner, 130},
+                                               {JoinType::kLeftOuter, 138},
+                                               {JoinType::kLeftSemi, 130},
+                                               {JoinType::kLeftAnti, 8}};
+  for (const auto& [type, expected_rows] : cases) {
+    SCOPED_TRACE(JoinTypeName(type));
+    RowHashJoinOperator row_join(
+        std::make_unique<RowStoreScanOperator>(&probe_table),
+        std::make_unique<RowStoreScanOperator>(&build_table),
+        {type, {0}, {0}});
+    std::vector<std::vector<Value>> want;
+    row_join.Open().CheckOK();
+    std::vector<Value> row;
+    while (row_join.Next(&row).ValueOrDie()) want.push_back(row);
+    row_join.Close();
+    SortRows(&want);
+    ASSERT_EQ(want.size(), expected_rows);
+
+    HashJoinOperator::Options options = InnerOn0();
+    options.join_type = type;
+    for (int64_t budget : {int64_t{0}, int64_t{2048}}) {
+      SCOPED_TRACE(budget);
+      ExecContext ctx;
+      ctx.operator_memory_budget = budget;
+      ExpectBitIdentical(RunJoin(probe, build, options, &ctx), want);
+      if (budget > 0) {
+        EXPECT_GT(ctx.stats.build_rows_spilled, 0);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #ifndef VSTORE_TESTS_TEST_OPERATORS_H_
 #define VSTORE_TESTS_TEST_OPERATORS_H_
 
+#include <gtest/gtest.h>
+
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -55,6 +58,30 @@ inline std::vector<std::vector<Value>> DrainOperator(BatchOperator* op) {
   }
   op->Close();
   return rows;
+}
+
+// Rows equal value for value, doubles by bit pattern (so NaN equals NaN
+// and -0.0 differs from 0.0).
+inline void ExpectBitIdentical(const std::vector<std::vector<Value>>& got,
+                               const std::vector<std::vector<Value>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size());
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      const Value& a = got[r][c];
+      const Value& b = want[r][c];
+      ASSERT_EQ(a.type(), b.type()) << r << "," << c;
+      ASSERT_EQ(a.is_null(), b.is_null()) << r << "," << c;
+      if (a.is_null()) continue;
+      if (a.type() == DataType::kDouble) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(a.dbl()),
+                  std::bit_cast<uint64_t>(b.dbl()))
+            << r << "," << c;
+      } else {
+        ASSERT_EQ(a, b) << r << "," << c;
+      }
+    }
+  }
 }
 
 // Sorts materialized rows for order-insensitive comparison.
