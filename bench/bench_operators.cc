@@ -11,7 +11,6 @@
 #include "common/random.h"
 #include "common/simd.h"
 #include "exec/expr_kernels.h"
-#include "exec/expr_program.h"
 #include "exec/expression.h"
 #include "exec/hash_aggregate.h"
 #include "exec/hash_join.h"
@@ -225,10 +224,10 @@ BENCHMARK(BM_RowHashJoin);
 
 // --- Per-kernel PROFILE_JSON deltas ---------------------------------------
 // With VSTORE_BENCH_PROFILE=1 the bench emits one PROFILE_JSON line per
-// kernel pair: the pre-PR baseline (tree interpreter / scalar kernels /
-// per-row hashing) against the optimized path (bytecode VM / AVX2 kernels /
-// batch hashing) on identical inputs. Scrapers match the "PROFILE_JSON "
-// prefix; "speedup" > 1 means the optimized path won.
+// kernel pair: the baseline (scalar kernels / per-row hashing) against the
+// optimized path (AVX2 kernels / batch hashing) on identical inputs.
+// Scrapers match the "PROFILE_JSON " prefix; "speedup" > 1 means the
+// optimized path won.
 
 void EmitKernelDelta(const std::string& name, double baseline_ms,
                      double optimized_ms) {
@@ -257,31 +256,7 @@ void EmitKernelProfiles() {
   batch.set_num_rows(kN);
   batch.ActivateAll();
 
-  // Kernel 1: predicate evaluation — bytecode VM vs tree interpreter. The
-  // shape repeats a subexpression so CSE has something to elide.
-  {
-    ExprPtr shared = expr::Add(expr::Column(schema, "k"),
-                               expr::Column(schema, "v"));
-    ExprPtr pred = expr::And(
-        expr::Gt(shared, expr::Lit(Value::Int64(100))),
-        expr::Lt(shared, expr::Lit(Value::Int64(900))));
-    auto program = ExprProgramCache::Global().GetOrCompile({pred});
-    VSTORE_CHECK(program != nullptr);
-    ExprFrame frame(program);
-    double interpreted = bench::TimeMs([&] {
-      ColumnVector out(DataType::kBool, kN);
-      for (int r = 0; r < kReps; ++r) {
-        pred->EvalBatch(batch, batch.arena(), &out).CheckOK();
-      }
-    });
-    double compiled = bench::TimeMs([&] {
-      for (int r = 0; r < kReps; ++r) frame.Run(batch).CheckOK();
-    });
-    EmitKernelDelta("filter_expr/compiled_vs_interpreted", interpreted,
-                    compiled);
-  }
-
-  // Kernel 2: int64 compare-against-constant — AVX2 vs forced scalar.
+  // Kernel 1: int64 compare-against-constant — AVX2 vs forced scalar.
   {
     std::vector<uint8_t> verdict(kN);
     auto run = [&] {
@@ -297,7 +272,7 @@ void EmitKernelProfiles() {
     EmitKernelDelta("cmp_i64_const/simd_vs_scalar", scalar, vec);
   }
 
-  // Kernel 3: join/agg key hashing — batch kernel vs per-row loop.
+  // Kernel 2: join/agg key hashing — batch kernel vs per-row loop.
   {
     RowFormat fmt(schema);
     std::vector<int> keys{0, 1};
@@ -318,7 +293,7 @@ void EmitKernelProfiles() {
     EmitKernelDelta("hash_keys/batch_vs_per_row", per_row, batched);
   }
 
-  // Kernel 4: bit-unpack decode — AVX2 gather vs scalar streaming.
+  // Kernel 3: bit-unpack decode — AVX2 gather vs scalar streaming.
   {
     constexpr int kBw = 13;
     std::vector<uint64_t> values(1 << 16);

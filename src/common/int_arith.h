@@ -6,9 +6,9 @@
 namespace vstore {
 
 // Two's-complement wrapping int64 arithmetic. This is the engine-wide
-// contract for integer expressions: the interpreter, the row engine, the
-// bytecode VM and the SIMD kernels all wrap on overflow, so every engine
-// produces bit-identical results (and none of them trips UBSan). Division
+// contract for integer expressions: the row engine, the bytecode VM and
+// the SIMD kernels all wrap on overflow, so both engines produce
+// bit-identical results (and neither trips UBSan). Division
 // guards the one remaining trap: INT64_MIN / -1 wraps to INT64_MIN, and
 // callers are responsible for null-ing out division by zero.
 inline int64_t WrapAdd(int64_t a, int64_t b) {

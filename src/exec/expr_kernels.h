@@ -17,7 +17,7 @@ namespace kernels {
 // dispatch on simd::Active() and bump the dispatch counters, so tests can
 // force either path via simd::ForceLevelForTesting().
 //
-// Semantics contract (shared with the tree interpreter and the row engine):
+// Semantics contract (shared with the row engine's Expr::EvalRow):
 //  - comparisons implement ApplyCompare over the three-way ordering, so for
 //    doubles an unordered pair (NaN) compares as "equal";
 //  - int64 arithmetic wraps (common/int_arith.h); division by zero yields

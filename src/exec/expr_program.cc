@@ -487,26 +487,18 @@ class ExprCompiler {
         VSTORE_ASSIGN_OR_RETURN(uint16_t in, CompileNode(*ine.input()));
         ExprProgram::InList list;
         PhysicalType phys = RegPhys(in);
+        // expr::In checked that every candidate has the input's physical
+        // type.
         for (const Value& v : ine.values()) {
-          if (v.is_null()) continue;  // interpreter skips null candidates
-          PhysicalType vp = PhysicalTypeOf(v.type());
+          if (v.is_null()) continue;  // EvalRow skips null candidates
           switch (phys) {
             case PhysicalType::kInt64:
-              if (vp != PhysicalType::kInt64) {
-                return Status::InvalidArgument("IN list type mismatch");
-              }
               list.i64.push_back(v.int64());
               break;
             case PhysicalType::kDouble:
-              if (vp == PhysicalType::kString) {
-                return Status::InvalidArgument("IN list type mismatch");
-              }
-              list.f64.push_back(v.AsDouble());
+              list.f64.push_back(v.dbl());
               break;
             case PhysicalType::kString:
-              if (vp != PhysicalType::kString) {
-                return Status::InvalidArgument("IN list type mismatch");
-              }
               list.str.push_back(v.str());
               break;
           }
@@ -939,7 +931,7 @@ ExprProgramCache& ExprProgramCache::Global() {
   return cache;
 }
 
-std::shared_ptr<const ExprProgram> ExprProgramCache::GetOrCompile(
+Result<std::shared_ptr<const ExprProgram>> ExprProgramCache::GetOrCompile(
     const std::vector<ExprPtr>& exprs) {
   Impl* im = impl();
   std::string key = ExprProgram::Fingerprint(exprs);
@@ -951,12 +943,11 @@ std::shared_ptr<const ExprProgram> ExprProgramCache::GetOrCompile(
       return it->second;
     }
   }
-  auto compiled = ExprProgram::Compile(exprs);
-  std::shared_ptr<const ExprProgram> program =
-      compiled.ok() ? *compiled : nullptr;
+  VSTORE_ASSIGN_OR_RETURN(std::shared_ptr<const ExprProgram> program,
+                          ExprProgram::Compile(exprs));
   std::lock_guard<std::mutex> lock(im->mu);
-  auto [it, inserted] = im->map.emplace(std::move(key), program);
-  if (inserted && program != nullptr) im->compiled->Increment();
+  auto [it, inserted] = im->map.emplace(std::move(key), std::move(program));
+  if (inserted) im->compiled->Increment();
   return it->second;
 }
 

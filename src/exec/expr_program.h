@@ -18,10 +18,10 @@ namespace vstore {
 // once at operator build time — constant folding, null-safe algebraic
 // simplification and common-subexpression elimination happen here — and
 // executed per batch by an ExprFrame's tight dispatch loop over the SIMD
-// kernels in expr_kernels.h. The tree interpreter (Expr::EvalBatch) remains
-// the fallback and the differential oracle: for every batch the program's
-// validity bytes are identical to the interpreter's, and value lanes agree
-// bit-for-bit wherever valid.
+// kernels in expr_kernels.h. It is the batch engine's only expression
+// evaluator. The row engine's Expr::EvalRow folds constants for it and is
+// its differential oracle: a row's validity byte is 0 exactly where EvalRow
+// returns NULL, and value lanes agree bit-for-bit wherever valid.
 //
 // Programs are immutable and shared (a global cache deduplicates by
 // structural fingerprint, so repeated plans — e.g. Query Store replays of
@@ -74,7 +74,7 @@ class ExprProgram {
   };
 
   // Typed IN-list payloads (null list entries are dropped at compile time,
-  // matching the interpreter, which skips them per row).
+  // matching EvalRow, which skips them per row).
   struct InList {
     std::vector<int64_t> i64;
     std::vector<double> f64;
@@ -82,8 +82,8 @@ class ExprProgram {
   };
 
   // Compiles `exprs` into one shared program with cross-expression CSE.
-  // Returns InvalidArgument for shapes the VM does not support (callers
-  // fall back to the interpreter).
+  // Every expression kind compiles; the one error is InvalidArgument for a
+  // program above 65,535 registers.
   static Result<std::shared_ptr<const ExprProgram>> Compile(
       const std::vector<ExprPtr>& exprs);
 
@@ -132,7 +132,7 @@ class ExprFrame {
   // against `tracker` (query or fragment tracker; must outlive the frame).
   void SetMemoryTracker(MemoryTracker* tracker);
 
-  // Evaluates every row of `in` (active or not, like Expr::EvalBatch).
+  // Evaluates every row of `in`, active or not.
   Status Run(const Batch& in);
 
   // Result vector of the k-th expression after Run(); may alias an input
@@ -181,9 +181,9 @@ class ExprProgramCache {
  public:
   static ExprProgramCache& Global();
 
-  // Returns a cached or freshly compiled program, or null when compilation
-  // is unsupported for these exprs (caller falls back to the interpreter).
-  std::shared_ptr<const ExprProgram> GetOrCompile(
+  // Returns a cached or freshly compiled program, or the compile error
+  // (which is not cached).
+  Result<std::shared_ptr<const ExprProgram>> GetOrCompile(
       const std::vector<ExprPtr>& exprs);
 
   int64_t size() const;

@@ -1,22 +1,11 @@
 #include "exec/expression.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "common/int_arith.h"
 #include "common/macros.h"
 
 namespace vstore {
 
 namespace {
-
-// Evaluates a child into a freshly sized vector.
-Status EvalChild(const Expr& child, const Batch& in, Arena* arena,
-                 std::unique_ptr<ColumnVector>* out) {
-  *out = std::make_unique<ColumnVector>(child.output_type(),
-                                        std::max<int64_t>(in.num_rows(), 1));
-  return child.EvalBatch(in, arena, out->get());
-}
 
 int CompareValuesSameFamily(const Value& a, const Value& b) {
   switch (PhysicalTypeOf(a.type())) {
@@ -41,28 +30,6 @@ int CompareValuesSameFamily(const Value& a, const Value& b) {
 
 // --- ColumnRefExpr --------------------------------------------------------
 
-Status ColumnRefExpr::EvalBatch(const Batch& in, Arena* arena,
-                                ColumnVector* out) const {
-  const ColumnVector& src = in.column(index_);
-  const int64_t n = in.num_rows();
-  std::memcpy(out->mutable_validity(), src.validity(),
-              static_cast<size_t>(n));
-  switch (src.physical_type()) {
-    case PhysicalType::kInt64:
-      std::memcpy(out->mutable_ints(), src.ints(),
-                  static_cast<size_t>(n) * sizeof(int64_t));
-      break;
-    case PhysicalType::kDouble:
-      std::memcpy(out->mutable_doubles(), src.doubles(),
-                  static_cast<size_t>(n) * sizeof(double));
-      break;
-    case PhysicalType::kString:
-      std::copy(src.strings(), src.strings() + n, out->mutable_strings());
-      break;
-  }
-  return Status::OK();
-}
-
 Status ColumnRefExpr::EvalRow(const std::vector<Value>& row,
                               Value* out) const {
   *out = row[static_cast<size_t>(index_)];
@@ -71,89 +38,12 @@ Status ColumnRefExpr::EvalRow(const std::vector<Value>& row,
 
 // --- LiteralExpr ------------------------------------------------------------
 
-Status LiteralExpr::EvalBatch(const Batch& in, Arena* arena,
-                              ColumnVector* out) const {
-  const int64_t n = in.num_rows();
-  if (value_.is_null()) {
-    std::fill(out->mutable_validity(), out->mutable_validity() + n, uint8_t{0});
-    return Status::OK();
-  }
-  out->SetAllValid(n);
-  switch (PhysicalTypeOf(value_.type())) {
-    case PhysicalType::kInt64:
-      std::fill(out->mutable_ints(), out->mutable_ints() + n, value_.int64());
-      break;
-    case PhysicalType::kDouble:
-      std::fill(out->mutable_doubles(), out->mutable_doubles() + n,
-                value_.dbl());
-      break;
-    case PhysicalType::kString: {
-      std::string_view sv = arena->CopyString(value_.str());
-      std::fill(out->mutable_strings(), out->mutable_strings() + n, sv);
-      break;
-    }
-  }
-  return Status::OK();
-}
-
 Status LiteralExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
   *out = value_;
   return Status::OK();
 }
 
 // --- CompareExpr ------------------------------------------------------------
-
-Status CompareExpr::EvalBatch(const Batch& in, Arena* arena,
-                              ColumnVector* out) const {
-  std::unique_ptr<ColumnVector> lv, rv;
-  VSTORE_RETURN_IF_ERROR(EvalChild(*left_, in, arena, &lv));
-  VSTORE_RETURN_IF_ERROR(EvalChild(*right_, in, arena, &rv));
-  const int64_t n = in.num_rows();
-  int64_t* res = out->mutable_ints();
-  uint8_t* valid = out->mutable_validity();
-  const uint8_t* va = lv->validity();
-  const uint8_t* vb = rv->validity();
-
-  PhysicalType pl = lv->physical_type();
-  PhysicalType pr = rv->physical_type();
-  const CompareOp op = op_;
-
-  if (pl == PhysicalType::kString) {
-    const std::string_view* a = lv->strings();
-    const std::string_view* b = rv->strings();
-    for (int64_t i = 0; i < n; ++i) {
-      valid[i] = va[i] & vb[i];
-      int c = a[i].compare(b[i]);
-      res[i] = ApplyCompare(op, c < 0 ? -1 : (c > 0 ? 1 : 0));
-    }
-  } else if (pl == PhysicalType::kDouble || pr == PhysicalType::kDouble) {
-    // Promote mixed int/double comparisons to double.
-    auto load = [n](const ColumnVector& v, std::vector<double>* buf) {
-      if (v.physical_type() == PhysicalType::kDouble) return v.doubles();
-      buf->resize(static_cast<size_t>(n));
-      const int64_t* src = v.ints();
-      for (int64_t i = 0; i < n; ++i) {
-        (*buf)[static_cast<size_t>(i)] = static_cast<double>(src[i]);
-      }
-      return const_cast<const double*>(buf->data());
-    };
-    std::vector<double> abuf, bbuf;
-    const double* a = load(*lv, &abuf);
-    const double* b = load(*rv, &bbuf);
-    for (int64_t i = 0; i < n; ++i) {
-      valid[i] = va[i] & vb[i];
-      res[i] = ApplyCompare(op, a[i] < b[i] ? -1 : (a[i] > b[i] ? 1 : 0));
-    }
-  } else {
-    const int64_t* a = lv->ints();
-    const int64_t* b = rv->ints();
-    for (int64_t i = 0; i < n; ++i) {
-      valid[i] = va[i] & vb[i];
-      res[i] = ApplyCompare(op, a[i] < b[i] ? -1 : (a[i] > b[i] ? 1 : 0));
-    }
-  }
-  return Status::OK();
-}
 
 Status CompareExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
   Value a, b;
@@ -173,92 +63,6 @@ std::string CompareExpr::ToString() const {
 }
 
 // --- ArithExpr ---------------------------------------------------------------
-
-Status ArithExpr::EvalBatch(const Batch& in, Arena* arena,
-                            ColumnVector* out) const {
-  std::unique_ptr<ColumnVector> lv, rv;
-  VSTORE_RETURN_IF_ERROR(EvalChild(*left_, in, arena, &lv));
-  VSTORE_RETURN_IF_ERROR(EvalChild(*right_, in, arena, &rv));
-  const int64_t n = in.num_rows();
-  uint8_t* valid = out->mutable_validity();
-  const uint8_t* va = lv->validity();
-  const uint8_t* vb = rv->validity();
-
-  if (output_type() == DataType::kDouble) {
-    auto load = [n](const ColumnVector& v, std::vector<double>* buf) {
-      if (v.physical_type() == PhysicalType::kDouble) return v.doubles();
-      buf->resize(static_cast<size_t>(n));
-      const int64_t* src = v.ints();
-      for (int64_t i = 0; i < n; ++i) {
-        (*buf)[static_cast<size_t>(i)] = static_cast<double>(src[i]);
-      }
-      return const_cast<const double*>(buf->data());
-    };
-    std::vector<double> abuf, bbuf;
-    const double* a = load(*lv, &abuf);
-    const double* b = load(*rv, &bbuf);
-    double* res = out->mutable_doubles();
-    switch (op_) {
-      case ArithOp::kAdd:
-        for (int64_t i = 0; i < n; ++i) {
-          valid[i] = va[i] & vb[i];
-          res[i] = a[i] + b[i];
-        }
-        break;
-      case ArithOp::kSub:
-        for (int64_t i = 0; i < n; ++i) {
-          valid[i] = va[i] & vb[i];
-          res[i] = a[i] - b[i];
-        }
-        break;
-      case ArithOp::kMul:
-        for (int64_t i = 0; i < n; ++i) {
-          valid[i] = va[i] & vb[i];
-          res[i] = a[i] * b[i];
-        }
-        break;
-      case ArithOp::kDiv:
-        for (int64_t i = 0; i < n; ++i) {
-          valid[i] = va[i] & vb[i] & (b[i] != 0.0 ? 1 : 0);
-          res[i] = b[i] != 0.0 ? a[i] / b[i] : 0.0;
-        }
-        break;
-    }
-  } else {
-    const int64_t* a = lv->ints();
-    const int64_t* b = rv->ints();
-    int64_t* res = out->mutable_ints();
-    // Integer ops wrap on overflow (common/int_arith.h) — the engine-wide
-    // contract shared with the row engine and the bytecode/SIMD kernels.
-    switch (op_) {
-      case ArithOp::kAdd:
-        for (int64_t i = 0; i < n; ++i) {
-          valid[i] = va[i] & vb[i];
-          res[i] = WrapAdd(a[i], b[i]);
-        }
-        break;
-      case ArithOp::kSub:
-        for (int64_t i = 0; i < n; ++i) {
-          valid[i] = va[i] & vb[i];
-          res[i] = WrapSub(a[i], b[i]);
-        }
-        break;
-      case ArithOp::kMul:
-        for (int64_t i = 0; i < n; ++i) {
-          valid[i] = va[i] & vb[i];
-          res[i] = WrapMul(a[i], b[i]);
-        }
-        break;
-      case ArithOp::kDiv:
-        for (int64_t i = 0; i < n; ++i) {
-          valid[i] = va[i] & vb[i] & (b[i] != 0 ? 1 : 0);
-          res[i] = b[i] != 0 ? WrapDiv(a[i], b[i]) : 0;
-        }
-        break;
-    }
-  }
-  return Status::OK();
-}
 
 Status ArithExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
   Value a, b;
@@ -316,32 +120,6 @@ std::string ArithExpr::ToString() const {
 
 // --- BoolExpr -----------------------------------------------------------------
 
-Status BoolExpr::EvalBatch(const Batch& in, Arena* arena,
-                           ColumnVector* out) const {
-  std::unique_ptr<ColumnVector> lv, rv;
-  VSTORE_RETURN_IF_ERROR(EvalChild(*left_, in, arena, &lv));
-  VSTORE_RETURN_IF_ERROR(EvalChild(*right_, in, arena, &rv));
-  const int64_t n = in.num_rows();
-  int64_t* res = out->mutable_ints();
-  uint8_t* valid = out->mutable_validity();
-  const int64_t* a = lv->ints();
-  const int64_t* b = rv->ints();
-  const uint8_t* va = lv->validity();
-  const uint8_t* vb = rv->validity();
-  if (op_ == BoolOp::kAnd) {
-    for (int64_t i = 0; i < n; ++i) {
-      valid[i] = va[i] & vb[i];
-      res[i] = (a[i] != 0) & (b[i] != 0);
-    }
-  } else {
-    for (int64_t i = 0; i < n; ++i) {
-      valid[i] = va[i] & vb[i];
-      res[i] = (a[i] != 0) | (b[i] != 0);
-    }
-  }
-  return Status::OK();
-}
-
 Status BoolExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
   Value a, b;
   VSTORE_RETURN_IF_ERROR(left_->EvalRow(row, &a));
@@ -362,18 +140,6 @@ std::string BoolExpr::ToString() const {
 
 // --- NotExpr -------------------------------------------------------------------
 
-Status NotExpr::EvalBatch(const Batch& in, Arena* arena,
-                          ColumnVector* out) const {
-  std::unique_ptr<ColumnVector> cv;
-  VSTORE_RETURN_IF_ERROR(EvalChild(*input_, in, arena, &cv));
-  const int64_t n = in.num_rows();
-  int64_t* res = out->mutable_ints();
-  const int64_t* a = cv->ints();
-  std::memcpy(out->mutable_validity(), cv->validity(), static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) res[i] = a[i] == 0;
-  return Status::OK();
-}
-
 Status NotExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
   Value v;
   VSTORE_RETURN_IF_ERROR(input_->EvalRow(row, &v));
@@ -384,18 +150,6 @@ Status NotExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
 
 // --- IsNullExpr ------------------------------------------------------------------
 
-Status IsNullExpr::EvalBatch(const Batch& in, Arena* arena,
-                             ColumnVector* out) const {
-  std::unique_ptr<ColumnVector> cv;
-  VSTORE_RETURN_IF_ERROR(EvalChild(*input_, in, arena, &cv));
-  const int64_t n = in.num_rows();
-  int64_t* res = out->mutable_ints();
-  const uint8_t* va = cv->validity();
-  out->SetAllValid(n);
-  for (int64_t i = 0; i < n; ++i) res[i] = va[i] == 0;
-  return Status::OK();
-}
-
 Status IsNullExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
   Value v;
   VSTORE_RETURN_IF_ERROR(input_->EvalRow(row, &v));
@@ -404,18 +158,6 @@ Status IsNullExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
 }
 
 // --- YearExpr ---------------------------------------------------------------------
-
-Status YearExpr::EvalBatch(const Batch& in, Arena* arena,
-                           ColumnVector* out) const {
-  std::unique_ptr<ColumnVector> cv;
-  VSTORE_RETURN_IF_ERROR(EvalChild(*input_, in, arena, &cv));
-  const int64_t n = in.num_rows();
-  int64_t* res = out->mutable_ints();
-  const int64_t* a = cv->ints();
-  std::memcpy(out->mutable_validity(), cv->validity(), static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) res[i] = YearFromDays(a[i]);
-  return Status::OK();
-}
 
 Status YearExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
   Value v;
@@ -426,21 +168,6 @@ Status YearExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
 }
 
 // --- StartsWithExpr ----------------------------------------------------------------
-
-Status StartsWithExpr::EvalBatch(const Batch& in, Arena* arena,
-                                 ColumnVector* out) const {
-  std::unique_ptr<ColumnVector> cv;
-  VSTORE_RETURN_IF_ERROR(EvalChild(*input_, in, arena, &cv));
-  const int64_t n = in.num_rows();
-  int64_t* res = out->mutable_ints();
-  const std::string_view* a = cv->strings();
-  std::memcpy(out->mutable_validity(), cv->validity(), static_cast<size_t>(n));
-  const std::string_view prefix(prefix_);
-  for (int64_t i = 0; i < n; ++i) {
-    res[i] = a[i].substr(0, prefix.size()) == prefix;
-  }
-  return Status::OK();
-}
 
 Status StartsWithExpr::EvalRow(const std::vector<Value>& row,
                                Value* out) const {
@@ -457,53 +184,6 @@ Status StartsWithExpr::EvalRow(const std::vector<Value>& row,
 
 // --- InExpr -------------------------------------------------------------------------
 
-Status InExpr::EvalBatch(const Batch& in, Arena* arena,
-                         ColumnVector* out) const {
-  std::unique_ptr<ColumnVector> cv;
-  VSTORE_RETURN_IF_ERROR(EvalChild(*input_, in, arena, &cv));
-  const int64_t n = in.num_rows();
-  int64_t* res = out->mutable_ints();
-  std::memcpy(out->mutable_validity(), cv->validity(), static_cast<size_t>(n));
-  if (cv->physical_type() == PhysicalType::kString) {
-    const std::string_view* a = cv->strings();
-    for (int64_t i = 0; i < n; ++i) {
-      bool hit = false;
-      for (const Value& v : values_) {
-        if (!v.is_null() && a[i] == v.str()) {
-          hit = true;
-          break;
-        }
-      }
-      res[i] = hit;
-    }
-  } else if (cv->physical_type() == PhysicalType::kInt64) {
-    const int64_t* a = cv->ints();
-    for (int64_t i = 0; i < n; ++i) {
-      bool hit = false;
-      for (const Value& v : values_) {
-        if (!v.is_null() && a[i] == v.int64()) {
-          hit = true;
-          break;
-        }
-      }
-      res[i] = hit;
-    }
-  } else {
-    const double* a = cv->doubles();
-    for (int64_t i = 0; i < n; ++i) {
-      bool hit = false;
-      for (const Value& v : values_) {
-        if (!v.is_null() && a[i] == v.AsDouble()) {
-          hit = true;
-          break;
-        }
-      }
-      res[i] = hit;
-    }
-  }
-  return Status::OK();
-}
-
 Status InExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
   Value v;
   VSTORE_RETURN_IF_ERROR(input_->EvalRow(row, &v));
@@ -511,8 +191,24 @@ Status InExpr::EvalRow(const std::vector<Value>& row, Value* out) const {
     *out = Value::Null(DataType::kBool);
     return Status::OK();
   }
+  // Matches by physical value, as the compiled IN does: an INT32 or DATE32
+  // input matches an INT64 candidate holding the same number. expr::In
+  // guarantees every candidate has the input's physical type.
   for (const Value& candidate : values_) {
-    if (!candidate.is_null() && v == candidate) {
+    if (candidate.is_null()) continue;
+    bool hit = false;
+    switch (PhysicalTypeOf(v.type())) {
+      case PhysicalType::kInt64:
+        hit = v.int64() == candidate.int64();
+        break;
+      case PhysicalType::kDouble:
+        hit = v.dbl() == candidate.dbl();
+        break;
+      case PhysicalType::kString:
+        hit = v.str() == candidate.str();
+        break;
+    }
+    if (hit) {
       *out = Value::Bool(true);
       return Status::OK();
     }
@@ -594,6 +290,10 @@ ExprPtr StartsWith(ExprPtr input, std::string prefix) {
 }
 
 ExprPtr In(ExprPtr input, std::vector<Value> values) {
+  const PhysicalType phys = PhysicalTypeOf(input->output_type());
+  for (const Value& v : values) {
+    VSTORE_CHECK(v.is_null() || PhysicalTypeOf(v.type()) == phys);
+  }
   return std::make_shared<InExpr>(std::move(input), std::move(values));
 }
 

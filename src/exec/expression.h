@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/batch.h"
 #include "types/compare_op.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -33,10 +32,11 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv };
 enum class BoolOp { kAnd, kOr };
 
 // Bound scalar expression. Expressions are constructed against a specific
-// input schema (column references are resolved to indices at build time)
-// and can be evaluated either vectorized over a Batch (batch mode) or one
-// row at a time over a std::vector<Value> (row mode) — the same tree drives
-// both engines, mirroring how the paper's plans mix modes.
+// input schema (column references are resolved to indices at build time).
+// Batch mode compiles the tree to an ExprProgram (exec/expr_program.h) and
+// runs it vectorized over a Batch; row mode evaluates it one row at a time
+// over a std::vector<Value> — the same tree drives both engines, mirroring
+// how the paper's plans mix modes.
 //
 // NULL semantics: comparisons and arithmetic are null-strict (null in →
 // null out); AND/OR are null-strict too (a simplification of SQL's
@@ -49,12 +49,8 @@ class Expr {
   ExprKind kind() const { return kind_; }
   DataType output_type() const { return output_type_; }
 
-  // Evaluates all in.num_rows() rows (active or not) into `out`, which must
-  // have capacity >= in.num_rows(). Strings are allocated from `arena`.
-  virtual Status EvalBatch(const Batch& in, Arena* arena,
-                           ColumnVector* out) const = 0;
-
-  // Row-at-a-time evaluation for the row-mode engine.
+  // Row-at-a-time evaluation: the row-mode engine, the compiler's constant
+  // folder, and the reference the batch program is tested against.
   virtual Status EvalRow(const std::vector<Value>& row, Value* out) const = 0;
 
   virtual std::string ToString() const = 0;
@@ -76,8 +72,6 @@ class ColumnRefExpr final : public Expr {
       : Expr(ExprKind::kColumn, type), index_(index), name_(std::move(name)) {}
   int index() const { return index_; }
   const std::string& name() const { return name_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override { return name_; }
 
@@ -91,8 +85,6 @@ class LiteralExpr final : public Expr {
   explicit LiteralExpr(Value value)
       : Expr(ExprKind::kLiteral, value.type()), value_(std::move(value)) {}
   const Value& value() const { return value_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override { return value_.ToString(); }
 
@@ -110,8 +102,6 @@ class CompareExpr final : public Expr {
   CompareOp op() const { return op_; }
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override;
 
@@ -131,8 +121,6 @@ class ArithExpr final : public Expr {
   ArithOp op() const { return op_; }
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override;
 
@@ -152,8 +140,6 @@ class BoolExpr final : public Expr {
   BoolOp op() const { return op_; }
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override;
 
@@ -168,8 +154,6 @@ class NotExpr final : public Expr {
   explicit NotExpr(ExprPtr input)
       : Expr(ExprKind::kNot, DataType::kBool), input_(std::move(input)) {}
   const ExprPtr& input() const { return input_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override { return "NOT " + input_->ToString(); }
 
@@ -182,8 +166,6 @@ class IsNullExpr final : public Expr {
   explicit IsNullExpr(ExprPtr input)
       : Expr(ExprKind::kIsNull, DataType::kBool), input_(std::move(input)) {}
   const ExprPtr& input() const { return input_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override {
     return input_->ToString() + " IS NULL";
@@ -199,8 +181,6 @@ class YearExpr final : public Expr {
   explicit YearExpr(ExprPtr input)
       : Expr(ExprKind::kYear, DataType::kInt64), input_(std::move(input)) {}
   const ExprPtr& input() const { return input_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override {
     return "YEAR(" + input_->ToString() + ")";
@@ -219,8 +199,6 @@ class StartsWithExpr final : public Expr {
         prefix_(std::move(prefix)) {}
   const ExprPtr& input() const { return input_; }
   const std::string& prefix() const { return prefix_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override {
     return input_->ToString() + " LIKE '" + prefix_ + "%'";
@@ -231,7 +209,8 @@ class StartsWithExpr final : public Expr {
   std::string prefix_;
 };
 
-// expr IN (v1, v2, ...).
+// expr IN (v1, v2, ...). Candidates share the input's physical type (see
+// expr::In); NULL candidates never match.
 class InExpr final : public Expr {
  public:
   InExpr(ExprPtr input, std::vector<Value> values)
@@ -240,8 +219,6 @@ class InExpr final : public Expr {
         values_(std::move(values)) {}
   const ExprPtr& input() const { return input_; }
   const std::vector<Value>& values() const { return values_; }
-  Status EvalBatch(const Batch& in, Arena* arena,
-                   ColumnVector* out) const override;
   Status EvalRow(const std::vector<Value>& row, Value* out) const override;
   std::string ToString() const override;
 
@@ -278,6 +255,8 @@ ExprPtr Not(ExprPtr input);
 ExprPtr IsNull(ExprPtr input);
 ExprPtr Year(ExprPtr input);
 ExprPtr StartsWith(ExprPtr input, std::string prefix);
+// Aborts unless every non-null candidate has the input's physical type
+// (int64 family, double or string), like Cmp's string-vs-numeric check.
 ExprPtr In(ExprPtr input, std::vector<Value> values);
 
 // left >= lo AND left <= hi.

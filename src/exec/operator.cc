@@ -1,11 +1,9 @@
 #include "exec/operator.h"
 
 #include <chrono>
-#include <cstring>
 
 #include "common/macros.h"
 #include "common/memory_tracker.h"
-#include "common/metrics.h"
 #include "common/span_trace.h"
 
 namespace vstore {
@@ -18,14 +16,15 @@ inline int64_t NowNs() {
       .count();
 }
 
-// Batches evaluated through the bytecode VM versus the tree interpreter
-// (the compiled-vs-interpreted dispatch split, exported via sys.metrics).
-Counter* ExprBatchCounter(bool compiled) {
-  static Counter* c = MetricsRegistry::Global().GetCounter(
-      "vstore_expr_batches_total", "engine", "compiled");
-  static Counter* i = MetricsRegistry::Global().GetCounter(
-      "vstore_expr_batches_total", "engine", "interpreted");
-  return compiled ? c : i;
+// Compiles `exprs` into `frame`, charged to ctx's memory tracker. The
+// operators keep the error for Open() to return.
+Status MakeFrame(const std::vector<ExprPtr>& exprs, const ExecContext* ctx,
+                 std::unique_ptr<ExprFrame>* frame) {
+  VSTORE_ASSIGN_OR_RETURN(std::shared_ptr<const ExprProgram> program,
+                          ExprProgramCache::Global().GetOrCompile(exprs));
+  *frame = std::make_unique<ExprFrame>(std::move(program));
+  if (ctx != nullptr) (*frame)->SetMemoryTracker(ctx->memory_tracker);
+  return Status::OK();
 }
 
 }  // namespace
@@ -177,14 +176,8 @@ int64_t AppendActiveRows(const Batch& src, Batch* dst) {
 
 FilterOperator::FilterOperator(BatchOperatorPtr input, ExprPtr predicate,
                                ExecContext* ctx)
-    : input_(std::move(input)), predicate_(std::move(predicate)), ctx_(ctx) {
-  if (ctx_ == nullptr || ctx_->compile_expressions) {
-    program_ = ExprProgramCache::Global().GetOrCompile({predicate_});
-    if (program_ != nullptr) {
-      frame_ = std::make_unique<ExprFrame>(program_);
-      if (ctx_ != nullptr) frame_->SetMemoryTracker(ctx_->memory_tracker);
-    }
-  }
+    : input_(std::move(input)) {
+  compile_status_ = MakeFrame({std::move(predicate)}, ctx, &frame_);
 }
 
 Result<Batch*> FilterOperator::NextImpl() {
@@ -194,28 +187,19 @@ Result<Batch*> FilterOperator::NextImpl() {
     if (batch->active_count() == 0) continue;
     rows_in_ += batch->active_count();
 
+    const int64_t coded = frame_->rows_code_filtered();
+    VSTORE_RETURN_IF_ERROR(frame_->Run(*batch));
+    rows_code_filtered_ += frame_->rows_code_filtered() - coded;
+    const ColumnVector& result = frame_->result(0);
+    const int64_t* values = result.ints();
+    const uint8_t* valid = result.validity();
+    uint8_t* active = batch->mutable_active();
     const int64_t n = batch->num_rows();
     int64_t count = 0;
-    auto apply = [&](const int64_t* values, const uint8_t* valid) {
-      uint8_t* active = batch->mutable_active();
-      for (int64_t i = 0; i < n; ++i) {
-        active[i] &= valid[i] & (values[i] != 0 ? 1 : 0);
-        count += active[i];
-      }
-    };
-    if (program_ != nullptr) {
-      const int64_t coded = frame_->rows_code_filtered();
-      VSTORE_RETURN_IF_ERROR(frame_->Run(*batch));
-      rows_code_filtered_ += frame_->rows_code_filtered() - coded;
-      const ColumnVector& result = frame_->result(0);
-      apply(result.ints(), result.validity());
-    } else {
-      ColumnVector result(DataType::kBool, n);
-      VSTORE_RETURN_IF_ERROR(
-          predicate_->EvalBatch(*batch, batch->arena(), &result));
-      apply(result.ints(), result.validity());
+    for (int64_t i = 0; i < n; ++i) {
+      active[i] &= valid[i] & (values[i] != 0 ? 1 : 0);
+      count += active[i];
     }
-    ExprBatchCounter(program_ != nullptr)->Increment();
     rows_dropped_ += batch->active_count() - count;
     batch->set_active_count(count);
     if (count > 0) return batch;
@@ -226,27 +210,15 @@ ProjectOperator::ProjectOperator(BatchOperatorPtr input,
                                  std::vector<ExprPtr> exprs,
                                  std::vector<std::string> names,
                                  ExecContext* ctx)
-    : input_(std::move(input)), exprs_(std::move(exprs)), ctx_(ctx) {
-  VSTORE_CHECK(exprs_.size() == names.size());
+    : input_(std::move(input)), ctx_(ctx) {
+  VSTORE_CHECK(exprs.size() == names.size());
   std::vector<Field> fields;
-  fields.reserve(exprs_.size());
-  for (size_t i = 0; i < exprs_.size(); ++i) {
-    fields.push_back(Field{names[i], exprs_[i]->output_type(), true});
+  fields.reserve(exprs.size());
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    fields.push_back(Field{names[i], exprs[i]->output_type(), true});
   }
   schema_ = Schema(std::move(fields));
-  for (const ExprPtr& e : exprs_) {
-    column_refs_.push_back(
-        e->kind() == ExprKind::kColumn
-            ? static_cast<const ColumnRefExpr&>(*e).index()
-            : -1);
-  }
-  if (ctx_ == nullptr || ctx_->compile_expressions) {
-    program_ = ExprProgramCache::Global().GetOrCompile(exprs_);
-    if (program_ != nullptr) {
-      frame_ = std::make_unique<ExprFrame>(program_);
-      if (ctx_ != nullptr) frame_->SetMemoryTracker(ctx_->memory_tracker);
-    }
-  }
+  compile_status_ = MakeFrame(exprs, ctx_, &frame_);
 }
 
 Result<Batch*> ProjectOperator::NextImpl() {
@@ -260,47 +232,20 @@ Result<Batch*> ProjectOperator::NextImpl() {
     }
     output_->Reset();
 
+    // Evaluate into full-width vectors, then compact active rows through a
+    // selection vector. A plain column reference's result aliases the
+    // input column, so it keeps its code lane; computed vectors carry none.
+    VSTORE_RETURN_IF_ERROR(frame_->Run(*batch));
     const int64_t n = batch->num_rows();
-    // Evaluate into full-width vectors, then compact active rows. Both
-    // paths alias plain column references in place; the compiled path
-    // shares one program across all projection expressions (CSE spans
-    // outputs).
-    std::vector<std::unique_ptr<ColumnVector>> computed;
-    std::vector<const ColumnVector*> results(exprs_.size(), nullptr);
-    if (program_ != nullptr) {
-      VSTORE_RETURN_IF_ERROR(frame_->Run(*batch));
-      for (size_t c = 0; c < exprs_.size(); ++c) {
-        results[c] = &frame_->result(c);
-      }
-    } else {
-      computed.reserve(exprs_.size());
-      for (size_t c = 0; c < exprs_.size(); ++c) {
-        if (column_refs_[c] >= 0) {
-          results[c] = &batch->column(column_refs_[c]);
-          continue;
-        }
-        auto cv = std::make_unique<ColumnVector>(exprs_[c]->output_type(),
-                                                 std::max<int64_t>(n, 1));
-        VSTORE_RETURN_IF_ERROR(
-            exprs_[c]->EvalBatch(*batch, output_->arena(), cv.get()));
-        results[c] = cv.get();
-        computed.push_back(std::move(cv));
-      }
-    }
-    ExprBatchCounter(program_ != nullptr)->Increment();
-
-    // Compact active rows through a selection vector. Plain column
-    // references alias the input column, so they keep its code lane;
-    // computed vectors carry none.
     const uint8_t* active = batch->active();
     sel_.clear();
     for (int64_t i = 0; i < n; ++i) {
       if (active[i]) sel_.push_back(static_cast<int32_t>(i));
     }
     const int64_t m = static_cast<int64_t>(sel_.size());
-    for (size_t c = 0; c < results.size(); ++c) {
-      output_->column(static_cast<int>(c))
-          .CopySelected(*results[c], sel_.data(), m);
+    for (int c = 0; c < schema_.num_columns(); ++c) {
+      output_->column(c).CopySelected(frame_->result(static_cast<size_t>(c)),
+                                      sel_.data(), m);
     }
     output_->set_num_rows(m);
     output_->ActivateAll();

@@ -51,9 +51,6 @@ struct ExecContext {
   // Memory budget per stateful operator (hash join build side, hash
   // aggregation state) before spilling kicks in. <= 0 means unlimited.
   int64_t operator_memory_budget = 0;
-  // Compile Filter/Project expressions to bytecode at build time; off
-  // forces the tree-interpreter path (the differential oracle).
-  bool compile_expressions = true;
   // Query tracing hooks, null when the query runs untraced. Operators
   // reach the span tree through the thread-local QueryTraceContext; these
   // pointers exist so the exchange can re-install that context on its
@@ -153,13 +150,12 @@ using BatchOperatorPtr = std::unique_ptr<BatchOperator>;
 
 // --- Filter ----------------------------------------------------------------
 // Marks rows inactive when the predicate is false or null; never compacts
-// (the paper's qualifying-rows-vector behaviour). A compiled string IN over
-// a column with a code lane is decided on dictionary codes.
+// (the paper's qualifying-rows-vector behaviour). A string IN over a column
+// with a code lane is decided on dictionary codes.
 class FilterOperator final : public BatchOperator {
  public:
-  // Compiles the predicate to bytecode at build time (= plan lowering);
-  // falls back to the tree interpreter when compilation is unsupported or
-  // disabled via ctx->compile_expressions.
+  // Compiles the predicate to bytecode at build time (= plan lowering); a
+  // compile error is returned by Open().
   FilterOperator(BatchOperatorPtr input, ExprPtr predicate, ExecContext* ctx);
 
   const Schema& output_schema() const override {
@@ -169,6 +165,7 @@ class FilterOperator final : public BatchOperator {
 
  protected:
   Status OpenImpl() override {
+    VSTORE_RETURN_IF_ERROR(compile_status_);
     rows_in_ = 0;
     rows_dropped_ = 0;
     rows_code_filtered_ = 0;
@@ -183,15 +180,12 @@ class FilterOperator final : public BatchOperator {
     node->counters.push_back({"rows_in", rows_in_});
     node->counters.push_back({"rows_dropped", rows_dropped_});
     node->counters.push_back({"rows_code_filtered", rows_code_filtered_});
-    node->counters.push_back({"compiled", program_ != nullptr ? 1 : 0});
   }
 
  private:
   BatchOperatorPtr input_;
-  ExprPtr predicate_;
-  ExecContext* ctx_;
-  std::shared_ptr<const ExprProgram> program_;  // null -> interpreter path
-  std::unique_ptr<ExprFrame> frame_;
+  Status compile_status_;
+  std::unique_ptr<ExprFrame> frame_;  // null when compilation failed
   int64_t rows_in_ = 0;
   int64_t rows_dropped_ = 0;
   int64_t rows_code_filtered_ = 0;  // rows a string IN decided on codes
@@ -203,6 +197,8 @@ class FilterOperator final : public BatchOperator {
 // String columns passed through unchanged keep their code lane.
 class ProjectOperator final : public BatchOperator {
  public:
+  // Compiles all expressions into one program, so CSE spans outputs; a
+  // compile error is returned by Open().
   ProjectOperator(BatchOperatorPtr input, std::vector<ExprPtr> exprs,
                   std::vector<std::string> names, ExecContext* ctx);
 
@@ -210,29 +206,23 @@ class ProjectOperator final : public BatchOperator {
   std::string name() const override { return "Project"; }
 
  protected:
-  Status OpenImpl() override { return input_->Open(); }
+  Status OpenImpl() override {
+    VSTORE_RETURN_IF_ERROR(compile_status_);
+    return input_->Open();
+  }
   Result<Batch*> NextImpl() override;
   void CloseImpl() override { input_->Close(); }
   std::vector<const BatchOperator*> ProfileInputs() const override {
     return {input_.get()};
   }
 
- protected:
-  void AppendProfileCounters(OperatorProfile* node) const override {
-    node->counters.push_back({"compiled", program_ != nullptr ? 1 : 0});
-  }
-
  private:
   BatchOperatorPtr input_;
-  std::vector<ExprPtr> exprs_;
   Schema schema_;
   ExecContext* ctx_;
-  // One program for all projection expressions, so CSE spans outputs.
-  std::shared_ptr<const ExprProgram> program_;
-  std::unique_ptr<ExprFrame> frame_;
+  Status compile_status_;
+  std::unique_ptr<ExprFrame> frame_;  // null when compilation failed
   std::unique_ptr<Batch> output_;
-  // Per expression: the input column it references, or -1 when computed.
-  std::vector<int> column_refs_;
   std::vector<int32_t> sel_;  // active rows of the current input batch
 };
 

@@ -1,11 +1,43 @@
 #include "exec/row/row_operator.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/macros.h"
 #include "storage/delta_store.h"
 
 namespace vstore {
+
+namespace {
+
+// Appends `v` to a row-engine join or grouping key; two keys are equal
+// exactly when their values are. A tag byte marks NULL, then come 8 bytes:
+// the int64 family by value (INT32, INT64 and DATE32 alike), a double's bit
+// pattern (the batch engine's key rule), or a string's length followed by
+// its bytes, so adjacent string columns cannot run together.
+void AppendKeyValue(const Value& v, std::string* key) {
+  if (v.is_null()) {
+    key->push_back('N');
+    return;
+  }
+  key->push_back('V');
+  uint64_t word = 0;
+  switch (PhysicalTypeOf(v.type())) {
+    case PhysicalType::kInt64:
+      word = static_cast<uint64_t>(v.int64());
+      break;
+    case PhysicalType::kDouble:
+      word = std::bit_cast<uint64_t>(v.dbl());
+      break;
+    case PhysicalType::kString:
+      word = v.str().size();
+      break;
+  }
+  key->append(reinterpret_cast<const char*>(&word), sizeof(word));
+  if (PhysicalTypeOf(v.type()) == PhysicalType::kString) key->append(v.str());
+}
+
+}  // namespace
 
 // --- RowStoreScanOperator -------------------------------------------------
 
@@ -136,23 +168,7 @@ std::string RowHashJoinOperator::KeyOf(const std::vector<Value>& row,
       *has_null = true;
       return key;
     }
-    // Normalize numerics so INT32/INT64/DATE32 compare by value.
-    switch (PhysicalTypeOf(v.type())) {
-      case PhysicalType::kInt64: {
-        int64_t x = v.int64();
-        key.append(reinterpret_cast<const char*>(&x), sizeof(x));
-        break;
-      }
-      case PhysicalType::kDouble: {
-        double x = v.dbl();
-        key.append(reinterpret_cast<const char*>(&x), sizeof(x));
-        break;
-      }
-      case PhysicalType::kString:
-        key += v.str();
-        key.push_back('\0');
-        break;
-    }
+    AppendKeyValue(v, &key);
   }
   return key;
 }
@@ -274,12 +290,10 @@ Status RowHashAggregateOperator::Open() {
   for (;;) {
     VSTORE_ASSIGN_OR_RETURN(bool more, input_->Next(&row));
     if (!more) break;
-    // Key: ToString-based normalization with null marker.
+    // NULL keys form a group of their own.
     std::string key;
     for (int k : options_.group_by) {
-      const Value& v = row[static_cast<size_t>(k)];
-      key += v.is_null() ? std::string("\1N") : v.ToString();
-      key.push_back('\0');
+      AppendKeyValue(row[static_cast<size_t>(k)], &key);
     }
     auto [it, inserted] = groups_.try_emplace(std::move(key));
     GroupState& state = it->second;

@@ -30,6 +30,13 @@ const Schema& Catalog::Entry::schema() const {
   return system_view->schema();
 }
 
+int64_t Catalog::Entry::num_rows() const {
+  if (column_store != nullptr) return column_store->num_rows();
+  if (sharded_table != nullptr) return sharded_table->num_rows();
+  if (row_store != nullptr) return row_store->num_rows();
+  return -1;
+}
+
 Status Catalog::AddColumnStore(std::unique_ptr<ColumnStoreTable> table) {
   if (IsSystemViewName(table->name())) {
     return Status::InvalidArgument("the sys. namespace is reserved: " +

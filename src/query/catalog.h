@@ -43,6 +43,8 @@ class Catalog {
     DurableShardedTable* durable_sharded = nullptr;
 
     const Schema& schema() const;
+    // Rows in the backing store, or -1 for a system view, which has none.
+    int64_t num_rows() const;
     bool has_column_store() const { return column_store != nullptr; }
     bool has_row_store() const { return row_store != nullptr; }
     bool has_sharded_table() const { return sharded_table != nullptr; }

@@ -162,7 +162,6 @@ Result<QueryResult> QueryExecutor::Execute(const PlanPtr& plan) const {
   ExecContext ctx;
   ctx.batch_size = options_.batch_size;
   ctx.operator_memory_budget = options_.operator_memory_budget;
-  ctx.compile_expressions = options_.compile_expressions;
   ctx.trace_recorder = recorder.get();
   ctx.active_query = active.get();
   ctx.memory_tracker = query_tracker.get();

@@ -17,9 +17,6 @@ struct QueryOptions {
   int64_t batch_size = kDefaultBatchSize;
   // Per-operator memory budget before spilling; 0 = unlimited.
   int64_t operator_memory_budget = 0;
-  // Compile Filter/Project expressions to bytecode; off forces the
-  // tree-interpreter path (the differential oracle).
-  bool compile_expressions = true;
   bool optimize = true;
   OptimizerOptions optimizer;
   // Materialize result rows into QueryResult::data (turn off for

@@ -578,6 +578,15 @@ PlanPtr PruneColumns(PlanPtr node, std::set<int> required,
   return node;
 }
 
+// Rows stored for `table`, at least 1, or `fallback` when the table has no
+// backing store (a system view) or is unknown.
+double StoredRows(const Catalog& catalog, const std::string& table,
+                  double fallback) {
+  const Catalog::Entry* entry = catalog.Find(table);
+  const int64_t rows = entry != nullptr ? entry->num_rows() : -1;
+  return rows >= 0 ? std::max(1.0, static_cast<double>(rows)) : fallback;
+}
+
 void PlaceBloomFilters(const Catalog& catalog, const PlanPtr& node,
                        const OptimizerOptions& options) {
   for (const auto& child : node->children) {
@@ -596,20 +605,9 @@ void PlaceBloomFilters(const Catalog& catalog, const PlanPtr& node,
   // is tiny relative to the probe side (classic star dimension).
   PlanPtr base = node->children[1];
   while (!base->children.empty()) base = base->children[0];
-  double raw_rows = build_rows;
-  if (base->kind == PlanKind::kScan) {
-    const Catalog::Entry* entry = catalog.Find(base->table);
-    if (entry != nullptr && entry->has_column_store()) {
-      raw_rows = std::max(
-          1.0, static_cast<double>(entry->column_store->num_rows()));
-    } else if (entry != nullptr && entry->has_sharded_table()) {
-      raw_rows = std::max(
-          1.0, static_cast<double>(entry->sharded_table->num_rows()));
-    } else if (entry != nullptr && entry->has_row_store()) {
-      raw_rows =
-          std::max(1.0, static_cast<double>(entry->row_store->num_rows()));
-    }
-  }
+  const double raw_rows = base->kind == PlanKind::kScan
+                              ? StoredRows(catalog, base->table, build_rows)
+                              : build_rows;
   const double probe_rows = EstimateRows(catalog, node->children[0]);
   const bool filtered_build = build_rows <= raw_rows * 0.5;
   const bool tiny_dimension = build_rows * 100 <= probe_rows;
@@ -626,16 +624,8 @@ void PlaceBloomFilters(const Catalog& catalog, const PlanPtr& node,
 double EstimateRows(const Catalog& catalog, const PlanPtr& plan) {
   switch (plan->kind) {
     case PlanKind::kScan: {
-      const Catalog::Entry* entry = catalog.Find(plan->table);
       // System views have no backing store; keep the default guess.
-      double rows = 1000.0;
-      if (entry != nullptr && entry->has_column_store()) {
-        rows = static_cast<double>(entry->column_store->num_rows());
-      } else if (entry != nullptr && entry->has_sharded_table()) {
-        rows = static_cast<double>(entry->sharded_table->num_rows());
-      } else if (entry != nullptr && entry->has_row_store()) {
-        rows = static_cast<double>(entry->row_store->num_rows());
-      }
+      double rows = StoredRows(catalog, plan->table, 1000.0);
       // Each pushed predicate is assumed ~25% selective (equality tighter).
       for (const NamedScanPredicate& p : plan->pushed_predicates) {
         rows *= p.op == CompareOp::kEq ? 0.05 : 0.25;
@@ -663,17 +653,7 @@ double EstimateRows(const Catalog& catalog, const PlanPtr& plan) {
       PlanPtr base = plan->children[1];
       while (!base->children.empty()) base = base->children[0];
       if (base->kind == PlanKind::kScan) {
-        const Catalog::Entry* entry = catalog.Find(base->table);
-        if (entry != nullptr && entry->has_column_store()) {
-          raw_build = std::max(
-              1.0, static_cast<double>(entry->column_store->num_rows()));
-        } else if (entry != nullptr && entry->has_sharded_table()) {
-          raw_build = std::max(
-              1.0, static_cast<double>(entry->sharded_table->num_rows()));
-        } else if (entry != nullptr && entry->has_row_store()) {
-          raw_build =
-              std::max(1.0, static_cast<double>(entry->row_store->num_rows()));
-        }
+        raw_build = StoredRows(catalog, base->table, 1.0);
       }
       double selectivity = std::min(1.0, build / raw_build);
       return std::max(probe * selectivity, 1.0);

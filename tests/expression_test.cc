@@ -14,19 +14,34 @@ namespace {
 using testing_util::FillBatch;
 using testing_util::MakeTestTable;
 
+// Compiles `e` and runs the program over one batch holding every row of
+// `data`, returning each row's result.
+std::vector<Value> RunCompiled(const TableData& data, const ExprPtr& e) {
+  Batch batch(data.schema(), data.num_rows());
+  FillBatch(data, 0, data.num_rows(), &batch);
+  ExprFrame frame(ExprProgram::Compile({e}).ValueOrDie());
+  EXPECT_TRUE(frame.Run(batch).ok());
+  std::vector<Value> out;
+  for (int64_t i = 0; i < data.num_rows(); ++i) {
+    out.push_back(frame.result(0).GetValue(i));
+  }
+  return out;
+}
+
+// Row `i` of the batch result of `e` over `data`.
+Value EvalAt(const TableData& data, const ExprPtr& e, int64_t i) {
+  return RunCompiled(data, e)[static_cast<size_t>(i)];
+}
+
 // Evaluates `e` both vectorized over a batch of the table and row-by-row,
 // asserting the results agree — the core property keeping both engines on
 // the same semantics.
 void ExpectBatchRowAgreement(const TableData& data, const ExprPtr& e) {
-  Batch batch(data.schema(), data.num_rows());
-  FillBatch(data, 0, data.num_rows(), &batch);
-  ColumnVector out(e->output_type(), data.num_rows());
-  ASSERT_TRUE(e->EvalBatch(batch, batch.arena(), &out).ok());
+  std::vector<Value> batch_results = RunCompiled(data, e);
   for (int64_t i = 0; i < data.num_rows(); ++i) {
     Value row_result;
     ASSERT_TRUE(e->EvalRow(data.GetRow(i), &row_result).ok());
-    Value batch_result = out.GetValue(i);
-    EXPECT_EQ(batch_result, row_result)
+    EXPECT_EQ(batch_results[static_cast<size_t>(i)], row_result)
         << "row " << i << " expr " << e->ToString();
   }
 }
@@ -104,12 +119,9 @@ TEST(ExpressionTest, DivisionByZeroYieldsNull) {
   const Schema& s = data.schema();
   // Row 1 has b == 0.
   ExprPtr e = expr::Div(expr::Column(s, "a"), expr::Column(s, "b"));
-  Batch batch(s, 8);
-  FillBatch(data, 0, data.num_rows(), &batch);
-  ColumnVector out(e->output_type(), 8);
-  ASSERT_TRUE(e->EvalBatch(batch, batch.arena(), &out).ok());
-  EXPECT_TRUE(out.GetValue(1).is_null());
-  EXPECT_FALSE(out.GetValue(0).is_null());
+  std::vector<Value> out = RunCompiled(data, e);
+  EXPECT_TRUE(out[1].is_null());
+  EXPECT_FALSE(out[0].is_null());
   ExpectBatchRowAgreement(data, e);
 }
 
@@ -127,12 +139,9 @@ TEST(ExpressionTest, IsNullDetectsNulls) {
   TableData data = NumData();
   const Schema& s = data.schema();
   ExprPtr e = expr::IsNull(expr::Column(s, "a"));
-  Batch batch(s, 8);
-  FillBatch(data, 0, data.num_rows(), &batch);
-  ColumnVector out(DataType::kBool, 8);
-  ASSERT_TRUE(e->EvalBatch(batch, batch.arena(), &out).ok());
-  EXPECT_EQ(out.GetValue(0), Value::Bool(false));
-  EXPECT_EQ(out.GetValue(3), Value::Bool(true));
+  std::vector<Value> out = RunCompiled(data, e);
+  EXPECT_EQ(out[0], Value::Bool(false));
+  EXPECT_EQ(out[3], Value::Bool(true));
   ExpectBatchRowAgreement(data, e);
 }
 
@@ -140,13 +149,10 @@ TEST(ExpressionTest, YearExtraction) {
   TableData data = NumData();
   const Schema& s = data.schema();
   ExprPtr e = expr::Year(expr::Column(s, "dt"));
-  Batch batch(s, 8);
-  FillBatch(data, 0, data.num_rows(), &batch);
-  ColumnVector out(DataType::kInt64, 8);
-  ASSERT_TRUE(e->EvalBatch(batch, batch.arena(), &out).ok());
-  EXPECT_EQ(out.GetValue(0), Value::Int64(1994));
-  EXPECT_EQ(out.GetValue(1), Value::Int64(2000));
-  EXPECT_EQ(out.GetValue(2), Value::Int64(1970));
+  std::vector<Value> out = RunCompiled(data, e);
+  EXPECT_EQ(out[0], Value::Int64(1994));
+  EXPECT_EQ(out[1], Value::Int64(2000));
+  EXPECT_EQ(out[2], Value::Int64(1970));
   ExpectBatchRowAgreement(data, e);
 }
 
@@ -154,13 +160,10 @@ TEST(ExpressionTest, StartsWith) {
   TableData data = NumData();
   const Schema& s = data.schema();
   ExprPtr e = expr::StartsWith(expr::Column(s, "s"), "ban");
-  Batch batch(s, 8);
-  FillBatch(data, 0, data.num_rows(), &batch);
-  ColumnVector out(DataType::kBool, 8);
-  ASSERT_TRUE(e->EvalBatch(batch, batch.arena(), &out).ok());
-  EXPECT_EQ(out.GetValue(0), Value::Bool(false));
-  EXPECT_EQ(out.GetValue(1), Value::Bool(true));
-  EXPECT_EQ(out.GetValue(2), Value::Bool(false));  // empty string
+  std::vector<Value> out = RunCompiled(data, e);
+  EXPECT_EQ(out[0], Value::Bool(false));
+  EXPECT_EQ(out[1], Value::Bool(true));
+  EXPECT_EQ(out[2], Value::Bool(false));  // empty string
   ExpectBatchRowAgreement(data, e);
   // Empty prefix matches everything non-null.
   ExpectBatchRowAgreement(data, expr::StartsWith(expr::Column(s, "s"), ""));
@@ -179,6 +182,52 @@ TEST(ExpressionTest, InList) {
       data, expr::In(expr::Column(s, "d"), {Value::Double(0.5)}));
   // Empty list matches nothing.
   ExpectBatchRowAgreement(data, expr::In(expr::Column(s, "a"), {}));
+}
+
+// IN matches by physical value in both engines: INT32 and DATE32 inputs
+// find INT64 candidates holding the same number.
+TEST(ExpressionTest, InMatchesTheInt64FamilyByValue) {
+  Schema s({{"i", DataType::kInt32, true}, {"dt", DataType::kDate32, true}});
+  const Value day = Value::Date("1994-03-01");
+  TableData data(s);
+  data.AppendRow({Value::Int32(5), day});
+  data.AppendRow({Value::Int32(0), Value::Date32(0)});
+  data.AppendRow({Value::Int32(-7), Value::Date("2000-12-31")});
+  data.AppendRow({Value::Null(DataType::kInt32),
+                  Value::Null(DataType::kDate32)});
+  ExprPtr int32_in =
+      expr::In(expr::Column(s, "i"), {Value::Int64(5), Value::Int64(-7)});
+  ExprPtr date_in = expr::In(expr::Column(s, "dt"),
+                             {Value::Int64(day.int64()), Value::Int64(9)});
+  ExpectBatchRowAgreement(data, int32_in);
+  ExpectBatchRowAgreement(data, date_in);
+  for (const ExprPtr& e : {int32_in, date_in}) {
+    Value first;
+    ASSERT_TRUE(e->EvalRow(data.GetRow(0), &first).ok());
+    EXPECT_EQ(first, Value::Bool(true)) << e->ToString();
+    Value second;
+    ASSERT_TRUE(e->EvalRow(data.GetRow(1), &second).ok());
+    EXPECT_EQ(second, Value::Bool(false)) << e->ToString();
+  }
+  EXPECT_EQ(EvalAt(data, int32_in, 2), Value::Bool(true));
+  EXPECT_EQ(EvalAt(data, date_in, 2), Value::Bool(false));
+  EXPECT_TRUE(EvalAt(data, int32_in, 3).is_null());
+}
+
+// A candidate of another physical type is a build-time error, like a
+// string compared with a number.
+TEST(ExpressionDeathTest, InCandidateOfAnotherPhysicalTypeAborts) {
+  Schema s({{"a", DataType::kInt64, true},
+            {"d", DataType::kDouble, true},
+            {"s", DataType::kString, true}});
+  EXPECT_DEATH(expr::In(expr::Column(s, "a"), {Value::Double(5.0)}),
+               "CHECK failed");
+  EXPECT_DEATH(expr::In(expr::Column(s, "d"), {Value::Int64(5)}),
+               "CHECK failed");
+  EXPECT_DEATH(expr::In(expr::Column(s, "s"), {Value::Int64(5)}),
+               "CHECK failed");
+  // NULL candidates of any type are allowed: they never match.
+  expr::In(expr::Column(s, "a"), {Value::Null(DataType::kString)});
 }
 
 TEST(ExpressionTest, BetweenExpandsToRange) {
@@ -232,17 +281,8 @@ TEST(ExpressionTest, ToStringReadable) {
 // These pin the engine's null-strict semantics: any NULL operand nulls the
 // result of comparisons and arithmetic, logical connectives are null-strict
 // too (no SQL three-valued shortcuts — NULL AND FALSE is NULL here), and
-// IS NULL itself never returns NULL. The bytecode compiler reuses these
-// trees verbatim, so the contract holds for both engines by construction.
-
-// Evaluates `e` over NumData and returns row `i` of the batch result.
-Value EvalAt(const TableData& data, const ExprPtr& e, int64_t i) {
-  Batch batch(data.schema(), data.num_rows());
-  FillBatch(data, 0, data.num_rows(), &batch);
-  ColumnVector out(e->output_type(), data.num_rows());
-  EXPECT_TRUE(e->EvalBatch(batch, batch.arena(), &out).ok());
-  return out.GetValue(i);
-}
+// IS NULL itself never returns NULL. Each case checks the compiled program
+// and checks EvalRow against it.
 
 TEST(ExpressionTest, NullPropagatesThroughComparison) {
   TableData data = NumData();  // row 3: a, d, s are NULL
@@ -318,7 +358,7 @@ TEST(ExpressionTest, InSkipsNullCandidatesAndPropagatesInputNull) {
 // --- Integer-overflow contract ---------------------------------------------
 // Int64 arithmetic wraps (two's complement), INT64_MIN / -1 wraps to
 // INT64_MIN, and division by zero yields NULL. The cases run through the
-// interpreter here and through the bytecode engine via the fuzz suite.
+// bytecode engine and the row engine here and in the fuzz suite.
 
 TEST(ExpressionTest, IntArithmeticWrapsOnOverflow) {
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();

@@ -1022,5 +1022,47 @@ TEST(GroupTableAggregateTest, NaNAndSignedZeroKeysGroupLikeTheRowEngine) {
   }
 }
 
+TEST(GroupTableAggregateTest, DoubleKeysThatPrintAlikeGroupLikeTheRowEngine) {
+  // "%g" prints the first three keys as "1" and the last two as
+  // "1.23457e+08"; both engines group on the values: 5 groups.
+  const double kKeys[] = {1.0000001, 1.0000002, 1.0, 123456789.0,
+                          123456700.0};
+  Schema schema({{"d", DataType::kDouble, true},
+                 {"v", DataType::kInt64, false}});
+  TableData data(schema);
+  for (int k = 0; k < 5; ++k) {
+    for (int i = 0; i <= k; ++i) {
+      data.AppendRow({Value::Double(kKeys[k]), Value::Int64(10 * k + i)});
+    }
+  }
+
+  HashAggregateOperator::Options options;
+  options.group_by = {0};
+  options.aggregates = {{AggFn::kCountStar, -1, "cnt"},
+                        {AggFn::kSum, 1, "sum"}};
+  RowStoreTable table("t", schema);
+  table.Append(data).CheckOK();
+  RowHashAggregateOperator row_agg(
+      std::make_unique<RowStoreScanOperator>(&table),
+      {options.group_by, options.aggregates});
+  std::vector<std::vector<Value>> want;
+  row_agg.Open().CheckOK();
+  std::vector<Value> row;
+  while (row_agg.Next(&row).ValueOrDie()) want.push_back(row);
+  row_agg.Close();
+  SortRows(&want);
+  ASSERT_EQ(want.size(), 5u);
+  std::map<double, int64_t> counts;
+  for (const auto& group : want) counts[group[0].dbl()] = group[1].int64();
+  for (int k = 0; k < 5; ++k) {
+    EXPECT_EQ(counts[kKeys[k]], k + 1) << kKeys[k];
+  }
+
+  for (AggMode mode : kAllModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ExpectBitIdentical(RunInMode(data, options, mode, 1).rows, want);
+  }
+}
+
 }  // namespace
 }  // namespace vstore

@@ -38,6 +38,42 @@ TEST(FilterOperatorTest, NullPredicateResultDoesNotQualify) {
   EXPECT_EQ(DrainOperator(&filter).size(), 1u);
 }
 
+// id = lo OR id = lo + 1 OR ... OR id = hi - 1, as a balanced tree of ORs.
+ExprPtr BalancedOrOfEqualities(const Schema& schema, int64_t lo, int64_t hi) {
+  if (hi - lo == 1) {
+    return expr::Eq(expr::Column(schema, "id"), expr::Lit(Value::Int64(lo)));
+  }
+  const int64_t mid = lo + (hi - lo) / 2;
+  return expr::Or(BalancedOrOfEqualities(schema, lo, mid),
+                  BalancedOrOfEqualities(schema, mid, hi));
+}
+
+// 22,000 distinct equalities need 66,000 registers (a literal, a compare
+// and an OR each, plus the column), above the program's 65,535: Filter's
+// and Project's Open() return the compile error, and the cache keeps no
+// entry for it.
+TEST(FilterOperatorTest, ProgramAboveTheRegisterCapFailsOpen) {
+  TableData data = MakeTestTable(10);
+  ExecContext ctx;
+  ExprPtr pred = BalancedOrOfEqualities(data.schema(), 0, 22000);
+  const int64_t cached = ExprProgramCache::Global().size();
+  FilterOperator filter(std::make_unique<TableSourceOperator>(&data, &ctx),
+                        pred, &ctx);
+  Status status = filter.Open();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  filter.Close();
+  ProjectOperator project(std::make_unique<TableSourceOperator>(&data, &ctx),
+                          {pred}, {"hit"}, &ctx);
+  EXPECT_EQ(project.Open().code(), StatusCode::kInvalidArgument);
+  project.Close();
+  EXPECT_EQ(ExprProgramCache::Global().size(), cached);
+
+  // Below the cap the same shape compiles and filters.
+  FilterOperator small(std::make_unique<TableSourceOperator>(&data, &ctx),
+                       BalancedOrOfEqualities(data.schema(), 0, 3), &ctx);
+  EXPECT_EQ(DrainOperator(&small).size(), 3u);
+}
+
 TEST(FilterOperatorTest, EmptyResultReturnsEos) {
   TableData data = MakeTestTable(100);
   ExecContext ctx;
@@ -68,8 +104,7 @@ TEST(ProjectOperatorTest, ComputesExpressionsAndCompacts) {
 }
 
 // A string column passed through unchanged keeps the scan's code lane,
-// compacted with its rows; a computed string column carries none. Both the
-// compiled and the interpreted expression paths.
+// compacted with its rows; a computed string column carries none.
 TEST(ProjectOperatorTest, PassThroughStringKeepsCodeLane) {
   TableData data = MakeTestTable(3000);
   ColumnStoreTable::Options options;
@@ -77,40 +112,36 @@ TEST(ProjectOperatorTest, PassThroughStringKeepsCodeLane) {
   options.min_compress_rows = 100;
   ColumnStoreTable table("t", data.schema(), options);
   table.BulkLoad(data).CheckOK();
-  for (bool compiled : {true, false}) {
-    ExecContext ctx;
-    ctx.compile_expressions = compiled;
-    auto scan = std::make_unique<ColumnStoreScanOperator>(
-        &table, ColumnStoreScanOperator::Options(), &ctx);
-    ExprPtr pred = expr::Lt(expr::Column(data.schema(), "bucket"),
-                            expr::Lit(Value::Int64(3)));
-    auto filter =
-        std::make_unique<FilterOperator>(std::move(scan), pred, &ctx);
-    ProjectOperator project(
-        std::move(filter),
-        {expr::Column(data.schema(), "name"), expr::Column(data.schema(), "id"),
-         expr::Lit(Value::String("x"))},
-        {"name", "id", "x"}, &ctx);
-    project.Open().CheckOK();
-    int64_t rows = 0;
-    for (;;) {
-      Batch* batch = project.Next().ValueOrDie();
-      if (batch == nullptr) break;
-      const ColumnVector& name = batch->column(0);
-      ASSERT_NE(name.dictionary(), nullptr);
-      EXPECT_EQ(batch->column(2).dictionary(), nullptr);
-      for (int64_t i = 0; i < batch->num_rows(); ++i) {
-        const int64_t id = batch->column(1).ints()[i];
-        EXPECT_EQ(name.strings()[i], data.column(2).GetString(id));
-        EXPECT_EQ(name.dictionary()->Get(static_cast<int64_t>(name.codes()[i])),
-                  name.strings()[i]);
-        ++rows;
-      }
+  ExecContext ctx;
+  auto scan = std::make_unique<ColumnStoreScanOperator>(
+      &table, ColumnStoreScanOperator::Options(), &ctx);
+  ExprPtr pred = expr::Lt(expr::Column(data.schema(), "bucket"),
+                          expr::Lit(Value::Int64(3)));
+  auto filter = std::make_unique<FilterOperator>(std::move(scan), pred, &ctx);
+  ProjectOperator project(
+      std::move(filter),
+      {expr::Column(data.schema(), "name"), expr::Column(data.schema(), "id"),
+       expr::Lit(Value::String("x"))},
+      {"name", "id", "x"}, &ctx);
+  project.Open().CheckOK();
+  int64_t rows = 0;
+  for (;;) {
+    Batch* batch = project.Next().ValueOrDie();
+    if (batch == nullptr) break;
+    const ColumnVector& name = batch->column(0);
+    ASSERT_NE(name.dictionary(), nullptr);
+    EXPECT_EQ(batch->column(2).dictionary(), nullptr);
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      const int64_t id = batch->column(1).ints()[i];
+      EXPECT_EQ(name.strings()[i], data.column(2).GetString(id));
+      EXPECT_EQ(name.dictionary()->Get(static_cast<int64_t>(name.codes()[i])),
+                name.strings()[i]);
+      ++rows;
     }
-    project.Close();
-    EXPECT_GT(rows, 0);
-    EXPECT_LT(rows, 3000);
   }
+  project.Close();
+  EXPECT_GT(rows, 0);
+  EXPECT_LT(rows, 3000);
 }
 
 TEST(LimitOperatorTest, CutsExactly) {

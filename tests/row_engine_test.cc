@@ -116,6 +116,52 @@ TEST(RowHashJoinTest, AllJoinTypes) {
   EXPECT_EQ(anti.size(), 2u);  // key 1 and the null-key row
 }
 
+// ("a\0", "b") and ("a", "\0b") are different two-column keys: the row
+// engine's keys carry each string's length, so the columns cannot run
+// together.
+TEST(RowHashJoinTest, TwoStringKeyColumnsDoNotRunTogether) {
+  using namespace std::string_literals;
+  Schema schema({{"x", DataType::kString, true},
+                 {"y", DataType::kString, true}});
+  RowStoreTable probe("p", schema), build("b", schema);
+  probe.Insert({Value::String("a\0"s), Value::String("b")}).CheckOK();
+  probe.Insert({Value::String("k"), Value::String("v")}).CheckOK();
+  build.Insert({Value::String("a"), Value::String("\0b"s)}).CheckOK();
+  build.Insert({Value::String("k"), Value::String("v")}).CheckOK();
+  RowHashJoinOperator::Options options;
+  options.join_type = JoinType::kInner;
+  options.probe_keys = {0, 1};
+  options.build_keys = {0, 1};
+  RowHashJoinOperator join(std::make_unique<RowStoreScanOperator>(&probe),
+                           std::make_unique<RowStoreScanOperator>(&build),
+                           options);
+  auto rows = DrainRows(&join);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value::String("k"));
+}
+
+TEST(RowHashAggregateTest, TwoStringKeyColumnsDoNotRunTogether) {
+  using namespace std::string_literals;
+  Schema schema({{"x", DataType::kString, true},
+                 {"y", DataType::kString, true}});
+  RowStoreTable table("t", schema);
+  table.Insert({Value::String("a\0"s), Value::String("b")}).CheckOK();
+  table.Insert({Value::String("a"), Value::String("\0b"s)}).CheckOK();
+  table.Insert({Value::String("a"), Value::String("\0b"s)}).CheckOK();
+  RowHashAggregateOperator::Options options;
+  options.group_by = {0, 1};
+  options.aggregates = {{AggFn::kCountStar, -1, "cnt"}};
+  RowHashAggregateOperator agg(std::make_unique<RowStoreScanOperator>(&table),
+                               options);
+  auto rows = DrainRows(&agg);
+  SortRows(&rows);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0], Value::String("a"));
+  EXPECT_EQ(rows[0][2], Value::Int64(2));
+  EXPECT_EQ(rows[1][0], Value::String("a\0"s));
+  EXPECT_EQ(rows[1][2], Value::Int64(1));
+}
+
 TEST(RowHashAggregateTest, GroupsAndAggregates) {
   auto table = MakeRowStore(1000);
   RowHashAggregateOperator::Options options;

@@ -58,7 +58,7 @@ run_one() {
   else
     ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" "$@"
     # Redundant with the full run today, but pinned so the differential
-    # fuzzer (bytecode vs interpreter vs row engine), the LZSS decoder
+    # fuzzer (bytecode vs the row engine's EvalRow), the LZSS decoder
     # fuzzer (hostile compressed blobs), and the seeded crash-recovery
     # property loop always run sanitized even if the full pass above ever
     # narrows its selection.
