@@ -111,12 +111,13 @@ int main() {
                 row_ms / batch_ms, row_ms / batch4_ms, scaling);
   }
 
-  // --- Sharded scatter-gather: aggregate fan-out + partition pruning ------
+  // --- Sharded tables: aggregate over shard ranges + partition pruning ----
   // lineitem reloaded into an 8-shard table hashed on l_orderkey. The
-  // aggregate scatters one fragment per shard (the per-shard snapshots
-  // replace row-group striping as the parallel unit); the point query on
-  // the partition key prunes 7 of 8 shards, visible in its exchange
-  // counters when VSTORE_BENCH_PROFILE=1.
+  // aggregate's scan reads one range per shard (its pinned snapshot), cut
+  // into at most dop fragments at row-group granularity exactly as the
+  // unsharded table's groups are; at dop 1 it is one scan on the query's
+  // thread. The point query on the partition key prunes 7 of 8 shards,
+  // visible in its scan's counters when VSTORE_BENCH_PROFILE=1.
   std::printf("\n%-24s %12s %12s\n", "sharded (8 x orderkey)", "batch ms",
               "dop4 ms");
   {

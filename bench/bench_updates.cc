@@ -195,7 +195,7 @@ int main() {
   // that hash to different shards never contend: DML throughput should
   // scale with shard count until routing collisions or memory bandwidth
   // take over. The PROFILE_JSON body is a partition-key point query, whose
-  // exchange counters carry shards_total/shards_pruned (7 of 8 pruned).
+  // scan's counters carry shards_total/shards_pruned (7 of 8 pruned).
   std::printf("\n%-10s %14s %10s\n", "shards", "DML Krows/s", "scaling");
   {
     const int kWriters = 8;

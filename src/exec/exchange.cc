@@ -195,9 +195,6 @@ void ExchangeOperator::CloseImpl() {
 void ExchangeOperator::AppendProfileCounters(OperatorProfile* node) const {
   node->counters.push_back({"degree", degree_});
   node->counters.push_back({"rows_exchanged", rows_exchanged_});
-  for (const auto& [name, value] : static_counters_) {
-    node->counters.push_back({name, value});
-  }
 }
 
 void ExchangeOperator::AppendProfileChildren(OperatorProfile* node) const {

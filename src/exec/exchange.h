@@ -18,8 +18,8 @@ namespace vstore {
 
 // Exchange operator: runs `degree` plan fragments on worker threads and
 // funnels their output batches through a bounded queue (the paper's batch
-// exchange for parallel plans; fragments typically cover disjoint row-group
-// ranges of a scan, often with partial aggregation on top).
+// exchange for parallel plans; fragments cover disjoint shares of a scan's
+// ranges, often with joins or partial aggregation on top).
 //
 // Each fragment gets its own ExecContext (FragmentContext); their stats
 // are merged into the parent context when the exchange closes.
@@ -35,13 +35,6 @@ class ExchangeOperator final : public BatchOperator {
   ExchangeOperator(Schema output_schema, FragmentFactory factory, int degree,
                    ExecContext* ctx, std::string label = "");
   ~ExchangeOperator() override;
-
-  // Plan-time facts to surface in EXPLAIN ANALYZE alongside the runtime
-  // counters (the sharded scatter lowering records shards_total /
-  // shards_pruned here). Appended after degree/rows_exchanged, in order.
-  void AddStaticCounter(std::string name, int64_t value) {
-    static_counters_.emplace_back(std::move(name), value);
-  }
 
   const Schema& output_schema() const override { return output_schema_; }
   std::string name() const override {
@@ -68,7 +61,6 @@ class ExchangeOperator final : public BatchOperator {
   int degree_;
   ExecContext* ctx_;
   std::string label_;
-  std::vector<std::pair<std::string, int64_t>> static_counters_;
 
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<ExecContext>> fragment_ctxs_;

@@ -2,7 +2,9 @@
 
 #include <bit>
 #include <cstring>
+#include <list>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -913,8 +915,12 @@ Status ExprFrame::Run(const Batch& in) {
 // --- ExprProgramCache -----------------------------------------------------
 
 struct ExprProgramCache::Impl {
+  using Entry = std::pair<std::string, std::shared_ptr<const ExprProgram>>;
   std::mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<const ExprProgram>> map;
+  // Most recently used first. The index keys view the fingerprints in the
+  // list, whose nodes never move.
+  std::list<Entry> lru;
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
   Counter* compiled = MetricsRegistry::Global().GetCounter(
       "vstore_expr_programs_compiled_total");
   Counter* hits = MetricsRegistry::Global().GetCounter(
@@ -937,24 +943,35 @@ Result<std::shared_ptr<const ExprProgram>> ExprProgramCache::GetOrCompile(
   std::string key = ExprProgram::Fingerprint(exprs);
   {
     std::lock_guard<std::mutex> lock(im->mu);
-    auto it = im->map.find(key);
-    if (it != im->map.end()) {
+    auto it = im->index.find(key);
+    if (it != im->index.end()) {
+      im->lru.splice(im->lru.begin(), im->lru, it->second);
       im->hits->Increment();
-      return it->second;
+      return it->second->second;
     }
   }
   VSTORE_ASSIGN_OR_RETURN(std::shared_ptr<const ExprProgram> program,
                           ExprProgram::Compile(exprs));
   std::lock_guard<std::mutex> lock(im->mu);
-  auto [it, inserted] = im->map.emplace(std::move(key), std::move(program));
-  if (inserted) im->compiled->Increment();
-  return it->second;
+  auto it = im->index.find(key);
+  if (it != im->index.end()) {  // another thread compiled it meanwhile
+    im->lru.splice(im->lru.begin(), im->lru, it->second);
+    return it->second->second;
+  }
+  im->lru.emplace_front(std::move(key), std::move(program));
+  im->index.emplace(im->lru.front().first, im->lru.begin());
+  im->compiled->Increment();
+  if (static_cast<int64_t>(im->lru.size()) > kCapacity) {
+    im->index.erase(im->lru.back().first);
+    im->lru.pop_back();
+  }
+  return im->lru.front().second;
 }
 
 int64_t ExprProgramCache::size() const {
   Impl* im = impl();
   std::lock_guard<std::mutex> lock(im->mu);
-  return static_cast<int64_t>(im->map.size());
+  return static_cast<int64_t>(im->lru.size());
 }
 
 }  // namespace vstore

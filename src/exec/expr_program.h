@@ -175,10 +175,15 @@ class ExprFrame {
   std::vector<const ColumnVector*> slots_;
 };
 
-// Process-wide program cache keyed by structural fingerprint. Counters:
-// vstore_expr_programs_compiled_total / vstore_expr_program_cache_hits_total.
+// Process-wide program cache keyed by structural fingerprint, holding at
+// most kCapacity programs: a new program evicts the least recently used.
+// Operators hold their programs by shared_ptr, so an evicted program stays
+// valid for them. Counters: vstore_expr_programs_compiled_total /
+// vstore_expr_program_cache_hits_total.
 class ExprProgramCache {
  public:
+  static constexpr int64_t kCapacity = 1024;
+
   static ExprProgramCache& Global();
 
   // Returns a cached or freshly compiled program, or the compile error

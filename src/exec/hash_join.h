@@ -259,8 +259,8 @@ class HashJoinOperator final : public BatchOperator {
 // and hands it (via shared_ptr) to every probe fragment's HashJoinOperator.
 // The first fragment to Open() runs the build inside EnsureBuilt():
 // `build_dop` build fragments each lower one operator tree through
-// `factory` (disjoint row-group stripes when the build side is a plain scan
-// chain) and insert its rows into hash-partitioned shared state. At degree
+// `factory` (disjoint shares of the scan's ranges when the build side is a
+// plain scan chain) and insert its rows into hash-partitioned shared state. At degree
 // 1 the one build fragment runs inline on the calling thread; otherwise
 // each runs on its own thread and joining them forms the barrier. Then the
 // per-partition chained tables and the pushed-down Bloom filter are built,

@@ -329,17 +329,9 @@ Status RowHashAggregateOperator::Open() {
           if (state.count[a] == 0) {
             state.minmax[a] = v;
           } else {
-            const Value& cur = state.minmax[a];
-            bool take;
-            if (PhysicalTypeOf(v.type()) == PhysicalType::kString) {
-              take = spec.fn == AggFn::kMin ? v.str() < cur.str()
-                                            : v.str() > cur.str();
-            } else {
-              take = spec.fn == AggFn::kMin
-                         ? v.AsDouble() < cur.AsDouble()
-                         : v.AsDouble() > cur.AsDouble();
-            }
-            if (take) state.minmax[a] = v;
+            // Compared as the batch aggregate does: int64 as int64.
+            const int c = CompareValues(v, state.minmax[a]);
+            if (spec.fn == AggFn::kMin ? c < 0 : c > 0) state.minmax[a] = v;
           }
           break;
         }

@@ -108,8 +108,12 @@ ColumnStoreScanOperator::ColumnStoreScanOperator(const ColumnStoreTable* table,
 }
 
 Status ColumnStoreScanOperator::OpenImpl() {
-  snapshot_ =
-      options_.snapshot != nullptr ? options_.snapshot : table_->Snapshot();
+  ranges_ = options_.ranges;
+  if (ranges_.empty()) {
+    TableSnapshot snapshot = table_->Snapshot();
+    const int64_t groups = snapshot->num_row_groups();
+    ranges_.push_back(ScanRange{std::move(snapshot), 0, groups, true});
+  }
   output_ = std::make_unique<Batch>(output_schema_, ctx_->batch_size);
   // Scratch vectors for predicate-only columns.
   scratch_.clear();
@@ -121,16 +125,7 @@ Status ColumnStoreScanOperator::OpenImpl() {
       scratch_.push_back(nullptr);
     }
   }
-  group_ = options_.group_begin;
-  group_limit_ = options_.group_end >= 0 ? options_.group_end
-                                         : snapshot_->num_row_groups();
-  group_limit_ = std::min(group_limit_, snapshot_->num_row_groups());
-  offset_ = 0;
-  in_group_ = false;
-  delta_index_ = 0;
-  deltas_done_ = !options_.include_deltas;
-  delta_loaded_ = false;
-  delta_row_pos_ = 0;
+  StartRange(0);
   rows_scanned_ = 0;
   delta_rows_scanned_ = 0;
   groups_scanned_ = 0;
@@ -139,10 +134,29 @@ Status ColumnStoreScanOperator::OpenImpl() {
   return Status::OK();
 }
 
+void ColumnStoreScanOperator::StartRange(size_t i) {
+  const ScanRange& range = ranges_[i];
+  VSTORE_DCHECK(range.snapshot != nullptr
+                    ? range.group_end <= range.snapshot->num_row_groups()
+                    : range.group_end == range.group_begin &&
+                          !range.include_deltas);
+  range_ = i;
+  snapshot_ = range.snapshot.get();
+  group_ = range.group_begin;
+  group_limit_ = range.group_end;
+  offset_ = 0;
+  in_group_ = false;
+  delta_index_ = 0;
+  deltas_done_ = !range.include_deltas;
+  delta_loaded_ = false;
+  delta_row_pos_ = 0;
+}
+
 void ColumnStoreScanOperator::CloseImpl() {
   output_.reset();
   scratch_.clear();
-  snapshot_.reset();
+  ranges_.clear();
+  snapshot_ = nullptr;
 }
 
 void ColumnStoreScanOperator::AppendProfileCounters(
@@ -153,6 +167,10 @@ void ColumnStoreScanOperator::AppendProfileCounters(
   node->counters.push_back({"groups_eliminated", groups_eliminated_});
   if (!options_.bloom_filters.empty()) {
     node->counters.push_back({"bloom_rows_dropped", bloom_rows_dropped_});
+  }
+  if (shards_total_ > 0) {
+    node->counters.push_back({"shards_total", shards_total_});
+    node->counters.push_back({"shards_pruned", shards_pruned_});
   }
 }
 
@@ -498,7 +516,6 @@ Status ColumnStoreScanOperator::FillFromGroup() {
 Result<int64_t> ColumnStoreScanOperator::FillFromDeltas() {
   output_->Reset();
   int64_t out_row = 0;
-  const Schema& table_schema = table_->schema();
 
   while (out_row < ctx_->batch_size) {
     if (!delta_loaded_) {
@@ -564,7 +581,6 @@ Result<int64_t> ColumnStoreScanOperator::FillFromDeltas() {
       }
       ++out_row;
     }
-    (void)table_schema;
 
     if (delta_row_pos_ >= static_cast<int64_t>(delta_rows_.size())) {
       delta_loaded_ = false;
@@ -584,10 +600,13 @@ Result<Batch*> ColumnStoreScanOperator::NextImpl() {
       if (output_->active_count() > 0) return output_.get();
       continue;  // fully filtered batch; fetch more
     }
-    if (deltas_done_) return static_cast<Batch*>(nullptr);
-    VSTORE_ASSIGN_OR_RETURN(int64_t produced, FillFromDeltas());
-    if (produced > 0) return output_.get();
-    if (deltas_done_) return static_cast<Batch*>(nullptr);
+    if (!deltas_done_) {
+      VSTORE_ASSIGN_OR_RETURN(int64_t produced, FillFromDeltas());
+      if (produced > 0) return output_.get();
+      continue;
+    }
+    if (range_ + 1 == ranges_.size()) return static_cast<Batch*>(nullptr);
+    StartRange(range_ + 1);
   }
 }
 

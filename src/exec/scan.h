@@ -28,6 +28,20 @@ struct BloomFilterSpec {
   const BloomFilter* filter;
 };
 
+// One piece of a table that a scan reads: row groups [group_begin,
+// group_end) of one pinned table version, then that version's delta stores
+// when `include_deltas` is set. A shard of a sharded table is a column
+// store of its own, so a range never spans shards. The planner pins each
+// version once per lowering and cuts every fragment's ranges from it, so
+// the fragments of a parallel scan read one consistent cut. An empty range
+// (no groups, no deltas) may leave `snapshot` null.
+struct ScanRange {
+  TableSnapshot snapshot;
+  int64_t group_begin = 0;
+  int64_t group_end = 0;
+  bool include_deltas = false;
+};
+
 // Vectorized scan over a column store: iterates compressed row groups
 // (skipping those eliminated by segment metadata), decodes only the needed
 // columns batch by batch, masks deleted rows via the delete bitmap, applies
@@ -41,28 +55,29 @@ class ColumnStoreScanOperator final : public BatchOperator {
     std::vector<int> projection;
     std::vector<ScanPredicate> predicates;
     std::vector<BloomFilterSpec> bloom_filters;
-    // Scan delta stores after compressed groups (fragment 0 only under
-    // exchange parallelism).
-    bool include_deltas = true;
     // Bernoulli row sampling (paper: sampling support for statistics
     // creation): each row qualifies with this probability, decided by a
     // deterministic per-row hash so repeated scans see the same sample.
     double sample_fraction = 1.0;
     uint64_t sample_seed = 0x5eed;
-    // Row-group range [group_begin, group_end) for parallel fragments;
-    // group_end == -1 means all groups.
-    int64_t group_begin = 0;
-    int64_t group_end = -1;
-    // Table version to scan. When null the operator takes its own snapshot
-    // at Open. The planner sets this so every fragment of a parallel plan
-    // (and the group striping it computed) sees one consistent version.
-    TableSnapshot snapshot;
+    // What to read, in order. Empty: every row group and then the delta
+    // stores of a snapshot the scan takes at Open. Otherwise the table is
+    // used only for its schema (a sharded table's shards share one).
+    std::vector<ScanRange> ranges;
     // Display label for profiles, usually the table name.
     std::string label;
   };
 
   ColumnStoreScanOperator(const ColumnStoreTable* table, Options options,
                           ExecContext* ctx);
+
+  // The plan-time pruning of the sharded table this scan reads, reported
+  // as shards_total / shards_pruned. The planner gives it to one scan per
+  // table it lowers, so a parallel plan's merged profile counts it once.
+  void ReportShardPruning(int64_t total, int64_t pruned) {
+    shards_total_ = total;
+    shards_pruned_ = pruned;
+  }
 
   const Schema& output_schema() const override { return output_schema_; }
   std::string name() const override {
@@ -77,8 +92,10 @@ class ColumnStoreScanOperator final : public BatchOperator {
   void AppendProfileCounters(OperatorProfile* node) const override;
 
  private:
-  // Advances to the next row group that survives segment elimination.
-  // Returns false when compressed groups are exhausted.
+  // Positions the scan at the start of ranges_[i].
+  void StartRange(size_t i);
+  // Advances to the next row group of the current range that survives
+  // segment elimination. Returns false when its groups are exhausted.
   bool AdvanceGroup();
   // Fills output_ from the current group starting at offset_.
   Status FillFromGroup();
@@ -115,9 +132,12 @@ class ColumnStoreScanOperator final : public BatchOperator {
   // lazily, only for surviving rows (lazy materialization).
   std::vector<bool> early_slot_;
 
-  // Pinned table version: the scan reads it lock-free; concurrent DML and
-  // tuple-mover passes install successor versions and never touch it.
-  TableSnapshot snapshot_;
+  // The ranges of this execution and the pinned version of the current
+  // one: the scan reads it lock-free; concurrent DML and tuple-mover passes
+  // install successor versions and never touch it.
+  std::vector<ScanRange> ranges_;
+  size_t range_ = 0;
+  const TableVersion* snapshot_ = nullptr;
   std::unique_ptr<Batch> output_;
   std::vector<std::unique_ptr<ColumnVector>> scratch_;
   std::vector<uint64_t> code_scratch_;     // code-space predicate evaluation
@@ -132,7 +152,7 @@ class ColumnStoreScanOperator final : public BatchOperator {
   // ANDed into the active mask (mutable: ApplyPredicate is const).
   mutable std::vector<uint8_t> verdict_scratch_;
 
-  int64_t group_ = 0;       // current row group
+  int64_t group_ = 0;       // current row group of the current range
   int64_t group_limit_ = 0;
   int64_t offset_ = 0;      // row offset within current group
   bool in_group_ = false;   // currently positioned inside a surviving group
@@ -149,6 +169,8 @@ class ColumnStoreScanOperator final : public BatchOperator {
   int64_t groups_scanned_ = 0;
   int64_t groups_eliminated_ = 0;
   mutable int64_t bloom_rows_dropped_ = 0;
+  int64_t shards_total_ = 0;  // 0: no pruning result to report
+  int64_t shards_pruned_ = 0;
 };
 
 }  // namespace vstore

@@ -4,33 +4,33 @@
 
 namespace vstore {
 
+int CompareValues(const Value& a, const Value& b) {
+  switch (PhysicalTypeOf(a.type())) {
+    case PhysicalType::kString: {
+      int c = a.str().compare(b.str());
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
+    case PhysicalType::kDouble: {
+      double x = a.AsDouble(), y = b.AsDouble();
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
+    case PhysicalType::kInt64: {
+      int64_t x = a.int64(), y = b.int64();
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
+  }
+  return 0;
+}
+
 int CompareRowsOnKeys(const std::vector<Value>& a, const std::vector<Value>& b,
                       const std::vector<SortKey>& keys) {
   for (const SortKey& key : keys) {
     const Value& va = a[static_cast<size_t>(key.column)];
     const Value& vb = b[static_cast<size_t>(key.column)];
-    int cmp = 0;
-    if (va.is_null() || vb.is_null()) {
-      cmp = static_cast<int>(vb.is_null()) - static_cast<int>(va.is_null());
-    } else {
-      switch (PhysicalTypeOf(va.type())) {
-        case PhysicalType::kString: {
-          int c = va.str().compare(vb.str());
-          cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
-          break;
-        }
-        case PhysicalType::kDouble: {
-          double x = va.AsDouble(), y = vb.AsDouble();
-          cmp = x < y ? -1 : (x > y ? 1 : 0);
-          break;
-        }
-        case PhysicalType::kInt64: {
-          int64_t x = va.int64(), y = vb.int64();
-          cmp = x < y ? -1 : (x > y ? 1 : 0);
-          break;
-        }
-      }
-    }
+    const int cmp =
+        va.is_null() || vb.is_null()
+            ? static_cast<int>(vb.is_null()) - static_cast<int>(va.is_null())
+            : CompareValues(va, vb);
     if (cmp != 0) return key.ascending ? cmp : -cmp;
   }
   return 0;

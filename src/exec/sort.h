@@ -64,6 +64,11 @@ class SortOperator final : public BatchOperator {
   int64_t rows_sorted_ = 0;
 };
 
+// Three-way comparison of two non-null values of one physical type family,
+// each in its own domain (int64 values as int64, so values above 2^53 that
+// round to the same double still order).
+int CompareValues(const Value& a, const Value& b);
+
 // Compares two rows on the given sort keys; nulls sort first.
 int CompareRowsOnKeys(const std::vector<Value>& a, const std::vector<Value>& b,
                       const std::vector<SortKey>& keys);

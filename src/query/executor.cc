@@ -169,7 +169,6 @@ Result<QueryResult> QueryExecutor::Execute(const PlanPtr& plan) const {
   PhysicalPlanOptions planner_options;
   planner_options.mode = options_.mode;
   planner_options.dop = options_.dop;
-  planner_options.include_deltas = options_.include_deltas;
 
   auto start = std::chrono::steady_clock::now();
   // The compile phase covers physical planning: snapshot pinning (a table

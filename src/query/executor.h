@@ -22,7 +22,6 @@ struct QueryOptions {
   // Materialize result rows into QueryResult::data (turn off for
   // scan-throughput measurements where only counts matter).
   bool materialize = true;
-  bool include_deltas = true;
   // Record a structured span trace (phase/operator/wait spans), register
   // the query in sys.active_queries, and feed the slow-query log. On by
   // default — the cost is one span per operator execution plus a

@@ -1,6 +1,7 @@
 #include "query/physical_planner.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "common/macros.h"
@@ -26,42 +27,24 @@ struct PendingBloom {
   const BloomFilter* filter;
 };
 
-// Scan bounds injected into a fragment's lowering (parallel aggregation:
-// each fragment scans a disjoint row-group range). Carries the table
-// snapshot the striping was computed from, so every fragment scans the
-// same version the planner saw.
-struct ForcedScanRange {
-  int64_t group_begin;
-  int64_t group_end;
-  bool include_deltas;
-  TableSnapshot snapshot;
-  // Scatter-gather over a sharded table: when set, the fragment scans this
-  // physical shard (the snapshot above is that shard's pinned version)
-  // instead of the catalog entry's column store.
-  const ColumnStoreTable* shard = nullptr;
-};
-
-// Per-shard scan targets of one sharded-scan lowering, after partition
-// pruning; each target travels with the pinned snapshot its fragment scans.
-struct ShardFanout {
-  struct Target {
-    const ColumnStoreTable* shard;
-    TableSnapshot snapshot;
-  };
-  std::vector<Target> targets;
+// What one column-store scan reads: its ranges in order and, when its table
+// is sharded, the table's pruning result (shards_total 0 otherwise), which
+// the scan reports.
+struct ScanWork {
+  std::vector<ScanRange> ranges;
   int64_t shards_total = 0;
   int64_t shards_pruned = 0;
 };
 
-// Computes which shards a scan must touch. Equality pushdowns and IN-list
-// notes on the partition column each constrain the candidate set to the
-// shards their literal(s) hash to; multiple constraints intersect. Pruned
-// shards are never snapshotted or scanned. Conservative by construction:
-// predicates on other columns (or none at all) keep every shard, and the
-// originating filters always stay in the plan, so pruning can only skip
-// shards the predicates prove empty of matches.
-ShardFanout ComputeShardFanout(const ShardedTable& table,
-                               const LogicalPlan& scan) {
+// Computes which shards a scan must touch, ascending. Equality pushdowns
+// and IN-list notes on the partition column each constrain the candidate
+// set to the shards their literal(s) hash to; multiple constraints
+// intersect. Pruned shards are never snapshotted or scanned. Conservative
+// by construction: predicates on other columns (or none at all) keep every
+// shard, and the originating filters always stay in the plan, so pruning
+// can only skip shards the predicates prove empty of matches.
+std::vector<int> ComputeShardFanout(const ShardedTable& table,
+                                    const LogicalPlan& scan) {
   const int n = table.num_shards();
   std::vector<bool> candidate(static_cast<size_t>(n), true);
   auto intersect = [&](const std::vector<bool>& allowed) {
@@ -85,22 +68,74 @@ ShardFanout ComputeShardFanout(const ShardedTable& table,
     }
     intersect(allowed);
   }
-  ShardFanout fanout;
-  fanout.shards_total = n;
+  std::vector<int> shards;
   for (int i = 0; i < n; ++i) {
-    if (!candidate[static_cast<size_t>(i)]) {
-      ++fanout.shards_pruned;
-      continue;
-    }
-    const ColumnStoreTable* shard = table.shard(i);
-    fanout.targets.push_back(ShardFanout::Target{shard, shard->Snapshot()});
+    if (candidate[static_cast<size_t>(i)]) shards.push_back(i);
   }
-  return fanout;
+  return shards;
 }
 
-// Registry-side pruning accounting, bumped once per scatter actually built
-// (fanouts computed but abandoned — e.g. a parallel rewrite that fell back
-// to the serial path — are not counted).
+// Lists the ranges a scan node reads, pinning one snapshot per column store
+// it touches: the whole column store, or every shard that survives
+// pruning. A scan whose shards are all pruned reads one empty range.
+ScanWork ListScanRanges(const Catalog::Entry& entry, const LogicalPlan& scan) {
+  ScanWork work;
+  auto add_whole = [&work](const ColumnStoreTable* table) {
+    TableSnapshot snapshot = table->Snapshot();
+    const int64_t groups = snapshot->num_row_groups();
+    work.ranges.push_back(ScanRange{std::move(snapshot), 0, groups, true});
+  };
+  if (!entry.has_sharded_table()) {
+    add_whole(entry.column_store);
+    return work;
+  }
+  const ShardedTable& table = *entry.sharded_table;
+  const std::vector<int> shards = ComputeShardFanout(table, scan);
+  work.shards_total = table.num_shards();
+  work.shards_pruned = work.shards_total - static_cast<int64_t>(shards.size());
+  for (int shard : shards) add_whole(table.shard(shard));
+  if (work.ranges.empty()) work.ranges.push_back(ScanRange{});
+  return work;
+}
+
+// Cuts a scan's ranges, in order, into at most `dop` fragments of nearly
+// equal row-group counts, splitting ranges at group boundaries. A range's
+// delta stores go with the piece that holds its last group (a range without
+// groups stays whole), so each is read by exactly one fragment. Fragment 0
+// carries the pruning result, so one scan per lowering reports it.
+std::vector<ScanWork> CutScanRanges(const ScanWork& work, int dop) {
+  int64_t groups = 0;
+  for (const ScanRange& range : work.ranges) {
+    groups += range.group_end - range.group_begin;
+  }
+  const int64_t degree = std::clamp<int64_t>(groups, 1, std::max(dop, 1));
+  std::vector<ScanWork> fragments(static_cast<size_t>(degree));
+  fragments[0].shards_total = work.shards_total;
+  fragments[0].shards_pruned = work.shards_pruned;
+  // Fragment f ends once (f + 1) * groups / degree groups are handed out.
+  auto fragment_end = [groups, degree](int64_t f) {
+    return (f + 1) * groups / degree;
+  };
+  int64_t f = 0;    // fragment being filled
+  int64_t pos = 0;  // groups handed out so far
+  for (const ScanRange& range : work.ranges) {
+    int64_t begin = range.group_begin;
+    do {
+      while (f + 1 < degree && pos >= fragment_end(f)) ++f;
+      const int64_t end =
+          std::min(range.group_end, begin + fragment_end(f) - pos);
+      fragments[static_cast<size_t>(f)].ranges.push_back(
+          ScanRange{range.snapshot, begin, end,
+                    range.include_deltas && end == range.group_end});
+      pos += end - begin;
+      begin = end;
+    } while (begin < range.group_end);
+  }
+  return fragments;
+}
+
+// Registry-side pruning accounting, bumped by the scan that reports a
+// sharded table's pruning result, so once per lowering that is built.
 void RecordShardScatter(const std::string& table, int64_t scanned,
                         int64_t pruned) {
   MetricsRegistry& registry = MetricsRegistry::Global();
@@ -108,60 +143,6 @@ void RecordShardScatter(const std::string& table, int64_t scanned,
       ->Increment(pruned);
   registry.GetCounter("vstore_scan_shards_scanned_total", "table", table)
       ->Increment(scanned);
-}
-
-// One ForcedScanRange per fragment for a parallelizable chain bottoming at
-// `scan_node`: disjoint row-group stripes of a column store (fragment 0
-// carrying the delta stores), or one whole unpruned shard per fragment for
-// a sharded table (every fragment carrying its shard's deltas). An empty
-// `ranges` means the chain should not parallelize here (fewer than two
-// fragments' worth of work); callers fall back to the serial lowering,
-// where a sharded scan still becomes its own scatter exchange.
-struct ChainFragments {
-  std::vector<ForcedScanRange> ranges;
-  bool sharded = false;
-  int64_t shards_total = 0;
-  int64_t shards_pruned = 0;
-};
-
-ChainFragments PlanChainFragments(const Catalog& catalog,
-                                  const PhysicalPlanOptions& options,
-                                  const PlanPtr& scan_node) {
-  ChainFragments out;
-  const Catalog::Entry* entry = catalog.Find(scan_node->table);
-  if (entry->has_sharded_table()) {
-    out.sharded = true;
-    ShardFanout fanout = ComputeShardFanout(*entry->sharded_table, *scan_node);
-    out.shards_total = fanout.shards_total;
-    out.shards_pruned = fanout.shards_pruned;
-    if (fanout.targets.size() < 2) return ChainFragments{};
-    for (ShardFanout::Target& target : fanout.targets) {
-      ForcedScanRange range;
-      range.group_begin = 0;
-      range.group_end = -1;  // all of the shard's groups
-      range.include_deltas = options.include_deltas;
-      range.snapshot = std::move(target.snapshot);
-      range.shard = target.shard;
-      out.ranges.push_back(std::move(range));
-    }
-    return out;
-  }
-  const ColumnStoreTable* table = entry->column_store;
-  // One snapshot shared by every fragment.
-  TableSnapshot snapshot = table->Snapshot();
-  int64_t groups = snapshot->num_row_groups();
-  int dop = static_cast<int>(std::min<int64_t>(options.dop, groups));
-  if (dop < 2) return out;
-  int64_t per = (groups + dop - 1) / dop;
-  for (int f = 0; f < dop; ++f) {
-    ForcedScanRange range;
-    range.group_begin = f * per;
-    range.group_end = std::min<int64_t>(range.group_begin + per, groups);
-    range.include_deltas = options.include_deltas && f == 0;
-    range.snapshot = snapshot;
-    out.ranges.push_back(std::move(range));
-  }
-  return out;
 }
 
 // Shared build state for joins inside a parallelized plan region, keyed by
@@ -180,30 +161,36 @@ class Lowering {
                                       std::vector<PendingBloom> blooms);
   Result<RowOperatorPtr> BuildRow(const PlanPtr& plan);
 
-  void set_forced_scan_range(const ForcedScanRange* range) {
-    forced_scan_range_ = range;
-  }
+  // Inside a fragment: what the one scan the fragment lowers reads.
+  void set_scan_work(const ScanWork* work) { scan_work_ = work; }
   void set_shared_joins(const SharedJoinMap* joins, int fragment) {
     shared_joins_ = joins;
     fragment_id_ = fragment;
   }
 
  private:
+  // A fragment of a parallel chain returns `finish` of its lowered chain.
+  using FinishFragment =
+      std::function<BatchOperatorPtr(BatchOperatorPtr chain, ExecContext*)>;
+  // The fragments of a parallel chain; degree 0 when it does not apply.
+  struct ParallelChain {
+    ExchangeOperator::FragmentFactory factory;
+    int degree = 0;
+  };
+
   Result<BatchOperatorPtr> BuildBatchScan(const PlanPtr& plan,
                                           std::vector<PendingBloom> blooms);
-  // Scatter-gather scan of a sharded table: one fragment per unpruned
-  // shard under an Exchange, each scanning its shard's pinned snapshot
-  // (compressed groups and delta stores both — shards are disjoint, so
-  // there is no "fragment 0 owns the deltas" special case).
-  Result<BatchOperatorPtr> BuildShardedScan(const PlanPtr& plan,
-                                            const ShardedTable* sharded,
-                                            std::vector<PendingBloom> blooms);
-  // Parallel aggregation: partial aggregates in scan fragments, exchange,
+  // Parallel chain: when `chain` is a parallel-join chain whose bottom scan
+  // cuts into two or more fragments, lowers it once per fragment over that
+  // fragment's ranges, every chain join probing one shared build.
+  Result<ParallelChain> PlanParallelChain(const PlanPtr& chain,
+                                          std::vector<PendingBloom> blooms,
+                                          FinishFragment finish);
+  // Parallel aggregation: partial aggregates in chain fragments, exchange,
   // final aggregate. Returns nullptr when the pattern does not apply.
   Result<BatchOperatorPtr> TryParallelAggregate(const PlanPtr& plan);
-  // Parallel join: shared multi-threaded build, probe fragments striped
-  // over the probe-side scan. Returns nullptr when the pattern does not
-  // apply.
+  // Parallel join: shared multi-threaded build, probe fragments over the
+  // probe-side scan. Returns nullptr when the pattern does not apply.
   Result<BatchOperatorPtr> TryParallelJoin(const PlanPtr& plan,
                                            std::vector<PendingBloom> blooms);
   // Creates the build (factory + Bloom filter) of one join probed by
@@ -218,41 +205,18 @@ class Lowering {
   ExecContext* ctx_;
   const PhysicalPlanOptions& options_;
   PhysicalPlan* out_;
-  const ForcedScanRange* forced_scan_range_ = nullptr;
+  const ScanWork* scan_work_ = nullptr;
   const SharedJoinMap* shared_joins_ = nullptr;
   int fragment_id_ = 0;
 };
 
-// True when the subtree is scan/filter/project only with a column store at
-// the bottom — the shape that parallelizes as independent fragments.
-bool IsFragmentableChain(const Catalog& catalog, const PlanPtr& plan,
-                         std::string* table_out) {
-  PlanPtr cursor = plan;
-  for (;;) {
-    switch (cursor->kind) {
-      case PlanKind::kScan: {
-        const Catalog::Entry* entry = catalog.Find(cursor->table);
-        if (entry == nullptr || !entry->has_column_store()) return false;
-        *table_out = cursor->table;
-        return true;
-      }
-      case PlanKind::kFilter:
-      case PlanKind::kProject:
-        cursor = cursor->children[0];
-        break;
-      default:
-        return false;
-    }
-  }
-}
-
-// Like IsFragmentableChain, but the probe spine may pass through hash
-// joins: scan/filter/project/join nodes descending the probe (left) side,
-// with a column store — or a sharded table, whose fragments become
-// per-shard scans — at the bottom. Outputs the bottom scan node (pruning
-// reads its predicates) and collects the join nodes (outermost first);
-// build sides may be arbitrary subtrees — they are lowered once into
-// shared builds, not per fragment.
+// True when the subtree is scan/filter/project/join nodes descending the
+// probe (left) side with a column store or a sharded table at the bottom:
+// the shape that parallelizes as independent fragments over the bottom
+// scan's ranges. Outputs the bottom scan node (pruning reads its
+// predicates) and collects the join nodes (outermost first); build sides
+// may be arbitrary subtrees — they are lowered once into shared builds,
+// not per fragment.
 bool IsParallelJoinChain(const Catalog& catalog, const PlanPtr& plan,
                          PlanPtr* scan_out,
                          std::vector<PlanPtr>* joins_out) {
@@ -281,6 +245,7 @@ bool IsParallelJoinChain(const Catalog& catalog, const PlanPtr& plan,
     }
   }
 }
+
 
 Result<std::vector<int>> ResolveColumns(const Schema& schema,
                                         const std::vector<std::string>& names) {
@@ -378,13 +343,7 @@ Result<BatchOperatorPtr> Lowering::BuildBatchScan(
     return batch;
   }
 
-  const bool is_shard_fragment =
-      forced_scan_range_ != nullptr && forced_scan_range_->shard != nullptr;
-  if (entry->has_sharded_table() && !is_shard_fragment) {
-    return BuildShardedScan(plan, entry->sharded_table, std::move(blooms));
-  }
-
-  if (!entry->has_column_store() && !is_shard_fragment) {
+  if (!entry->has_column_store() && !entry->has_sharded_table()) {
     // Batch plan over a row store: adapt a row scan, predicates become a
     // batch filter (pending blooms cannot be pushed; drop them — the join
     // still filters exactly).
@@ -407,139 +366,104 @@ Result<BatchOperatorPtr> Lowering::BuildBatchScan(
     return batch;
   }
 
-  // Inside a scatter fragment the scan targets the injected shard; the
-  // shard's schema is the logical table's, so name resolution is unchanged.
-  const ColumnStoreTable* table =
-      is_shard_fragment ? forced_scan_range_->shard : entry->column_store;
+  // Projection, pushdowns, and Bloom specs resolve against the logical
+  // schema, which every shard shares.
+  const Schema& schema = entry->schema();
   ColumnStoreScanOperator::Options scan_options;
-  scan_options.include_deltas = options_.include_deltas;
   scan_options.label = plan->table;
   for (const std::string& name : plan->scan_columns) {
-    int idx = table->schema().IndexOf(name);
+    int idx = schema.IndexOf(name);
     if (idx < 0) return Status::InvalidArgument("unknown scan column " + name);
     scan_options.projection.push_back(idx);
   }
   for (const NamedScanPredicate& pred : plan->pushed_predicates) {
-    int idx = table->schema().IndexOf(pred.column);
+    int idx = schema.IndexOf(pred.column);
     if (idx < 0) {
       return Status::InvalidArgument("unknown pushdown column " + pred.column);
     }
     scan_options.predicates.push_back(ScanPredicate{idx, pred.op, pred.value});
   }
   for (const PendingBloom& pb : blooms) {
-    int idx = table->schema().IndexOf(pb.column);
+    int idx = schema.IndexOf(pb.column);
     if (idx < 0) continue;  // column renamed away; join still filters
     scan_options.bloom_filters.push_back(BloomFilterSpec{idx, pb.filter});
   }
 
-  if (forced_scan_range_ != nullptr) {
-    scan_options.group_begin = forced_scan_range_->group_begin;
-    scan_options.group_end = forced_scan_range_->group_end;
-    scan_options.include_deltas =
-        scan_options.include_deltas && forced_scan_range_->include_deltas;
-    scan_options.snapshot = forced_scan_range_->snapshot;
-    return BatchOperatorPtr(
-        std::make_unique<ColumnStoreScanOperator>(table, scan_options, ctx_));
-  }
+  // The ranges name the shard each piece reads; the scan takes only the
+  // schema from its table.
+  const ColumnStoreTable* table = entry->has_sharded_table()
+                                      ? entry->sharded_table->shard(0)
+                                      : entry->column_store;
+  auto make_scan = [table, scan_options](const ScanWork& work,
+                                         ExecContext* ctx) {
+    ColumnStoreScanOperator::Options options = scan_options;
+    options.ranges = work.ranges;
+    auto scan =
+        std::make_unique<ColumnStoreScanOperator>(table, std::move(options), ctx);
+    if (work.shards_total > 0) {
+      scan->ReportShardPruning(work.shards_total, work.shards_pruned);
+      RecordShardScatter(scan_options.label,
+                         work.shards_total - work.shards_pruned,
+                         work.shards_pruned);
+    }
+    return BatchOperatorPtr(std::move(scan));
+  };
+  if (scan_work_ != nullptr) return make_scan(*scan_work_, ctx_);
 
-  // One snapshot per scan lowering: the striping below and every fragment
-  // read this version, regardless of concurrent DML or tuple-mover passes.
-  TableSnapshot snapshot = table->Snapshot();
-  scan_options.snapshot = snapshot;
-  int dop = options_.dop;
-  int64_t groups = snapshot->num_row_groups();
-  if (dop <= 1 || groups < 2) {
-    return BatchOperatorPtr(
-        std::make_unique<ColumnStoreScanOperator>(table, scan_options, ctx_));
-  }
-
-  // Parallel scan: stripe row groups across fragments; fragment 0 also
-  // covers delta stores.
-  dop = static_cast<int>(std::min<int64_t>(dop, groups));
-  Schema out_schema = table->schema().Project(
-      scan_options.projection.empty()
-          ? [&] {
-              std::vector<int> all;
-              for (int c = 0; c < table->schema().num_columns(); ++c) {
-                all.push_back(c);
-              }
-              return all;
-            }()
-          : scan_options.projection);
-  auto factory = [table, scan_options, groups, dop](
+  auto fragments = std::make_shared<const std::vector<ScanWork>>(
+      CutScanRanges(ListScanRanges(*entry, *plan), options_.dop));
+  if (fragments->size() == 1) return make_scan(fragments->front(), ctx_);
+  auto factory = [fragments, make_scan](
                      int fragment,
                      ExecContext* fctx) -> Result<BatchOperatorPtr> {
-    ColumnStoreScanOperator::Options frag = scan_options;
-    int64_t per = (groups + dop - 1) / dop;
-    frag.group_begin = fragment * per;
-    frag.group_end = std::min<int64_t>(frag.group_begin + per, groups);
-    frag.include_deltas = scan_options.include_deltas && fragment == 0;
-    return BatchOperatorPtr(
-        std::make_unique<ColumnStoreScanOperator>(table, frag, fctx));
+    return make_scan((*fragments)[static_cast<size_t>(fragment)], fctx);
   };
+  Schema out_schema = scan_options.projection.empty()
+                          ? schema
+                          : schema.Project(scan_options.projection);
   return BatchOperatorPtr(std::make_unique<ExchangeOperator>(
-      out_schema, std::move(factory), dop, ctx_));
+      std::move(out_schema), std::move(factory),
+      static_cast<int>(fragments->size()), ctx_));
 }
 
-Result<BatchOperatorPtr> Lowering::BuildShardedScan(
-    const PlanPtr& plan, const ShardedTable* sharded,
-    std::vector<PendingBloom> blooms) {
-  // Projection, pushdowns, and Bloom specs resolve once against the
-  // logical schema; every shard shares them.
-  ColumnStoreScanOperator::Options scan_options;
-  scan_options.include_deltas = options_.include_deltas;
-  scan_options.label = plan->table;
-  for (const std::string& name : plan->scan_columns) {
-    int idx = sharded->schema().IndexOf(name);
-    if (idx < 0) return Status::InvalidArgument("unknown scan column " + name);
-    scan_options.projection.push_back(idx);
+Result<Lowering::ParallelChain> Lowering::PlanParallelChain(
+    const PlanPtr& chain, std::vector<PendingBloom> blooms,
+    FinishFragment finish) {
+  PlanPtr scan_node;
+  std::vector<PlanPtr> joins;
+  if (!IsParallelJoinChain(catalog_, chain, &scan_node, &joins)) {
+    return ParallelChain{};
   }
-  for (const NamedScanPredicate& pred : plan->pushed_predicates) {
-    int idx = sharded->schema().IndexOf(pred.column);
-    if (idx < 0) {
-      return Status::InvalidArgument("unknown pushdown column " + pred.column);
-    }
-    scan_options.predicates.push_back(ScanPredicate{idx, pred.op, pred.value});
-  }
-  for (const PendingBloom& pb : blooms) {
-    int idx = sharded->schema().IndexOf(pb.column);
-    if (idx < 0) continue;  // column renamed away; join still filters
-    scan_options.bloom_filters.push_back(BloomFilterSpec{idx, pb.filter});
-  }
+  auto fragments = std::make_shared<const std::vector<ScanWork>>(
+      CutScanRanges(ListScanRanges(*catalog_.Find(scan_node->table),
+                                   *scan_node),
+                    options_.dop));
+  const int degree = static_cast<int>(fragments->size());
+  if (degree < 2) return ParallelChain{};
 
-  Schema out_schema = scan_options.projection.empty()
-                          ? sharded->schema()
-                          : sharded->schema().Project(scan_options.projection);
-
-  ShardFanout fanout = ComputeShardFanout(*sharded, *plan);
-  RecordShardScatter(plan->table,
-                     static_cast<int64_t>(fanout.targets.size()),
-                     fanout.shards_pruned);
-  if (fanout.targets.empty()) {
-    // Every shard pruned: the predicates prove no row can match. An empty
-    // in-memory scan keeps the operator contract (and the profile shape
-    // cheap) without spawning fragments.
-    return BatchOperatorPtr(std::make_unique<MemTableScanOperator>(
-        std::make_shared<const TableData>(out_schema), plan->table, ctx_));
-  }
-
-  auto targets = std::make_shared<std::vector<ShardFanout::Target>>(
-      std::move(fanout.targets));
-  auto factory = [targets, scan_options](
-                     int fragment, ExecContext* fctx) -> Result<BatchOperatorPtr> {
-    const ShardFanout::Target& target =
-        (*targets)[static_cast<size_t>(fragment)];
-    ColumnStoreScanOperator::Options frag = scan_options;
-    frag.snapshot = target.snapshot;
-    return BatchOperatorPtr(std::make_unique<ColumnStoreScanOperator>(
-        target.shard, frag, fctx));
+  // Joins on the probe spine share one build across all fragments, so
+  // scan → join → partial agg parallelizes as a single fragment tree.
+  VSTORE_ASSIGN_OR_RETURN(std::shared_ptr<SharedJoinMap> shared_map,
+                          PrepareSharedJoins(joins, degree));
+  const Catalog* catalog = &catalog_;
+  PhysicalPlanOptions options = options_;
+  ParallelChain out;
+  out.degree = degree;
+  out.factory = [catalog, options, chain, shared_map, fragments, blooms,
+                 finish](int fragment,
+                         ExecContext* fctx) -> Result<BatchOperatorPtr> {
+    PhysicalPlan scratch;
+    Lowering sub(*catalog, fctx, options, &scratch);
+    sub.set_scan_work(&(*fragments)[static_cast<size_t>(fragment)]);
+    sub.set_shared_joins(shared_map.get(), fragment);
+    VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr op, sub.BuildBatch(chain, blooms));
+    // Fragment lowerings attach no resources of their own: chain joins use
+    // the shared builds, whose filters live in the outer plan.
+    VSTORE_CHECK(scratch.bloom_filters.empty() &&
+                 scratch.shared_builds.empty());
+    return finish(std::move(op), fctx);
   };
-  auto exchange = std::make_unique<ExchangeOperator>(
-      std::move(out_schema), std::move(factory),
-      static_cast<int>(targets->size()), ctx_, "Scatter " + plan->table);
-  exchange->AddStaticCounter("shards_total", fanout.shards_total);
-  exchange->AddStaticCounter("shards_pruned", fanout.shards_pruned);
-  return BatchOperatorPtr(std::move(exchange));
+  return out;
 }
 
 Result<std::shared_ptr<SharedHashJoinBuild>> Lowering::PrepareSharedJoin(
@@ -560,23 +484,20 @@ Result<std::shared_ptr<SharedHashJoinBuild>> Lowering::PrepareSharedJoin(
     out_->bloom_filters.push_back(std::move(filter));
   }
 
-  // The build of a parallel join parallelizes only when the build side is
-  // itself a plain scan/filter/project chain over enough row groups;
-  // anything else (nested joins, aggregates) is lowered and drained by a
-  // single build fragment.
+  // The build of a parallel join parallelizes when the build side is a
+  // plain scan/filter/project chain: each build fragment lowers it over its
+  // share of the scan's ranges. Anything else (nested joins, aggregates) is
+  // lowered and drained by a single build fragment.
   PlanPtr build_plan = plan->children[1];
-  std::string build_table;
-  int64_t build_groups = 0;
-  int build_dop = 1;
-  TableSnapshot build_snapshot;
+  std::shared_ptr<const std::vector<ScanWork>> fragments;
+  PlanPtr scan_node;
+  std::vector<PlanPtr> joins;
   if (probe_dop > 1 &&
-      IsFragmentableChain(catalog_, build_plan, &build_table)) {
-    const ColumnStoreTable* table = catalog_.GetColumnStore(build_table);
-    build_snapshot = table->Snapshot();
-    build_groups = build_snapshot->num_row_groups();
-    build_dop =
-        static_cast<int>(std::max<int64_t>(
-            1, std::min<int64_t>(probe_dop, build_groups)));
+      IsParallelJoinChain(catalog_, build_plan, &scan_node, &joins) &&
+      joins.empty()) {
+    fragments = std::make_shared<const std::vector<ScanWork>>(CutScanRanges(
+        ListScanRanges(*catalog_.Find(scan_node->table), *scan_node),
+        probe_dop));
   }
 
   const Catalog* catalog = &catalog_;
@@ -584,24 +505,14 @@ Result<std::shared_ptr<SharedHashJoinBuild>> Lowering::PrepareSharedJoin(
   // Build fragments of a parallel join must not nest exchanges; a serial
   // join's build side lowers like any other subtree.
   if (probe_dop > 1) options.dop = 1;
-  bool include_deltas = options_.include_deltas;
-  int64_t groups = build_groups;
-  int dop = build_dop;
   SharedHashJoinBuild::BuildFactory factory =
-      [catalog, options, build_plan, groups, dop, include_deltas,
-       build_snapshot](
+      [catalog, options, build_plan, fragments](
           int fragment, ExecContext* fctx,
           std::shared_ptr<void>* resources) -> Result<BatchOperatorPtr> {
     auto scratch = std::make_shared<PhysicalPlan>();
     Lowering sub(*catalog, fctx, options, scratch.get());
-    ForcedScanRange range;
-    if (dop > 1) {
-      int64_t per = (groups + dop - 1) / dop;
-      range.group_begin = fragment * per;
-      range.group_end = std::min<int64_t>(range.group_begin + per, groups);
-      range.include_deltas = include_deltas && fragment == 0;
-      range.snapshot = build_snapshot;
-      sub.set_forced_scan_range(&range);
+    if (fragments != nullptr) {
+      sub.set_scan_work(&(*fragments)[static_cast<size_t>(fragment)]);
     }
     VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr op,
                             sub.BuildBatch(build_plan, {}));
@@ -610,6 +521,8 @@ Result<std::shared_ptr<SharedHashJoinBuild>> Lowering::PrepareSharedJoin(
     *resources = std::move(scratch);
     return op;
   };
+  const int build_dop =
+      fragments != nullptr ? static_cast<int>(fragments->size()) : 1;
   return std::make_shared<SharedHashJoinBuild>(
       plan->children[1]->schema, std::move(join_options), std::move(factory),
       build_dop, probe_dop);
@@ -629,108 +542,44 @@ Result<std::shared_ptr<SharedJoinMap>> Lowering::PrepareSharedJoins(
 
 Result<BatchOperatorPtr> Lowering::TryParallelJoin(
     const PlanPtr& plan, std::vector<PendingBloom> blooms) {
-  PlanPtr scan_node;
-  std::vector<PlanPtr> joins;
-  if (!IsParallelJoinChain(catalog_, plan, &scan_node, &joins)) {
-    return BatchOperatorPtr(nullptr);
-  }
-  ChainFragments frags = PlanChainFragments(catalog_, options_, scan_node);
-  const int dop = static_cast<int>(frags.ranges.size());
-  if (dop < 2) return BatchOperatorPtr(nullptr);
-
-  VSTORE_ASSIGN_OR_RETURN(std::shared_ptr<SharedJoinMap> shared_map,
-                          PrepareSharedJoins(joins, dop));
-
-  // Fragments lower the whole probe spine over their stripe or shard; the
-  // join nodes resolve to probe operators over the shared builds.
-  const Catalog* catalog = &catalog_;
-  PhysicalPlanOptions options = options_;
-  PlanPtr chain_plan = plan;
-  auto ranges = std::make_shared<std::vector<ForcedScanRange>>(
-      std::move(frags.ranges));
-  auto factory = [catalog, options, chain_plan, shared_map, ranges, blooms](
-                     int fragment,
-                     ExecContext* fctx) -> Result<BatchOperatorPtr> {
-    PhysicalPlan scratch;
-    Lowering sub(*catalog, fctx, options, &scratch);
-    sub.set_forced_scan_range(&(*ranges)[static_cast<size_t>(fragment)]);
-    sub.set_shared_joins(shared_map.get(), fragment);
-    VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr chain,
-                            sub.BuildBatch(chain_plan, blooms));
-    // Fragment lowerings attach no resources of their own: chain joins use
-    // the shared builds, whose filters live in the outer plan.
-    VSTORE_CHECK(scratch.bloom_filters.empty() &&
-                 scratch.shared_builds.empty());
-    return chain;
-  };
+  // Fragments lower the whole probe spine over their ranges; the join
+  // nodes resolve to probe operators over the shared builds.
+  VSTORE_ASSIGN_OR_RETURN(
+      ParallelChain chain,
+      PlanParallelChain(plan, std::move(blooms),
+                        [](BatchOperatorPtr op, ExecContext*) { return op; }));
+  if (chain.degree == 0) return BatchOperatorPtr(nullptr);
   Schema out_schema =
       HashJoinOutputSchema(plan->children[0]->schema,
                            plan->children[1]->schema, plan->join_type);
-  auto exchange = std::make_unique<ExchangeOperator>(
-      std::move(out_schema), std::move(factory), dop, ctx_, "HashJoin");
-  if (frags.sharded) {
-    exchange->AddStaticCounter("shards_total", frags.shards_total);
-    exchange->AddStaticCounter("shards_pruned", frags.shards_pruned);
-    RecordShardScatter(scan_node->table, dop, frags.shards_pruned);
-  }
-  return BatchOperatorPtr(std::move(exchange));
+  return BatchOperatorPtr(std::make_unique<ExchangeOperator>(
+      std::move(out_schema), std::move(chain.factory), chain.degree, ctx_,
+      "HashJoin"));
 }
 
 Result<BatchOperatorPtr> Lowering::TryParallelAggregate(const PlanPtr& plan) {
-  PlanPtr scan_node;
-  std::vector<PlanPtr> joins;
-  if (!IsParallelJoinChain(catalog_, plan->children[0], &scan_node, &joins)) {
-    return BatchOperatorPtr(nullptr);
-  }
-  ChainFragments frags = PlanChainFragments(catalog_, options_, scan_node);
-  const int dop = static_cast<int>(frags.ranges.size());
-  if (dop < 2) return BatchOperatorPtr(nullptr);
-
   const Schema& child_schema = plan->children[0]->schema;
   VSTORE_ASSIGN_OR_RETURN(std::vector<AggSpec> aggs,
                           ResolveAggs(child_schema, plan->aggregates));
   VSTORE_ASSIGN_OR_RETURN(std::vector<int> group_by,
                           ResolveColumns(child_schema, plan->group_by));
-  Schema partial_schema =
-      HashAggregateOperator::PartialSchema(child_schema, group_by, aggs);
-
-  // Joins on the probe spine share one build across all fragments, so
-  // scan → join → partial agg parallelizes as a single fragment tree.
-  VSTORE_ASSIGN_OR_RETURN(std::shared_ptr<SharedJoinMap> shared_map,
-                          PrepareSharedJoins(joins, dop));
-
-  // Fragments: chain + partial aggregation over a stripe or shard.
-  const Catalog* catalog = &catalog_;
-  PhysicalPlanOptions options = options_;
-  PlanPtr child_plan = plan->children[0];
-  auto ranges = std::make_shared<std::vector<ForcedScanRange>>(
-      std::move(frags.ranges));
-  auto factory = [catalog, options, child_plan, shared_map, aggs, group_by,
-                  ranges](int fragment, ExecContext* fctx)
-      -> Result<BatchOperatorPtr> {
-    PhysicalPlan scratch;  // fragments create no shared resources
-    Lowering sub(*catalog, fctx, options, &scratch);
-    sub.set_forced_scan_range(&(*ranges)[static_cast<size_t>(fragment)]);
-    sub.set_shared_joins(shared_map.get(), fragment);
-    VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr chain,
-                            sub.BuildBatch(child_plan, {}));
-    VSTORE_CHECK(scratch.bloom_filters.empty() &&
-                 scratch.shared_builds.empty());
-    HashAggregateOperator::Options partial;
-    partial.group_by = group_by;
-    partial.aggregates = aggs;
-    partial.phase = AggPhase::kPartial;
-    return BatchOperatorPtr(std::make_unique<HashAggregateOperator>(
-        std::move(chain), std::move(partial), fctx));
-  };
-  auto exchange_op = std::make_unique<ExchangeOperator>(
-      partial_schema, std::move(factory), dop, ctx_);
-  if (frags.sharded) {
-    exchange_op->AddStaticCounter("shards_total", frags.shards_total);
-    exchange_op->AddStaticCounter("shards_pruned", frags.shards_pruned);
-    RecordShardScatter(scan_node->table, dop, frags.shards_pruned);
-  }
-  BatchOperatorPtr exchange = std::move(exchange_op);
+  // Fragments: chain + partial aggregation over their ranges.
+  VSTORE_ASSIGN_OR_RETURN(
+      ParallelChain chain,
+      PlanParallelChain(
+          plan->children[0], {},
+          [aggs, group_by](BatchOperatorPtr op, ExecContext* fctx) {
+            HashAggregateOperator::Options partial;
+            partial.group_by = group_by;
+            partial.aggregates = aggs;
+            partial.phase = AggPhase::kPartial;
+            return BatchOperatorPtr(std::make_unique<HashAggregateOperator>(
+                std::move(op), std::move(partial), fctx));
+          }));
+  if (chain.degree == 0) return BatchOperatorPtr(nullptr);
+  BatchOperatorPtr exchange = std::make_unique<ExchangeOperator>(
+      HashAggregateOperator::PartialSchema(child_schema, group_by, aggs),
+      std::move(chain.factory), chain.degree, ctx_);
 
   // Final aggregation over the partial rows.
   HashAggregateOperator::Options final_options;
@@ -783,7 +632,7 @@ Result<BatchOperatorPtr> Lowering::BuildBatch(
           shared = it->second;
           fragment = fragment_id_;
         }
-      } else if (options_.dop > 1 && forced_scan_range_ == nullptr) {
+      } else if (options_.dop > 1 && scan_work_ == nullptr) {
         VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr parallel,
                                 TryParallelJoin(plan, blooms));
         if (parallel != nullptr) return parallel;
@@ -803,7 +652,7 @@ Result<BatchOperatorPtr> Lowering::BuildBatch(
     }
 
     case PlanKind::kAggregate: {
-      if (options_.dop > 1 && forced_scan_range_ == nullptr) {
+      if (options_.dop > 1 && scan_work_ == nullptr) {
         VSTORE_ASSIGN_OR_RETURN(BatchOperatorPtr parallel,
                                 TryParallelAggregate(plan));
         if (parallel != nullptr) return parallel;
@@ -859,8 +708,8 @@ Result<BatchOperatorPtr> Lowering::BuildBatch(
 }
 
 // Row-mode scan of a sharded table: drains each shard's row scan in shard
-// order (row mode is the serial baseline, so there is no scatter here —
-// just concatenation; shard pruning is a batch-mode optimization).
+// order (row mode is the serial baseline; shard pruning is a batch-mode
+// optimization).
 class RowConcatOperator final : public RowOperator {
  public:
   explicit RowConcatOperator(std::vector<RowOperatorPtr> children)

@@ -20,8 +20,6 @@ struct PhysicalPlanOptions {
   ExecutionMode mode = ExecutionMode::kAuto;
   // Degree of parallelism for column store scans (exchange operator).
   int dop = 1;
-  // Scan delta stores (disable to measure compressed-only paths).
-  bool include_deltas = true;
 };
 
 // A lowered plan: the operator tree plus resources (Bloom filters, shared

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/memory_tracker.h"
+#include "common/metrics.h"
 #include "exec/expr_program.h"
 #include "exec/expression.h"
 #include "storage/dictionary.h"
@@ -598,6 +599,56 @@ TEST(ExprCodeSetTest, NoListedValueInTheDictionary) {
   ExprFrame coded(program), strings(program);
   EXPECT_EQ(ExpectCodeSetMatchesStrings(&coded, &strings, &batch), 4);
   for (int64_t i : {0, 1, 3}) EXPECT_EQ(coded.result(0).ints()[i], 0) << i;
+}
+
+// The program cache holds at most kCapacity programs and evicts the least
+// recently used; a program fetched before its eviction keeps evaluating,
+// and a fingerprint still cached counts a hit instead of a compile.
+TEST(ExprProgramCacheTest, EvictsLeastRecentlyUsedBeyondCapacity) {
+  ExprProgramCache& cache = ExprProgramCache::Global();
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter* compiled =
+      registry.GetCounter("vstore_expr_programs_compiled_total");
+  Counter* hits = registry.GetCounter("vstore_expr_program_cache_hits_total");
+  const Schema schema = NumSchema();
+  // a + offset: one fingerprint per offset, none shared with other tests.
+  auto program = [&](int64_t i) {
+    ExprPtr e = expr::Add(expr::Column(schema, "a"),
+                          expr::Lit(Value::Int64(1000000 + i)));
+    return cache.GetOrCompile({e}).ValueOrDie();
+  };
+  const int64_t n = ExprProgramCache::kCapacity + 1000;
+
+  std::shared_ptr<const ExprProgram> first = program(0);
+  for (int64_t i = 1; i < n; ++i) {
+    program(i);
+    if (i % 100 == 0) program(1);  // kept recently used throughout
+    ASSERT_LE(cache.size(), ExprProgramCache::kCapacity) << i;
+  }
+  EXPECT_EQ(cache.size(), ExprProgramCache::kCapacity);
+
+  // Evicted long ago, the first program still evaluates.
+  TableData data = NumData();
+  Batch batch(schema, data.num_rows());
+  FillBatch(data, 0, data.num_rows(), &batch);
+  ExprFrame frame(first);
+  ASSERT_TRUE(frame.Run(batch).ok());
+  EXPECT_EQ(frame.result(0).GetValue(0), Value::Int64(1000001));
+  EXPECT_EQ(frame.result(0).GetValue(1), Value::Int64(999995));
+  EXPECT_TRUE(frame.result(0).GetValue(3).is_null());
+
+  // Cached fingerprints hit; the evicted one compiles again.
+  for (int64_t i : {int64_t{1}, n - 1}) {
+    const int64_t compiles = compiled->Value();
+    const int64_t hits_before = hits->Value();
+    program(i);
+    EXPECT_EQ(compiled->Value(), compiles) << i;
+    EXPECT_EQ(hits->Value(), hits_before + 1) << i;
+  }
+  const int64_t compiles = compiled->Value();
+  EXPECT_NE(program(0), first);
+  EXPECT_EQ(compiled->Value(), compiles + 1);
+  EXPECT_EQ(cache.size(), ExprProgramCache::kCapacity);
 }
 
 }  // namespace

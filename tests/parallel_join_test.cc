@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "query/executor.h"
+#include "storage/sharded_table.h"
 #include "test_operators.h"
 
 namespace vstore {
@@ -42,8 +43,9 @@ struct JoinFixture {
 // fact join dim on the unique id column; the dim columns are renamed so
 // the join output has no duplicate names. fact has twice as many ids as
 // dim, so outer/anti joins see unmatched probe rows.
-PlanPtr JoinPlan(const Catalog& catalog, JoinType type) {
-  PlanBuilder dim = PlanBuilder::Scan(catalog, "dim");
+PlanPtr JoinPlan(const Catalog& catalog, JoinType type,
+                 const std::string& dim_table = "dim") {
+  PlanBuilder dim = PlanBuilder::Scan(catalog, dim_table);
   dim.Select({"id", "amount"});
   PlanBuilder renamed = PlanBuilder::From(dim.Build());
   renamed.Project({expr::Column(renamed.schema(), "id"),
@@ -299,6 +301,35 @@ TEST(ParallelJoinTest, ExplainAnalyzeShowsPerFragmentBuildCounters) {
   EXPECT_GE(probe->Counter("build_ns", -1), 0);
   EXPECT_GE(probe->Counter("table_build_ns", -1), 0);
   EXPECT_GE(probe->Counter("build_lock_wait_ns", -1), 0);
+}
+
+// A sharded build side cuts into build fragments like a column store: its
+// shards' ranges are split over the build degree, and the answer matches
+// the unsharded dimension's.
+TEST(ParallelJoinTest, ShardedBuildSideBuildsInFragments) {
+  JoinFixture f;
+  TableData data = MakeTestTable(10000, /*seed=*/7);
+  ShardedTable::Options options;
+  options.num_shards = 8;
+  options.partition_key = "id";
+  options.shard_options.row_group_size = 1000;
+  options.shard_options.min_compress_rows = 10;
+  auto sharded =
+      std::make_unique<ShardedTable>("dim_s8", data.schema(), std::move(options));
+  sharded->BulkLoad(data).CheckOK();
+  f.catalog.AddShardedTable(std::move(sharded)).CheckOK();
+
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+    QueryResult flat = RunQuery(f.catalog, JoinPlan(f.catalog, type), 1);
+    QueryResult parallel =
+        RunQuery(f.catalog, JoinPlan(f.catalog, type, "dim_s8"), 4);
+    EXPECT_EQ(SortedRowStrings(parallel), SortedRowStrings(flat));
+    const OperatorProfile* probe =
+        FindNode(parallel.profile, "HashJoinProbe");
+    ASSERT_NE(probe, nullptr);
+    EXPECT_GT(probe->Counter("build_fragments"), 1);
+    EXPECT_EQ(probe->Counter("build_rows"), 10000);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "exec/hash_aggregate.h"
 #include "exec/row/row_operator.h"
 #include "test_operators.h"
 
 namespace vstore {
 namespace {
 
+using testing_util::DrainOperator;
+using testing_util::ExpectBitIdentical;
 using testing_util::MakeTestTable;
 using testing_util::SortRows;
 using testing_util::TableSourceOperator;
@@ -160,6 +165,44 @@ TEST(RowHashAggregateTest, TwoStringKeyColumnsDoNotRunTogether) {
   EXPECT_EQ(rows[0][2], Value::Int64(2));
   EXPECT_EQ(rows[1][0], Value::String("a\0"s));
   EXPECT_EQ(rows[1][2], Value::Int64(1));
+}
+
+// 2^53 + 1 and 2^53 round to the same double: MIN/MAX must still order
+// them, and agree with the batch aggregate, which compares int64 values.
+TEST(RowHashAggregateTest, MinMaxOrderInt64ValuesAboveTwoTo53) {
+  const int64_t kTwo53 = int64_t{1} << 53;
+  Schema schema({{"g", DataType::kInt64, false},
+                 {"v", DataType::kInt64, false}});
+  TableData data(schema);
+  // Group 0 sees the larger value first, group 1 the smaller one.
+  for (auto [g, v] : {std::pair{0, kTwo53 + 1}, std::pair{0, kTwo53},
+                      std::pair{1, kTwo53}, std::pair{1, kTwo53 + 1}}) {
+    data.AppendRow({Value::Int64(g), Value::Int64(v)});
+  }
+  RowHashAggregateOperator::Options options;
+  options.group_by = {0};
+  options.aggregates = {{AggFn::kMin, 1, "lo"}, {AggFn::kMax, 1, "hi"}};
+  RowStoreTable table("t", schema);
+  table.Append(data).CheckOK();
+  RowHashAggregateOperator row_agg(
+      std::make_unique<RowStoreScanOperator>(&table), options);
+  auto rows = DrainRows(&row_agg);
+  SortRows(&rows);
+  ASSERT_EQ(rows.size(), 2u);
+  for (const auto& row : rows) {
+    EXPECT_EQ(row[1], Value::Int64(kTwo53)) << "group " << row[0].int64();
+    EXPECT_EQ(row[2], Value::Int64(kTwo53 + 1)) << "group " << row[0].int64();
+  }
+
+  ExecContext ctx;
+  HashAggregateOperator::Options batch_options;
+  batch_options.group_by = options.group_by;
+  batch_options.aggregates = options.aggregates;
+  HashAggregateOperator batch_agg(
+      std::make_unique<TableSourceOperator>(&data, &ctx), batch_options, &ctx);
+  auto batch_rows = DrainOperator(&batch_agg);
+  SortRows(&batch_rows);
+  ExpectBitIdentical(batch_rows, rows);
 }
 
 TEST(RowHashAggregateTest, GroupsAndAggregates) {

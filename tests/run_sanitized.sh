@@ -36,7 +36,7 @@ run_one() {
     # TSan runs focus on the concurrency suite: the stress-labelled tests
     # (exchange, parallel join, the concurrent-table test that runs scans
     # against live writers and the tuple mover, the sharded-table test that
-    # adds cross-shard updates and per-shard movers under scatter-gather
+    # adds cross-shard updates and per-shard movers under parallel sharded
     # scans, and the system-views test that materializes DMVs under churn)
     # plus everything exercising the exchange, the relaxed-atomic metrics
     # registry, the Query Store's shared fingerprint map, and the query

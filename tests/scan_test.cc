@@ -187,7 +187,9 @@ TEST(ScanTest, ExcludeDeltas) {
                 Value::Double(0.0)})
       .ValueOrDie();
   ColumnStoreScanOperator::Options options;
-  options.include_deltas = false;
+  TableSnapshot snapshot = f.table->Snapshot();
+  const int64_t groups = snapshot->num_row_groups();
+  options.ranges = {ScanRange{std::move(snapshot), 0, groups, false}};
   auto rows = f.Drain(options);
   EXPECT_EQ(rows.size(), 1000u);
 }
@@ -195,9 +197,7 @@ TEST(ScanTest, ExcludeDeltas) {
 TEST(ScanTest, GroupRangeForParallelFragments) {
   ScanFixture f(4000);
   ColumnStoreScanOperator::Options options;
-  options.group_begin = 1;
-  options.group_end = 3;
-  options.include_deltas = false;
+  options.ranges = {ScanRange{f.table->Snapshot(), 1, 3, false}};
   auto rows = f.Drain(options);
   EXPECT_EQ(rows.size(), 2000u);
   ASSERT_FALSE(rows.empty());

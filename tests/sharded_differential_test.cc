@@ -149,6 +149,126 @@ void ExpectAllBackingsAgree(
   }
 }
 
+bool HasNode(const OperatorProfile& node, const std::string& prefix) {
+  if (node.name.rfind(prefix, 0) == 0) return true;
+  for (const OperatorProfile& child : node.children) {
+    if (HasNode(child, prefix)) return true;
+  }
+  return false;
+}
+
+bool HasSpan(const QueryTraceSpan& span, const std::string& prefix) {
+  if (span.name.rfind(prefix, 0) == 0) return true;
+  for (const QueryTraceSpan& child : span.children) {
+    if (HasSpan(child, prefix)) return true;
+  }
+  return false;
+}
+
+QueryResult RunAt(const Catalog& catalog, const PlanPtr& plan, int dop) {
+  QueryOptions options;
+  options.dop = dop;
+  return QueryExecutor(&catalog, options).Execute(plan).ValueOrDie();
+}
+
+// What the scans of one execution read, summed over the profile: equal at
+// every degree when each row group and delta row is read exactly once and
+// one scan per table reports the shard pruning.
+struct ScanCounts {
+  int64_t rows_scanned;
+  int64_t groups;  // scanned + eliminated
+  int64_t delta_rows;
+  int64_t shards_total;
+  bool operator==(const ScanCounts&) const = default;
+};
+
+ScanCounts CountsOf(const QueryResult& result) {
+  const OperatorProfile& p = result.profile;
+  return ScanCounts{
+      p.CounterDeep("rows_scanned"),
+      p.CounterDeep("groups_scanned") + p.CounterDeep("groups_eliminated"),
+      p.CounterDeep("delta_rows"), p.CounterDeep("shards_total")};
+}
+
+std::string ToString(const ScanCounts& c) {
+  return "rows_scanned=" + std::to_string(c.rows_scanned) +
+         " groups=" + std::to_string(c.groups) +
+         " delta_rows=" + std::to_string(c.delta_rows) +
+         " shards_total=" + std::to_string(c.shards_total);
+}
+
+// Runs the plan against every table at dop 1, 2, 3, 4 and 8: each answer
+// must equal `tables[0]`'s at dop 1, and within a table the scan counts
+// must not move with the degree.
+void ExpectEveryDopAgrees(
+    const Catalog& catalog, const std::vector<std::string>& tables,
+    const std::function<PlanPtr(const std::string&)>& make_plan) {
+  std::vector<std::vector<Value>> expected =
+      Rows(RunAt(catalog, make_plan(tables[0]), 1));
+  for (const std::string& table : tables) {
+    ScanCounts serial{};
+    for (int dop : {1, 2, 3, 4, 8}) {
+      QueryResult got = RunAt(catalog, make_plan(table), dop);
+      EXPECT_EQ(Rows(got), expected) << table << " dop=" << dop;
+      const ScanCounts counts = CountsOf(got);
+      if (dop == 1) {
+        serial = counts;
+        EXPECT_GT(serial.rows_scanned + serial.delta_rows, 0) << table;
+      } else {
+        // Every table here has row groups to cut: the plan parallelizes.
+        EXPECT_TRUE(HasNode(got.profile, "Exchange"))
+            << table << " dop=" << dop;
+        EXPECT_EQ(counts, serial) << table << " dop=" << dop << ": "
+                                  << ToString(counts) << " vs "
+                                  << ToString(serial);
+      }
+    }
+  }
+}
+
+// A scan, a filtered aggregate and a join under an aggregate.
+std::vector<std::function<PlanPtr(const std::string&)>> DopPlans(
+    const Catalog& catalog, const std::string& dim) {
+  return {
+      [&catalog](const std::string& t) {
+        return PlanBuilder::Scan(catalog, t).Build();
+      },
+      [&catalog](const std::string& t) {
+        PlanBuilder b = PlanBuilder::Scan(catalog, t);
+        b.Filter(expr::Ge(expr::Column(b.schema(), "bucket"),
+                          expr::Lit(Value::Int64(3))));
+        b.Aggregate({"bucket"}, {{AggFn::kCountStar, "", "cnt"},
+                                 {AggFn::kSum, "id", "id_sum"},
+                                 {AggFn::kMin, "amount", "lo"},
+                                 {AggFn::kMax, "name", "hi"}});
+        return b.Build();
+      },
+      [&catalog, dim](const std::string& t) {
+        PlanBuilder b = PlanBuilder::Scan(catalog, t);
+        b.Join(JoinType::kInner, PlanBuilder::Scan(catalog, dim).Build(),
+               {"bucket"}, {"bucket_id"});
+        b.Aggregate({"label"}, {{AggFn::kCountStar, "", "cnt"},
+                                {AggFn::kSum, "id", "id_sum"}});
+        return b.Build();
+      },
+  };
+}
+
+// A 10-row dimension (bucket_id 0..9, label "b<id>") for the join plans.
+void AddDimTable(Catalog* catalog, const std::string& name) {
+  Schema dim_schema({{"bucket_id", DataType::kInt64, false},
+                     {"label", DataType::kString, false}});
+  TableData dim(dim_schema);
+  for (int64_t i = 0; i < 10; ++i) {
+    dim.column(0).AppendInt64(i);
+    dim.column(1).AppendString("b" + std::to_string(i));
+  }
+  auto dim_cs =
+      std::make_unique<ColumnStoreTable>(name, dim_schema, StoreOptions());
+  dim_cs->BulkLoad(dim).CheckOK();
+  catalog->AddColumnStore(std::move(dim_cs)).CheckOK();
+}
+
 TEST(ShardedDifferentialTest, FullScanIsBitIdentical) {
   ShardedDiffFixture f;
   ExpectAllBackingsAgree(&f, [&](const std::string& t) {
@@ -186,17 +306,7 @@ TEST(ShardedDifferentialTest, GroupByAggregateAgrees) {
 TEST(ShardedDifferentialTest, JoinAgainstShardedProbeAgrees) {
   ShardedDiffFixture f;
   // A small dimension table joined from each backing of the fact side.
-  Schema dim_schema({{"bucket_id", DataType::kInt64, false},
-                     {"label", DataType::kString, false}});
-  TableData dim(dim_schema);
-  for (int64_t i = 0; i < 10; ++i) {
-    dim.column(0).AppendInt64(i);
-    dim.column(1).AppendString("b" + std::to_string(i));
-  }
-  auto dim_cs = std::make_unique<ColumnStoreTable>("dim", dim_schema,
-                                                   StoreOptions());
-  dim_cs->BulkLoad(dim).CheckOK();
-  f.catalog.AddColumnStore(std::move(dim_cs)).CheckOK();
+  AddDimTable(&f.catalog, "dim");
 
   for (int dop : {1, 4}) {
     ExpectAllBackingsAgree(
@@ -214,6 +324,77 @@ TEST(ShardedDifferentialTest, JoinAgainstShardedProbeAgrees) {
   }
 }
 
+// One lowering at every degree: a table's scan ranges (one per column
+// store, one per unpruned shard) cut into at most dop fragments must give
+// the unsharded answer and read every row group and delta row once.
+TEST(ShardedDifferentialTest, EveryDopReadsEachGroupAndDeltaRowOnce) {
+  ShardedDiffFixture f;
+  AddDimTable(&f.catalog, "dim");
+  for (const auto& make_plan : DopPlans(f.catalog, "dim")) {
+    ExpectEveryDopAgrees(f.catalog, {"flat", "s1", "s8"}, make_plan);
+  }
+}
+
+// Shards 4-7 hold only delta rows (no row groups) and shards 0-3 hold row
+// groups plus a few delta rows: the cut must still hand every shard's
+// deltas to exactly one fragment at every degree.
+TEST(ShardedDifferentialTest, DeltaOnlyShardsAgreeAtEveryDop) {
+  Catalog catalog;
+  TableData data = MakeTestTable(kRows, /*seed=*/42);
+  ShardedTable::Options options;
+  options.num_shards = 8;
+  options.partition_key = "id";
+  options.shard_options = StoreOptions();
+  auto s8 = std::make_unique<ShardedTable>("s8", data.schema(),
+                                           std::move(options));
+  auto flat =
+      std::make_unique<ColumnStoreTable>("flat", data.schema(), StoreOptions());
+  TableData bulk(data.schema());
+  std::vector<std::vector<Value>> trickle;
+  int64_t low_shard_rows = 0;
+  for (int64_t i = 0; i < data.num_rows(); ++i) {
+    std::vector<Value> row = data.GetRow(i);
+    if (s8->ShardFor(row[0]) >= 4 || ++low_shard_rows % 20 == 0) {
+      trickle.push_back(std::move(row));
+    } else {
+      bulk.AppendRow(row);
+    }
+  }
+  s8->BulkLoad(bulk).CheckOK();
+  flat->BulkLoad(bulk).CheckOK();
+  for (const std::vector<Value>& row : trickle) {
+    s8->Insert(row).ValueOrDie();
+    flat->Insert(row).ValueOrDie();
+  }
+  for (int shard = 0; shard < 8; ++shard) {
+    TableSnapshot snapshot = s8->shard(shard)->Snapshot();
+    EXPECT_EQ(snapshot->num_row_groups() > 0, shard < 4) << shard;
+    EXPECT_GT(snapshot->num_delta_stores(), 0) << shard;
+  }
+  catalog.AddShardedTable(std::move(s8)).CheckOK();
+  catalog.AddColumnStore(std::move(flat)).CheckOK();
+  AddDimTable(&catalog, "dim");
+  for (const auto& make_plan : DopPlans(catalog, "dim")) {
+    ExpectEveryDopAgrees(catalog, {"flat", "s8"}, make_plan);
+  }
+}
+
+// At dop 1 a sharded scan is one scan over its shard ranges on the query's
+// thread: no exchange, no fragment span. It still reports the pruning.
+TEST(ShardedDifferentialTest, ShardedScanAtDopOneRunsOnTheQueryThread) {
+  ShardedDiffFixture f;
+  AddDimTable(&f.catalog, "dim");
+  for (const auto& make_plan : DopPlans(f.catalog, "dim")) {
+    QueryResult result = f.Run(make_plan("s8"), /*dop=*/1);
+    EXPECT_FALSE(HasNode(result.profile, "Exchange"))
+        << FormatProfile(result.profile);
+    ASSERT_TRUE(result.trace.valid);
+    EXPECT_FALSE(HasSpan(result.trace.root, "fragment:"));
+    EXPECT_EQ(ProfileCounter(result.profile, "shards_total"), 8);
+    EXPECT_EQ(ProfileCounter(result.profile, "shards_pruned"), 0);
+  }
+}
+
 // The acceptance criterion: a partition-key point query on 8 shards
 // prunes 7 of them (visible in EXPLAIN ANALYZE and metrics) and still
 // returns exactly what the unsharded plan returns.
@@ -226,21 +407,25 @@ TEST(ShardedDifferentialTest, PointQueryPrunesSevenOfEightShards) {
     return b.Build();
   };
   QueryResult base = f.Run(make_plan("flat"));
-  QueryResult sharded = f.Run(make_plan("s8"));
-  EXPECT_EQ(Rows(sharded), Rows(base));
-  EXPECT_EQ(ProfileCounter(sharded.profile, "shards_total"), 8);
-  EXPECT_EQ(ProfileCounter(sharded.profile, "shards_pruned"), 7);
-  // The pruning shows up in rendered EXPLAIN ANALYZE output too.
-  std::string text = FormatProfile(sharded.profile);
-  EXPECT_NE(text.find("shards_pruned"), std::string::npos) << text;
+  for (int dop : {1, 4}) {
+    QueryResult sharded = f.Run(make_plan("s8"), dop);
+    EXPECT_EQ(Rows(sharded), Rows(base)) << "dop " << dop;
+    EXPECT_EQ(ProfileCounter(sharded.profile, "shards_total"), 8)
+        << "dop " << dop;
+    EXPECT_EQ(ProfileCounter(sharded.profile, "shards_pruned"), 7)
+        << "dop " << dop;
+    // The pruning shows up in rendered EXPLAIN ANALYZE output too.
+    std::string text = FormatProfile(sharded.profile);
+    EXPECT_NE(text.find("shards_pruned"), std::string::npos) << text;
 
-  // And in the engine-wide metrics.
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  Counter* pruned =
-      registry.GetCounter("vstore_scan_shards_pruned_total", "table", "s8");
-  int64_t before = pruned->Value();
-  (void)f.Run(make_plan("s8"));
-  EXPECT_EQ(pruned->Value() - before, 7);
+    // And in the engine-wide metrics.
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    Counter* pruned =
+        registry.GetCounter("vstore_scan_shards_pruned_total", "table", "s8");
+    int64_t before = pruned->Value();
+    (void)f.Run(make_plan("s8"), dop);
+    EXPECT_EQ(pruned->Value() - before, 7) << "dop " << dop;
+  }
 }
 
 TEST(ShardedDifferentialTest, InListPrunesToListedShardsOnly) {
