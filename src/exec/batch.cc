@@ -90,6 +90,7 @@ Batch::Batch(const Schema& schema, int64_t capacity)
   columns_.reserve(static_cast<size_t>(schema.num_columns()));
   for (const Field& f : schema.fields()) {
     columns_.push_back(std::make_unique<ColumnVector>(f.type, capacity));
+    views_.push_back(columns_.back().get());
   }
   active_.assign(static_cast<size_t>(capacity), 0);
 }
@@ -109,13 +110,16 @@ void Batch::Reset() {
   num_rows_ = 0;
   active_count_ = 0;
   arena_.Reset();
-  for (auto& col : columns_) col->set_dictionary(nullptr);
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    views_[i] = columns_[i].get();
+    views_[i]->set_dictionary(nullptr);
+  }
 }
 
 std::vector<Value> Batch::GetActiveRow(int64_t i) const {
   std::vector<Value> row;
-  row.reserve(columns_.size());
-  for (const auto& col : columns_) row.push_back(col->GetValue(i));
+  row.reserve(views_.size());
+  for (const ColumnVector* col : views_) row.push_back(col->GetValue(i));
   return row;
 }
 

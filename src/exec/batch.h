@@ -26,11 +26,14 @@ constexpr int64_t kDefaultBatchSize = 900;
 //
 // A string vector may also carry a code lane: codes()[i] is row i's code in
 // dictionary(), the column store's shared primary dictionary the strings
-// were decoded from. Only the column-store scan and Project set a lane;
-// Batch::Reset clears it, so dictionary() == nullptr means "no lane".
-// Every row below num_rows() of a laned vector holds its decoded code (the
-// scan decodes a dense window whole and compacts a sparse one); codes of
-// null rows are unspecified.
+// were decoded from. Only the column-store scan sets a lane (Project shows
+// the scan's vector itself); Batch::Reset clears it, so dictionary() ==
+// nullptr means "no lane". Every row below num_rows() of a laned vector
+// holds its decoded code (the scan decodes a dense window whole and
+// compacts a sparse one); codes of null rows are unspecified.
+//
+// A vector is written only by the operator (or ExprFrame) that owns it;
+// batches downstream show it read-only (see Batch).
 class ColumnVector {
  public:
   ColumnVector(DataType type, int64_t capacity);
@@ -102,10 +105,16 @@ class ColumnVector {
   std::vector<uint8_t> validity_;
 };
 
-// A batch of rows in columnar layout with a qualifying-rows mask: filters
-// and joins mark rows inactive rather than compacting the batch (paper
-// §5.1). The column-store scan emits a sparse window compacted, every row
-// active.
+// A batch of rows in columnar layout with a qualifying-rows mask (paper
+// §5.1). Filter, Limit and Project keep the input's width and mask; the
+// column-store scan emits a sparse window compacted, every row active; joins
+// and aggregates emit new, compact batches.
+//
+// Each column is a view: the batch's own vector, or, in Project's output,
+// a vector owned by another operator or an ExprFrame (ShowColumn). The
+// rule every consumer keeps: a batch and the vectors it shows stay valid
+// until the producer's next Next() or Close(), and a consumer may clear
+// active bits but never writes a column.
 class Batch {
  public:
   Batch(const Schema& schema, int64_t capacity);
@@ -121,9 +130,16 @@ class Batch {
     num_rows_ = n;
   }
 
-  ColumnVector& column(int i) { return *columns_[static_cast<size_t>(i)]; }
+  ColumnVector& column(int i) { return *views_[static_cast<size_t>(i)]; }
   const ColumnVector& column(int i) const {
-    return *columns_[static_cast<size_t>(i)];
+    return *views_[static_cast<size_t>(i)];
+  }
+  // Shows `vector` as column i until the next Reset(). Its type must be the
+  // field's, and it must stay valid while the batch is read; the batch
+  // never writes it.
+  void ShowColumn(int i, const ColumnVector& vector) {
+    VSTORE_DCHECK(vector.type() == schema_.field(i).type);
+    views_[static_cast<size_t>(i)] = const_cast<ColumnVector*>(&vector);
   }
 
   // Qualifying-rows mask: active()[i] == 1 when row i is still logically
@@ -142,12 +158,12 @@ class Batch {
   // producing operator when it refills the batch.
   Arena* arena() { return &arena_; }
 
-  // Clears row content and every column's code lane for reuse (does not
-  // shrink allocations).
+  // Clears row content and points every column back at the batch's own
+  // vector, clearing its code lane (does not shrink allocations).
   void Reset();
 
-  // Approximate resident bytes: column storage + active mask + the string
-  // arena. Used by the exchange queue's memory reservation.
+  // Approximate resident bytes: own column storage + active mask + the
+  // string arena. Used by the exchange queue's memory reservation.
   int64_t MemoryBytes() const {
     int64_t total = static_cast<int64_t>(active_.capacity());
     for (const auto& col : columns_) total += col->MemoryBytes();
@@ -163,6 +179,7 @@ class Batch {
   int64_t num_rows_ = 0;
   int64_t active_count_ = 0;
   std::vector<std::unique_ptr<ColumnVector>> columns_;
+  std::vector<ColumnVector*> views_;  // what column(i) shows
   std::vector<uint8_t> active_;
   Arena arena_;
 };

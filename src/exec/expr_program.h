@@ -135,8 +135,10 @@ class ExprFrame {
   // Evaluates every row of `in`, active or not.
   Status Run(const Batch& in);
 
-  // Result vector of the k-th expression after Run(); may alias an input
-  // column of the batch passed to Run(). Valid until the next Run().
+  // Result vector of the k-th expression after Run(): the input batch's
+  // column for a plain column reference, else the frame's own register.
+  // Valid until the next Run() (and while the input batch is); Project
+  // hands these vectors downstream, so nothing else may write them.
   const ColumnVector& result(size_t k) const {
     return *slots_[program_->output_reg(k)];
   }

@@ -1,6 +1,7 @@
 #include "exec/operator.h"
 
 #include <chrono>
+#include <cstring>
 
 #include "common/macros.h"
 #include "common/memory_tracker.h"
@@ -226,30 +227,25 @@ Result<Batch*> ProjectOperator::NextImpl() {
     VSTORE_ASSIGN_OR_RETURN(Batch * batch, input_->Next());
     if (batch == nullptr) return static_cast<Batch*>(nullptr);
     if (batch->active_count() == 0) continue;
-
-    if (output_ == nullptr) {
-      output_ = std::make_unique<Batch>(schema_, ctx_->batch_size);
-    }
-    output_->Reset();
-
-    // Evaluate into full-width vectors, then compact active rows through a
-    // selection vector. A plain column reference's result aliases the
-    // input column, so it keeps its code lane; computed vectors carry none.
-    VSTORE_RETURN_IF_ERROR(frame_->Run(*batch));
     const int64_t n = batch->num_rows();
-    const uint8_t* active = batch->active();
-    sel_.clear();
-    for (int64_t i = 0; i < n; ++i) {
-      if (active[i]) sel_.push_back(static_cast<int32_t>(i));
+    if (output_ == nullptr || output_->capacity() < n) {
+      output_ = std::make_unique<Batch>(schema_, std::max(n, ctx_->batch_size));
     }
-    const int64_t m = static_cast<int64_t>(sel_.size());
+
+    // The output shows each result vector by reference: a plain column
+    // reference's is the input's own vector (code lane included), a
+    // computed or constant expression's the frame's register. It keeps the
+    // input's rows and a copy of its mask, so downstream filters clear
+    // bits in Project's mask, not the input's.
+    VSTORE_RETURN_IF_ERROR(frame_->Run(*batch));
     for (int c = 0; c < schema_.num_columns(); ++c) {
-      output_->column(c).CopySelected(frame_->result(static_cast<size_t>(c)),
-                                      sel_.data(), m);
+      output_->ShowColumn(c, frame_->result(static_cast<size_t>(c)));
     }
-    output_->set_num_rows(m);
-    output_->ActivateAll();
-    if (m > 0) return output_.get();
+    output_->set_num_rows(n);
+    std::memcpy(output_->mutable_active(), batch->active(),
+                static_cast<size_t>(n));
+    output_->set_active_count(batch->active_count());
+    return output_.get();
   }
 }
 

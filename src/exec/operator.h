@@ -79,8 +79,10 @@ inline ExecContext FragmentContext(const ExecContext& parent,
 
 // Pull-based vectorized operator (paper §5: operators consume and produce
 // batches). Protocol: Open() once, then Next() until it yields nullptr,
-// then Close(). The returned batch is owned by the operator and valid until
-// the following Next()/Close().
+// then Close(). The returned batch is owned by the operator; it and the
+// vectors it shows (which may belong to an operator below, see Batch) stay
+// valid until the following Next()/Close(). The consumer may clear active
+// bits of the batch but never writes a column.
 //
 // The protocol entry points are non-virtual: they wrap the *Impl hooks with
 // wall-clock and row accounting that feeds the per-operator profile
@@ -192,9 +194,11 @@ class FilterOperator final : public BatchOperator {
 };
 
 // --- Project ---------------------------------------------------------------
-// Computes expressions over each input batch into a new batch. Compacts
-// active rows (downstream operators after a projection see dense batches).
-// String columns passed through unchanged keep their code lane.
+// Computes expressions over each input batch. The output batch shows the
+// program's result vectors by reference, with the input's width and a copy
+// of its mask: a column passed through unchanged is the input's vector
+// (code lane included), a computed one the ExprFrame's register. Nothing
+// is copied.
 class ProjectOperator final : public BatchOperator {
  public:
   // Compiles all expressions into one program, so CSE spans outputs; a
@@ -223,7 +227,6 @@ class ProjectOperator final : public BatchOperator {
   Status compile_status_;
   std::unique_ptr<ExprFrame> frame_;  // null when compilation failed
   std::unique_ptr<Batch> output_;
-  std::vector<int32_t> sel_;  // active rows of the current input batch
 };
 
 // --- Limit -------------------------------------------------------------------

@@ -398,14 +398,14 @@ Status ColumnSegment::Archive() {
     rle_.lengths_extern_size = 0;
   }
   archived_ = true;
-  resident_ = false;
+  resident_.store(false, std::memory_order_release);
   return Status::OK();
 }
 
 Status ColumnSegment::EnsureResident() const {
-  if (resident_) return Status::OK();
+  if (resident_.load(std::memory_order_acquire)) return Status::OK();
   std::lock_guard<std::mutex> lock(resident_mu_);
-  if (resident_) return Status::OK();
+  if (resident_.load(std::memory_order_relaxed)) return Status::OK();
   if (encoding_ == EncodingKind::kBitPack) {
     VSTORE_RETURN_IF_ERROR(DecompressBlob(
         arch_packed_.compressed, arch_packed_.original_size, &packed_));
@@ -420,13 +420,13 @@ Status ColumnSegment::EnsureResident() const {
       RleCodec::BuildIndex(&rle_);
     }
   }
-  resident_ = true;
+  resident_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
 void ColumnSegment::Evict() const {
   std::lock_guard<std::mutex> lock(resident_mu_);
-  if (!archived_ || !resident_) return;
+  if (!archived_ || !resident_.load(std::memory_order_relaxed)) return;
   if (encoding_ == EncodingKind::kBitPack) {
     packed_.clear();
     packed_.shrink_to_fit();
@@ -436,7 +436,7 @@ void ColumnSegment::Evict() const {
     rle_.lengths.clear();
     rle_.lengths.shrink_to_fit();
   }
-  resident_ = false;
+  resident_.store(false, std::memory_order_release);
 }
 
 std::unique_ptr<ColumnSegment> SegmentBuilder::Build(

@@ -1,6 +1,7 @@
 #ifndef VSTORE_STORAGE_SEGMENT_H_
 #define VSTORE_STORAGE_SEGMENT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -122,7 +123,9 @@ class ColumnSegment {
   // scan pays decompression again — models reading a cold archived segment.
   void Evict() const;
   bool is_archived() const { return archived_; }
-  bool is_resident() const { return resident_; }
+  bool is_resident() const {
+    return resident_.load(std::memory_order_acquire);
+  }
 
  private:
   friend class SegmentBuilder;
@@ -177,9 +180,12 @@ class ColumnSegment {
   std::unique_ptr<StringDictionary> local_dict_;
   int64_t primary_dict_size_ = 0;  // codes below this resolve via primary
 
-  // Archival state.
+  // Archival state. resident_ is written under resident_mu_ and read
+  // without it by EnsureResident's fast path: the release store after the
+  // buffers are filled pairs with that acquire load, so a reader that sees
+  // true also sees the decompressed packed_/rle_.
   bool archived_ = false;
-  mutable bool resident_ = true;
+  mutable std::atomic<bool> resident_{true};
   mutable std::mutex resident_mu_;
   struct Blob {
     std::vector<uint8_t> compressed;

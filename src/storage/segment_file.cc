@@ -592,7 +592,7 @@ Result<SegmentFileReader::Loaded> SegmentFileReader::Load(
           }
           RleCodec::BuildIndex(&seg->rle_);
         }
-        seg->resident_ = true;
+        seg->resident_.store(true, std::memory_order_release);
       } else {
         // Archived: copy the (small) compressed blobs; rehydration
         // re-validates sizes via the LZSS decoder's bounds checks.
@@ -612,7 +612,7 @@ Result<SegmentFileReader::Loaded> SegmentFileReader::Load(
           VSTORE_RETURN_IF_ERROR(load_blob(&seg->arch_rle_values_));
           VSTORE_RETURN_IF_ERROR(load_blob(&seg->arch_rle_lengths_));
         }
-        seg->resident_ = false;
+        seg->resident_.store(false, std::memory_order_release);
       }
       uint8_t has_nulls;
       VSTORE_RETURN_IF_ERROR(meta.GetU8(&has_nulls));

@@ -69,8 +69,8 @@ struct StressFixture {
   }
 };
 
-PlanPtr AggregatePlan(const Catalog& catalog) {
-  PlanBuilder b = PlanBuilder::Scan(catalog, "t");
+PlanPtr AggregatePlan(const Catalog& catalog, const std::string& table = "t") {
+  PlanBuilder b = PlanBuilder::Scan(catalog, table);
   b.Aggregate({}, {{AggFn::kSum, "a", "sum_a"},
                    {AggFn::kSum, "b", "sum_b"},
                    {AggFn::kCountStar, "", "cnt"}});
@@ -235,6 +235,52 @@ TEST(ConcurrentTableStressTest, ScansSeeConsistentSnapshotsUnderChurn) {
   table->RefreshStorageGauges();
   EXPECT_EQ(table->metrics().delta_rows->Value(), table->num_delta_rows());
   EXPECT_EQ(table->metrics().row_groups->Value(), table->num_row_groups());
+}
+
+// An evicted archived segment decompresses on first touch
+// (ColumnSegment::EnsureResident). Scans on several threads that touch it
+// at once race on its residency flag: one fills the buffers under the lock
+// while the others read the flag without it, so a reader that sees the
+// segment resident must also see the filled buffers. Evictions run between
+// rounds, with no reader active, as ColumnStoreTable requires.
+TEST(ConcurrentTableStressTest, ScansRehydrateEvictedArchivedSegments) {
+  constexpr int64_t kRows = 200000;
+  constexpr int kThreads = 4;
+  Schema schema = StressSchema();
+  TableData data(schema);
+  int64_t sum_a = 0;
+  for (int64_t id = 0; id < kRows; ++id) {
+    const std::vector<Value> row = StressRow(id);
+    for (size_t c = 0; c < 3; ++c) data.column(c).AppendValue(row[c]);
+    sum_a += row[1].int64();
+  }
+  Catalog catalog;
+  auto cs = std::make_unique<ColumnStoreTable>("archived", schema,
+                                               ColumnStoreTable::Options());
+  cs->BulkLoad(data).CheckOK();
+  ASSERT_TRUE(cs->Archive().ok());
+  catalog.AddColumnStore(std::move(cs)).CheckOK();
+  const ColumnStoreTable* table = catalog.GetColumnStore("archived");
+  ASSERT_GT(table->Sizes().TotalArchived(), 0);
+  PlanPtr plan = AggregatePlan(catalog, "archived");
+
+  for (int round = 0; round < 5; ++round) {
+    table->EvictAll();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        QueryOptions options;
+        options.mode = ExecutionMode::kBatch;
+        QueryExecutor exec(&catalog, options);
+        QueryResult result = exec.Execute(plan).ValueOrDie();
+        EXPECT_EQ(result.data.column(0).GetInt64(0), sum_a);
+        EXPECT_EQ(result.data.column(1).GetInt64(0),
+                  kInvariant * kRows - sum_a);
+        EXPECT_EQ(result.data.column(2).GetInt64(0), kRows);
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
 }
 
 }  // namespace

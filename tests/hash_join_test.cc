@@ -486,5 +486,92 @@ TEST(HashJoinTest, NaNAndSignedZeroKeysMatchLikeTheRowEngine) {
   }
 }
 
+// The probe side is Filter -> Project over a masked input: the prober reads
+// the Project's views (a computed key in the frame's register, a
+// pass-through string that is the source's vector) while the Filter's mask
+// leaves gaps. Each probe key matches four build rows, so a 64-row output
+// batch fills in the middle of a probe batch and the prober pauses and
+// resumes over the same views. Inner and left outer, in memory and spilled,
+// must equal the row engine.
+TEST(HashJoinTest, ProbesAProjectOverAMaskedInput) {
+  Schema probe_schema({{"pk", DataType::kInt64, false},
+                       {"pv", DataType::kString, true},
+                       {"sel", DataType::kInt64, false}});
+  Schema build_schema({{"bk", DataType::kInt64, false},
+                       {"bv", DataType::kString, false}});
+  Random rng(55);
+  TableData probe(probe_schema);
+  for (int i = 0; i < 2000; ++i) {
+    probe.AppendRow({Value::Int64(rng.Uniform(0, 99)),
+                     i % 7 == 0 ? Value::Null(DataType::kString)
+                                : Value::String("p" + std::to_string(i)),
+                     Value::Int64(rng.Uniform(0, 9))});
+  }
+  TableData build(build_schema);
+  for (int k = 1; k <= 80; ++k) {
+    for (int copy = 0; copy < 4; ++copy) {
+      build.AppendRow({Value::Int64(k), Value::String(
+                                            "b" + std::to_string(k) + "." +
+                                            std::to_string(copy))});
+    }
+  }
+  RowStoreTable probe_table("p", probe_schema);
+  RowStoreTable build_table("b", build_schema);
+  probe_table.Append(probe).CheckOK();
+  build_table.Append(build).CheckOK();
+
+  // Keep about 60% of the rows; the key is pk + 1, so keys 81..100 find no
+  // build row.
+  ExprPtr pred = expr::Lt(expr::Column(probe_schema, "sel"),
+                          expr::Lit(Value::Int64(6)));
+  const std::vector<ExprPtr> exprs = {
+      expr::Add(expr::Column(probe_schema, "pk"), expr::Lit(Value::Int64(1))),
+      expr::Column(probe_schema, "pv"),
+      expr::Mul(expr::Column(probe_schema, "sel"),
+                expr::Lit(Value::Double(0.5)))};
+  const std::vector<std::string> names = {"k", "v", "half"};
+
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+    SCOPED_TRACE(JoinTypeName(type));
+    RowHashJoinOperator row_join(
+        std::make_unique<RowProjectOperator>(
+            std::make_unique<RowFilterOperator>(
+                std::make_unique<RowStoreScanOperator>(&probe_table), pred),
+            exprs, names),
+        std::make_unique<RowStoreScanOperator>(&build_table),
+        {type, {0}, {0}});
+    std::vector<std::vector<Value>> want;
+    row_join.Open().CheckOK();
+    std::vector<Value> row;
+    while (row_join.Next(&row).ValueOrDie()) want.push_back(row);
+    row_join.Close();
+    SortRows(&want);
+    ASSERT_GT(want.size(), 2000u);
+
+    HashJoinOperator::Options options = InnerOn0();
+    options.join_type = type;
+    for (int64_t budget : {int64_t{0}, int64_t{2048}}) {
+      SCOPED_TRACE(budget);
+      ExecContext ctx;
+      ctx.batch_size = 64;
+      ctx.operator_memory_budget = budget;
+      auto probe_op = std::make_unique<ProjectOperator>(
+          std::make_unique<FilterOperator>(
+              std::make_unique<TableSourceOperator>(&probe, &ctx), pred,
+              &ctx),
+          exprs, names, &ctx);
+      HashJoinOperator join(std::move(probe_op),
+                            std::make_unique<TableSourceOperator>(&build, &ctx),
+                            options, &ctx);
+      auto got = DrainOperator(&join);
+      SortRows(&got);
+      ExpectBitIdentical(got, want);
+      if (budget > 0) {
+        EXPECT_GT(ctx.stats.build_rows_spilled, 0);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vstore

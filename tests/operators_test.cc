@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "exec/exchange.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
@@ -84,7 +86,35 @@ TEST(FilterOperatorTest, EmptyResultReturnsEos) {
   EXPECT_TRUE(DrainOperator(&filter).empty());
 }
 
-TEST(ProjectOperatorTest, ComputesExpressionsAndCompacts) {
+// Passes its input's batches through and remembers the last one, so a test
+// can compare an operator's output with the batch it was computed from.
+class TapOperator final : public BatchOperator {
+ public:
+  explicit TapOperator(BatchOperatorPtr input) : input_(std::move(input)) {}
+
+  const Schema& output_schema() const override {
+    return input_->output_schema();
+  }
+  std::string name() const override { return "Tap"; }
+  const Batch* last() const { return last_; }
+
+ protected:
+  Status OpenImpl() override { return input_->Open(); }
+  Result<Batch*> NextImpl() override {
+    VSTORE_ASSIGN_OR_RETURN(last_, input_->Next());
+    return last_;
+  }
+  void CloseImpl() override { input_->Close(); }
+
+ private:
+  BatchOperatorPtr input_;
+  Batch* last_ = nullptr;
+};
+
+// Project does not compact: its output keeps the Filter's width and mask,
+// shows the input's own vector for a column reference and the frame's
+// register for a computed column.
+TEST(ProjectOperatorTest, ComputesExpressionsOverActiveRows) {
   TableData data = MakeTestTable(50);
   ExecContext ctx;
   auto source = std::make_unique<TableSourceOperator>(&data, &ctx);
@@ -92,19 +122,61 @@ TEST(ProjectOperatorTest, ComputesExpressionsAndCompacts) {
                           expr::Lit(Value::Int64(10)));
   auto filter =
       std::make_unique<FilterOperator>(std::move(source), pred, &ctx);
+  auto tap = std::make_unique<TapOperator>(std::move(filter));
+  const TapOperator* filtered = tap.get();
   ExprPtr doubled = expr::Mul(expr::Column(data.schema(), "id"),
                               expr::Lit(Value::Int64(2)));
-  ProjectOperator project(std::move(filter), {doubled}, {"id2"}, &ctx);
+  ProjectOperator project(std::move(tap),
+                          {doubled, expr::Column(data.schema(), "id")},
+                          {"id2", "id"}, &ctx);
   EXPECT_EQ(project.output_schema().field(0).name, "id2");
-  auto rows = DrainOperator(&project);
+
+  project.Open().CheckOK();
+  std::vector<std::vector<Value>> rows;
+  for (;;) {
+    Batch* batch = project.Next().ValueOrDie();
+    if (batch == nullptr) break;
+    const Batch& in = *filtered->last();
+    ASSERT_EQ(batch->num_rows(), in.num_rows());
+    ASSERT_EQ(batch->active_count(), in.active_count());
+    EXPECT_GT(batch->num_rows(), batch->active_count());
+    EXPECT_EQ(std::memcmp(batch->active(), in.active(),
+                          static_cast<size_t>(in.num_rows())),
+              0);
+    EXPECT_EQ(batch->column(1).ints(), in.column(0).ints());
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      if (!batch->active()[i]) continue;
+      Value want;
+      ASSERT_TRUE(doubled->EvalRow(in.GetActiveRow(i), &want).ok());
+      EXPECT_EQ(batch->column(0).GetValue(i), want) << i;
+      rows.push_back(batch->GetActiveRow(i));
+    }
+  }
+  project.Close();
   ASSERT_EQ(rows.size(), 10u);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i][0].int64() % 2, 0);
   }
+
+  // A Limit above the Project clears bits in Project's copy of the mask
+  // and cuts exactly.
+  LimitOperator limit(
+      std::make_unique<ProjectOperator>(
+          std::make_unique<FilterOperator>(
+              std::make_unique<TableSourceOperator>(&data, &ctx), pred, &ctx),
+          std::vector<ExprPtr>{doubled}, std::vector<std::string>{"id2"},
+          &ctx),
+      7, &ctx);
+  auto limited = DrainOperator(&limit);
+  ASSERT_EQ(limited.size(), 7u);
+  for (size_t i = 0; i < limited.size(); ++i) {
+    EXPECT_EQ(limited[i][0], Value::Int64(2 * static_cast<int64_t>(i)));
+  }
 }
 
-// A string column passed through unchanged keeps the scan's code lane,
-// compacted with its rows; a computed string column carries none.
+// A string column passed through unchanged is the scan's own vector, so
+// it keeps the code lane; a constant string column carries none. Only
+// active rows count: Project keeps the Filter's mask.
 TEST(ProjectOperatorTest, PassThroughStringKeepsCodeLane) {
   TableData data = MakeTestTable(3000);
   ColumnStoreTable::Options options;
@@ -132,6 +204,7 @@ TEST(ProjectOperatorTest, PassThroughStringKeepsCodeLane) {
     ASSERT_NE(name.dictionary(), nullptr);
     EXPECT_EQ(batch->column(2).dictionary(), nullptr);
     for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      if (!batch->active()[i]) continue;
       const int64_t id = batch->column(1).ints()[i];
       EXPECT_EQ(name.strings()[i], data.column(2).GetString(id));
       EXPECT_EQ(name.dictionary()->Get(static_cast<int64_t>(name.codes()[i])),
