@@ -34,6 +34,20 @@ inline void SetBitTo(uint8_t* bits, int64_t i, bool value) {
   }
 }
 
+// Expands the low 8 bits of `bits` into 8 bytes of 0 or 1 (byte i = bit i)
+// written with a single unaligned store. spread puts bit i at bit position
+// i of byte i; the byte-wise add of 0x7f moves any set bit into the byte's
+// sign position (no cross-byte carry: max byte value is 0x80 + 0x7f =
+// 0xff), and the final shift+mask normalizes each byte to 0/1.
+inline void BitsToBytes(unsigned bits, uint8_t* out) {
+  uint64_t spread =
+      (static_cast<uint64_t>(bits & 0xff) * 0x0101010101010101ULL) &
+      0x8040201008040201ULL;
+  uint64_t bytes =
+      ((spread + 0x7f7f7f7f7f7f7f7fULL) >> 7) & 0x0101010101010101ULL;
+  std::memcpy(out, &bytes, sizeof(bytes));
+}
+
 // Number of bytes needed to store a bitmap of `bits` bits.
 inline int64_t BytesForBits(int64_t bits) { return CeilDiv(bits, 8); }
 

@@ -1,6 +1,7 @@
 #include "exec/batch.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace vstore {
 
@@ -95,18 +96,34 @@ Batch::Batch(const Schema& schema, int64_t capacity)
   active_.assign(static_cast<size_t>(capacity), 0);
 }
 
+Batch::Batch(const Schema& schema, int64_t capacity, ViewsOnly)
+    : schema_(schema),
+      capacity_(capacity),
+      views_(static_cast<size_t>(schema.num_columns()), nullptr),
+      active_(static_cast<size_t>(capacity), 0) {}
+
 void Batch::ActivateAll() {
   std::fill(active_.begin(), active_.begin() + num_rows_, uint8_t{1});
   active_count_ = num_rows_;
 }
 
 void Batch::RecountActive() {
-  int64_t count = 0;
-  for (int64_t i = 0; i < num_rows_; ++i) count += active_[static_cast<size_t>(i)];
-  active_count_ = count;
+  // Mask bytes are 0 or 1, so multiplying 8 of them by 0x0101..01 sums
+  // them into the top byte.
+  const uint8_t* active = active_.data();
+  uint64_t count = 0;
+  int64_t i = 0;
+  for (; i + 8 <= num_rows_; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, active + i, sizeof(word));
+    count += (word * 0x0101010101010101ULL) >> 56;
+  }
+  for (; i < num_rows_; ++i) count += active[i];
+  active_count_ = static_cast<int64_t>(count);
 }
 
 void Batch::Reset() {
+  VSTORE_DCHECK(columns_.size() == views_.size());  // not a views-only batch
   num_rows_ = 0;
   active_count_ = 0;
   arena_.Reset();
@@ -119,7 +136,9 @@ void Batch::Reset() {
 std::vector<Value> Batch::GetActiveRow(int64_t i) const {
   std::vector<Value> row;
   row.reserve(views_.size());
-  for (const ColumnVector* col : views_) row.push_back(col->GetValue(i));
+  for (int c = 0; c < num_columns(); ++c) {
+    row.push_back(column(c).GetValue(i));
+  }
   return row;
 }
 

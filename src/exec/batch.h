@@ -118,11 +118,16 @@ class ColumnVector {
 class Batch {
  public:
   Batch(const Schema& schema, int64_t capacity);
+  // A batch of views only: it allocates its mask and no column vectors, so
+  // each column must be shown (ShowColumn) before it is read, and the batch
+  // is never Reset(). Project's output is one.
+  struct ViewsOnly {};
+  Batch(const Schema& schema, int64_t capacity, ViewsOnly);
   VSTORE_DISALLOW_COPY_AND_ASSIGN(Batch);
 
   const Schema& schema() const { return schema_; }
   int64_t capacity() const { return capacity_; }
-  int num_columns() const { return static_cast<int>(columns_.size()); }
+  int num_columns() const { return static_cast<int>(views_.size()); }
 
   int64_t num_rows() const { return num_rows_; }
   void set_num_rows(int64_t n) {
@@ -130,8 +135,12 @@ class Batch {
     num_rows_ = n;
   }
 
-  ColumnVector& column(int i) { return *views_[static_cast<size_t>(i)]; }
+  ColumnVector& column(int i) {
+    VSTORE_DCHECK(views_[static_cast<size_t>(i)] != nullptr);
+    return *views_[static_cast<size_t>(i)];
+  }
   const ColumnVector& column(int i) const {
+    VSTORE_DCHECK(views_[static_cast<size_t>(i)] != nullptr);
     return *views_[static_cast<size_t>(i)];
   }
   // Shows `vector` as column i until the next Reset(). Its type must be the
@@ -179,7 +188,7 @@ class Batch {
   int64_t num_rows_ = 0;
   int64_t active_count_ = 0;
   std::vector<std::unique_ptr<ColumnVector>> columns_;
-  std::vector<ColumnVector*> views_;  // what column(i) shows
+  std::vector<ColumnVector*> views_;  // what column(i) shows; null: unset
   std::vector<uint8_t> active_;
   Arena arena_;
 };

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
+#include "common/bit_util.h"
 #include "common/hash.h"
 #include "common/int_arith.h"
 #include "common/metrics.h"
@@ -182,6 +184,20 @@ void CmpF64ConstMaskScalar(CompareOp op, const double* a, double b, int64_t n,
     case CompareOp::kGe:
       for (int64_t i = 0; i < n; ++i) verdict[i] = !(a[i] < b);
       break;
+  }
+}
+
+// lo <= code < hi is code - lo < hi - lo in unsigned arithmetic: a code
+// below lo wraps above every width. An inverted range is empty.
+uint64_t RangeWidth(uint64_t lo, uint64_t hi) { return hi > lo ? hi - lo : 0; }
+
+void AndCodeRangeScalar(const uint64_t* codes, const uint8_t* valid,
+                        uint64_t lo, uint64_t hi, bool negate, int64_t n,
+                        uint8_t* active) {
+  const uint64_t width = RangeWidth(lo, hi);
+  const uint8_t flip = negate ? 1 : 0;
+  for (int64_t i = 0; i < n; ++i) {
+    active[i] &= valid[i] & (uint8_t{codes[i] - lo < width} ^ flip);
   }
 }
 
@@ -370,20 +386,6 @@ __attribute__((target("avx2"))) void BoolNotAvx2(const int64_t* a, int64_t n,
   if (i < n) BoolNotScalar(a + i, n - i, res + i);
 }
 
-// Expands the low 8 bits of `m` into 8 verdict bytes (0 or 1) written with a
-// single unaligned store. spread puts bit i of m at bit position i of byte i;
-// the byte-wise add of 0x7f moves any set bit into the byte's sign position
-// (no cross-byte carry: max byte value is 0x80 + 0x7f = 0xff), and the final
-// shift+mask normalizes each byte to 0/1.
-inline void ExpandMask8(unsigned m, uint8_t* out) {
-  uint64_t spread =
-      (static_cast<uint64_t>(m) * 0x0101010101010101ULL) &
-      0x8040201008040201ULL;
-  uint64_t bytes =
-      ((spread + 0x7f7f7f7f7f7f7f7fULL) >> 7) & 0x0101010101010101ULL;
-  std::memcpy(out, &bytes, sizeof(bytes));
-}
-
 __attribute__((target("avx2"))) void CmpI64ConstMaskAvx2(CompareOp op,
                                                          const int64_t* a,
                                                          int64_t b, int64_t n,
@@ -401,7 +403,7 @@ __attribute__((target("avx2"))) void CmpI64ConstMaskAvx2(CompareOp op,
         (static_cast<unsigned>(_mm256_movemask_pd(
              _mm256_castsi256_pd(CmpMaskI64(op, hi, vb))))
          << 4);
-    ExpandMask8(m, verdict + i);
+    bit_util::BitsToBytes(m, verdict + i);
   }
   if (i < n) CmpI64ConstMaskScalar(op, a + i, b, n - i, verdict + i);
 }
@@ -419,9 +421,51 @@ __attribute__((target("avx2"))) void CmpF64ConstMaskAvx2(CompareOp op,
         (static_cast<unsigned>(_mm256_movemask_pd(
              CmpMaskF64(op, _mm256_loadu_pd(a + i + 4), vb)))
          << 4);
-    ExpandMask8(m, verdict + i);
+    bit_util::BitsToBytes(m, verdict + i);
   }
   if (i < n) CmpF64ConstMaskScalar(op, a + i, b, n - i, verdict + i);
+}
+
+// Bit k set when lane k of codes[0, 4) passes: AVX2 compares 64-bit lanes
+// signed only, so flipping the sign bit of both sides (sign, and the
+// flipped width) turns the unsigned test code - lo < width into a signed
+// one.
+__attribute__((target("avx2"))) inline unsigned InRange4(
+    const uint64_t* codes, __m256i lo, __m256i flipped_width, __m256i sign) {
+  __m256i x = _mm256_xor_si256(
+      _mm256_sub_epi64(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes)), lo),
+      sign);
+  return static_cast<unsigned>(_mm256_movemask_pd(
+      _mm256_castsi256_pd(_mm256_cmpgt_epi64(flipped_width, x))));
+}
+
+__attribute__((target("avx2"))) void AndCodeRangeAvx2(
+    const uint64_t* codes, const uint8_t* valid, uint64_t lo, uint64_t hi,
+    bool negate, int64_t n, uint8_t* active) {
+  const __m256i sign =
+      _mm256_set1_epi64x(std::numeric_limits<int64_t>::min());
+  const __m256i vlo = _mm256_set1_epi64x(static_cast<int64_t>(lo));
+  const __m256i vwidth = _mm256_xor_si256(
+      _mm256_set1_epi64x(static_cast<int64_t>(RangeWidth(lo, hi))), sign);
+  const unsigned flip = negate ? 0xffu : 0u;
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const unsigned m = InRange4(codes + i, vlo, vwidth, sign) |
+                       InRange4(codes + i + 4, vlo, vwidth, sign) << 4;
+    uint8_t verdict[8];
+    bit_util::BitsToBytes(m ^ flip, verdict);
+    uint64_t act, val, ver;
+    std::memcpy(&act, active + i, sizeof(act));
+    std::memcpy(&val, valid + i, sizeof(val));
+    std::memcpy(&ver, verdict, sizeof(ver));
+    act &= val & ver;
+    std::memcpy(active + i, &act, sizeof(act));
+  }
+  if (i < n) {
+    AndCodeRangeScalar(codes + i, valid + i, lo, hi, negate, n - i,
+                       active + i);
+  }
 }
 
 __attribute__((target("avx2"))) void HashCombineColumnAvx2(
@@ -588,6 +632,19 @@ void CmpF64ConstMask(CompareOp op, const double* a, double b, int64_t n,
   DispatchLevel();
 #endif
   CmpF64ConstMaskScalar(op, a, b, n, verdict);
+}
+
+void AndCodeRange(const uint64_t* codes, const uint8_t* valid, uint64_t lo,
+                  uint64_t hi, bool negate, int64_t n, uint8_t* active) {
+#ifdef VSTORE_KERNELS_X86
+  if (DispatchLevel() == simd::Level::kAVX2) {
+    AndCodeRangeAvx2(codes, valid, lo, hi, negate, n, active);
+    return;
+  }
+#else
+  DispatchLevel();
+#endif
+  AndCodeRangeScalar(codes, valid, lo, hi, negate, n, active);
 }
 
 void HashCombineColumn(const uint64_t* bits, const uint8_t* valid,

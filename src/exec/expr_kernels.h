@@ -54,6 +54,12 @@ void CmpI64ConstMask(CompareOp op, const int64_t* a, int64_t b, int64_t n,
 void CmpF64ConstMask(CompareOp op, const double* a, double b, int64_t n,
                      uint8_t* verdict);
 
+// The scan's compare on a segment's unpacked codes, for a pushed predicate
+// mapped to a code range (ColumnSegment::PredicateCodeRange):
+// active[i] &= valid[i] & ((lo <= codes[i] && codes[i] < hi) != negate).
+void AndCodeRange(const uint64_t* codes, const uint8_t* valid, uint64_t lo,
+                  uint64_t hi, bool negate, int64_t n, uint8_t* active);
+
 // Hash kernel for join/agg key hashing: folds one key column into the
 // running row hashes, out[i] = HashCombine(out[i], valid[i] ?
 // HashInt64(bits[i]) : null_tag). Doubles hash their raw bit pattern, so

@@ -229,7 +229,8 @@ Result<Batch*> ProjectOperator::NextImpl() {
     if (batch->active_count() == 0) continue;
     const int64_t n = batch->num_rows();
     if (output_ == nullptr || output_->capacity() < n) {
-      output_ = std::make_unique<Batch>(schema_, std::max(n, ctx_->batch_size));
+      output_ = std::make_unique<Batch>(
+          schema_, std::max(n, ctx_->batch_size), Batch::ViewsOnly{});
     }
 
     // The output shows each result vector by reference: a plain column

@@ -57,6 +57,20 @@ const StringDictionary* LaneDictionary(const ColumnSegment& seg) {
                                            : nullptr;
 }
 
+// The 8-byte buffer a column's codes are unpacked into: a string vector's
+// code lane, else its value array, where they are then widened in place.
+uint64_t* CodeBuffer(ColumnVector* cv) {
+  switch (cv->physical_type()) {
+    case PhysicalType::kInt64:
+      return reinterpret_cast<uint64_t*>(cv->mutable_ints());
+    case PhysicalType::kDouble:
+      return reinterpret_cast<uint64_t*>(cv->mutable_doubles());
+    case PhysicalType::kString:
+      return cv->mutable_codes();
+  }
+  return nullptr;
+}
+
 uint64_t HashValue(const Value& v) {
   switch (PhysicalTypeOf(v.type())) {
     case PhysicalType::kInt64:
@@ -103,8 +117,14 @@ ColumnStoreScanOperator::ColumnStoreScanOperator(const ColumnStoreTable* table,
     bloom_decode_slot_.push_back(slot_for(spec.column));
   }
   early_slot_.assign(decode_columns_.size(), false);
+  bloom_slot_.assign(decode_columns_.size(), false);
   for (int s : pred_decode_slot_) early_slot_[static_cast<size_t>(s)] = true;
-  for (int s : bloom_decode_slot_) early_slot_[static_cast<size_t>(s)] = true;
+  for (int s : bloom_decode_slot_) {
+    early_slot_[static_cast<size_t>(s)] = true;
+    bloom_slot_[static_cast<size_t>(s)] = true;
+  }
+  slot_mode_.assign(decode_columns_.size(), SlotMode::kDecoded);
+  slot_ranges_.resize(decode_columns_.size());
 }
 
 Status ColumnStoreScanOperator::OpenImpl() {
@@ -199,11 +219,52 @@ bool ColumnStoreScanOperator::AdvanceGroup() {
     }
     ++ctx_->stats.row_groups_scanned;
     ++groups_scanned_;
+    PlanGroup(rg);
     offset_ = 0;
     in_group_ = true;
     return true;
   }
   return false;
+}
+
+void ColumnStoreScanOperator::PlanGroup(const RowGroup& rg) {
+  for (size_t s = 0; s < decode_columns_.size(); ++s) {
+    slot_mode_[s] = SlotMode::kDecoded;
+    std::vector<CodeRange>& ranges = slot_ranges_[s];
+    ranges.clear();
+    // A Bloom filter hashes values, so its column is decoded anyway.
+    if (!early_slot_[s] || bloom_slot_[s]) continue;
+    const ColumnSegment& seg = rg.column(decode_columns_[s]);
+    if (decode_to_output_[s] < 0 && seg.encoding() == EncodingKind::kRle) {
+      slot_mode_[s] = SlotMode::kRuns;
+      continue;
+    }
+    CodeRange both{0, ~uint64_t{0}, false};
+    bool any_positive = false;
+    bool exact = true;
+    for (size_t p = 0; p < options_.predicates.size(); ++p) {
+      if (pred_decode_slot_[p] != static_cast<int>(s)) continue;
+      CodeRange range;
+      if (!seg.PredicateCodeRange(options_.predicates[p].op,
+                                  options_.predicates[p].value, &range)) {
+        exact = false;
+        break;
+      }
+      if (range.negate) {
+        ranges.push_back(range);
+      } else {
+        both.lo = std::max(both.lo, range.lo);
+        both.hi = std::min(both.hi, range.hi);
+        any_positive = true;
+      }
+    }
+    if (!exact) {
+      ranges.clear();
+      continue;
+    }
+    if (any_positive) ranges.push_back(both);
+    slot_mode_[s] = SlotMode::kCodes;
+  }
 }
 
 void ColumnStoreScanOperator::ApplyPredicate(const ScanPredicate& pred,
@@ -261,52 +322,6 @@ void ColumnStoreScanOperator::ApplyPredicate(const ScanPredicate& pred,
   }
 }
 
-bool ColumnStoreScanOperator::SlotUsesCodeEval(size_t slot) const {
-  // Only worthwhile when the column is not projected (strings would need
-  // materializing anyway) and not consumed by a bitmap filter (which
-  // hashes raw values).
-  if (decode_to_output_[slot] >= 0) return false;
-  if (table_->schema().field(decode_columns_[slot]).type !=
-      DataType::kString) {
-    return false;
-  }
-  for (int s : bloom_decode_slot_) {
-    if (s == static_cast<int>(slot)) return false;
-  }
-  // Every predicate on this slot must be an equality form.
-  for (size_t p = 0; p < options_.predicates.size(); ++p) {
-    if (pred_decode_slot_[p] != static_cast<int>(slot)) continue;
-    CompareOp op = options_.predicates[p].op;
-    if (op != CompareOp::kEq && op != CompareOp::kNe) return false;
-  }
-  return true;
-}
-
-void ColumnStoreScanOperator::ApplyCodePredicate(
-    const ScanPredicate& pred, const uint64_t* codes, const uint8_t* validity,
-    bool target_valid, uint64_t target_code, Batch* batch) const {
-  const int64_t n = batch->num_rows();
-  uint8_t* active = batch->mutable_active();
-  if (pred.op == CompareOp::kEq) {
-    if (!target_valid) {
-      // Value not in this segment's dictionaries: nothing matches.
-      std::fill(active, active + n, uint8_t{0});
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      active[i] &= validity[i] & (codes[i] == target_code ? 1 : 0);
-    }
-  } else {  // kNe
-    if (!target_valid) {
-      for (int64_t i = 0; i < n; ++i) active[i] &= validity[i];
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      active[i] &= validity[i] & (codes[i] != target_code ? 1 : 0);
-    }
-  }
-}
-
 void ColumnStoreScanOperator::ApplyBloom(const BloomFilterSpec& spec,
                                          const ColumnVector& cv,
                                          Batch* batch) const {
@@ -333,14 +348,13 @@ Status ColumnStoreScanOperator::FillFromGroup() {
   output_->set_num_rows(n);
 
   // Liveness from the delete bitmap seeds the active mask.
-  const DeleteBitmap& dm = snapshot_->delete_bitmap(group_);
-  dm.DecodeLiveness(offset_, n, output_->mutable_active());
+  uint8_t* active = output_->mutable_active();
+  snapshot_->delete_bitmap(group_).DecodeLiveness(offset_, n, active);
 
   if (options_.sample_fraction < 1.0) {
     // Deterministic Bernoulli sample keyed by (group, row).
     const uint64_t threshold = static_cast<uint64_t>(
         options_.sample_fraction * 18446744073709551615.0);
-    uint8_t* active = output_->mutable_active();
     for (int64_t i = 0; i < n; ++i) {
       uint64_t h = HashInt64((static_cast<uint64_t>(group_) << 40) ^
                              static_cast<uint64_t>(offset_ + i) ^
@@ -349,95 +363,82 @@ Status ColumnStoreScanOperator::FillFromGroup() {
     }
   }
 
-  // Phase 1: decode the columns predicates and bitmap filters need, apply
-  // them, and only then materialize the remaining projected columns for
-  // surviving rows (lazy materialization — the same trick that makes the
-  // paper's pushed bitmap filters pay off in the scan).
+  // Phase 1: decide the predicates and bitmap filters, and only then
+  // materialize the remaining projected columns for surviving rows (lazy
+  // materialization — the same trick that makes the paper's pushed bitmap
+  // filters pay off in the scan). A column decided on its codes is
+  // unpacked here and widened in phase 2 like a late column.
   auto slot_dst = [&](size_t s) {
     return decode_to_output_[s] >= 0 ? &output_->column(decode_to_output_[s])
                                      : scratch_[s].get();
   };
-  auto full_decode = [&](size_t s) {
+  auto unpack = [&](size_t s) {
+    const ColumnSegment& seg = rg.column(decode_columns_[s]);
+    ColumnVector* dst = slot_dst(s);
+    seg.DecodeCodes(offset_, n, CodeBuffer(dst));
+    seg.DecodeValidity(offset_, n, dst->mutable_validity());
+  };
+  auto widen = [&](size_t s) {
     const ColumnSegment& seg = rg.column(decode_columns_[s]);
     ColumnVector* dst = slot_dst(s);
     switch (PhysicalTypeOf(seg.type())) {
       case PhysicalType::kInt64:
-        seg.DecodeInt64(offset_, n, dst->mutable_ints());
+        seg.WidenInt64(n, dst->mutable_ints());
         break;
       case PhysicalType::kDouble:
-        seg.DecodeDouble(offset_, n, dst->mutable_doubles());
+        seg.WidenDouble(n, dst->mutable_doubles());
         break;
-      case PhysicalType::kString: {
-        // Codes land in the vector's code lane and the strings are mapped
-        // from there; the lane is published when the codes are primary.
-        uint64_t* codes = dst->mutable_codes();
-        seg.DecodeCodes(offset_, n, codes);
-        seg.CodesToStrings(codes, n, dst->mutable_strings());
+      case PhysicalType::kString:
+        // Strings are mapped from the code lane; the lane is published
+        // when the codes are primary.
+        seg.CodesToStrings(dst->codes(), n, dst->mutable_strings());
         dst->set_dictionary(LaneDictionary(seg));
         break;
-      }
     }
-    seg.DecodeValidity(offset_, n, dst->mutable_validity());
   };
 
-  output_->RecountActive();
-  code_evaluated_.assign(decode_columns_.size(), false);
-  auto is_bloom_slot = [&](size_t s) {
-    for (int b : bloom_decode_slot_) {
-      if (b == static_cast<int>(s)) return true;
-    }
-    return false;
-  };
   for (size_t s = 0; s < decode_columns_.size(); ++s) {
     if (!early_slot_[s]) continue;
-    if (SlotUsesCodeEval(s)) {
-      // Equality predicates on non-projected string columns run directly
-      // on dictionary codes; the strings are never materialized.
-      const ColumnSegment& seg = rg.column(decode_columns_[s]);
-      code_scratch_.resize(static_cast<size_t>(n));
-      validity_scratch_.resize(static_cast<size_t>(n));
-      seg.DecodeCodes(offset_, n, code_scratch_.data());
-      seg.DecodeValidity(offset_, n, validity_scratch_.data());
-      for (size_t p = 0; p < options_.predicates.size(); ++p) {
-        if (pred_decode_slot_[p] != static_cast<int>(s)) continue;
-        uint64_t target = 0;
-        bool ok = seg.ValueToCode(options_.predicates[p].value, &target);
-        ApplyCodePredicate(options_.predicates[p], code_scratch_.data(),
-                           validity_scratch_.data(), ok, target,
-                           output_.get());
-      }
-      code_evaluated_[s] = true;
-      continue;
-    }
-    // Predicate-only RLE slots: decide each predicate once per run and fan
-    // the verdict over the run's row span — O(runs), never decoding the
-    // run bodies into row-at-a-time values.
-    const ColumnSegment& seg = rg.column(decode_columns_[s]);
-    if (decode_to_output_[s] < 0 && !is_bloom_slot(s) &&
-        seg.encoding() == EncodingKind::kRle) {
-      validity_scratch_.resize(static_cast<size_t>(n));
-      verdict_scratch_.resize(static_cast<size_t>(n));
-      seg.DecodeValidity(offset_, n, validity_scratch_.data());
-      uint8_t* active = output_->mutable_active();
-      for (size_t p = 0; p < options_.predicates.size(); ++p) {
-        if (pred_decode_slot_[p] != static_cast<int>(s)) continue;
-        seg.EvalPredicateOnRuns(options_.predicates[p].op,
-                                options_.predicates[p].value, offset_, n,
-                                verdict_scratch_.data());
-        for (int64_t i = 0; i < n; ++i) {
-          active[i] &= validity_scratch_[i] & verdict_scratch_[i];
+    switch (slot_mode_[s]) {
+      case SlotMode::kDecoded:
+        unpack(s);
+        widen(s);
+        break;
+      case SlotMode::kCodes: {
+        unpack(s);
+        ColumnVector* dst = slot_dst(s);
+        const uint64_t* codes = CodeBuffer(dst);
+        for (const CodeRange& r : slot_ranges_[s]) {
+          kernels::AndCodeRange(codes, dst->validity(), r.lo, r.hi, r.negate,
+                                n, active);
         }
+        break;
       }
-      code_evaluated_[s] = true;
-      continue;
+      case SlotMode::kRuns: {
+        // Each predicate is decided once per run and its verdict fanned
+        // over the run's rows: O(runs), never decoding the run bodies.
+        const ColumnSegment& seg = rg.column(decode_columns_[s]);
+        validity_scratch_.resize(static_cast<size_t>(n));
+        verdict_scratch_.resize(static_cast<size_t>(n));
+        seg.DecodeValidity(offset_, n, validity_scratch_.data());
+        for (size_t p = 0; p < options_.predicates.size(); ++p) {
+          if (pred_decode_slot_[p] != static_cast<int>(s)) continue;
+          seg.EvalPredicateOnRuns(options_.predicates[p].op,
+                                  options_.predicates[p].value, offset_, n,
+                                  verdict_scratch_.data());
+          for (int64_t i = 0; i < n; ++i) {
+            active[i] &= validity_scratch_[i] & verdict_scratch_[i];
+          }
+        }
+        break;
+      }
     }
-    full_decode(s);
   }
 
-  // Remaining predicates, then bitmap filters, on the decoded slots.
+  // Predicates on decoded columns, then bitmap filters.
   for (size_t p = 0; p < options_.predicates.size(); ++p) {
     size_t slot = static_cast<size_t>(pred_decode_slot_[p]);
-    if (code_evaluated_[slot]) continue;
+    if (slot_mode_[slot] != SlotMode::kDecoded) continue;
     ApplyPredicate(options_.predicates[p], *slot_dst(slot), output_.get());
   }
   for (size_t b = 0; b < options_.bloom_filters.size(); ++b) {
@@ -448,19 +449,25 @@ Status ColumnStoreScanOperator::FillFromGroup() {
   output_->RecountActive();
 
   // Phase 2: remaining projected columns.
-  const int64_t active = output_->active_count();
-  if (active == n || active > n - n / 4) {
+  const int64_t survivors = output_->active_count();
+  if (survivors == n || survivors > n - n / 4) {
     // Dense window: bulk decode is cheaper than gathering; the batch keeps
     // its width and its mask.
     for (size_t s = 0; s < decode_columns_.size(); ++s) {
-      if (!early_slot_[s]) full_decode(s);
+      if (!early_slot_[s]) {
+        unpack(s);
+        widen(s);
+      } else if (slot_mode_[s] == SlotMode::kCodes &&
+                 decode_to_output_[s] >= 0) {
+        widen(s);
+      }
     }
-  } else if (active > 0) {
+  } else if (survivors > 0) {
     // Sparse window: emit a compact batch of the survivors, so operators
-    // above work per surviving row. Late columns are gathered straight
-    // into rows [0, active); early projected columns (predicate or Bloom
-    // columns that are also output) are packed forward through the same
-    // selection.
+    // above work per surviving row. Late columns and those decided on
+    // codes are gathered straight into rows [0, survivors); decoded early
+    // projected columns (predicate or Bloom columns that are also output)
+    // are packed forward through the same selection.
     rows_.clear();
     sel_.clear();
     const uint8_t* mask = output_->active();
@@ -473,29 +480,29 @@ Status ColumnStoreScanOperator::FillFromGroup() {
     for (size_t s = 0; s < decode_columns_.size(); ++s) {
       if (decode_to_output_[s] < 0) continue;
       ColumnVector* dst = &output_->column(decode_to_output_[s]);
-      if (early_slot_[s]) {
-        dst->CopySelected(*dst, sel_.data(), active);
+      if (early_slot_[s] && slot_mode_[s] == SlotMode::kDecoded) {
+        dst->CopySelected(*dst, sel_.data(), survivors);
         continue;
       }
       const ColumnSegment& seg = rg.column(decode_columns_[s]);
       switch (PhysicalTypeOf(seg.type())) {
         case PhysicalType::kInt64:
-          seg.GatherInt64(rows_.data(), active, dst->mutable_ints());
+          seg.GatherInt64(rows_.data(), survivors, dst->mutable_ints());
           break;
         case PhysicalType::kDouble:
-          seg.GatherDouble(rows_.data(), active, dst->mutable_doubles());
+          seg.GatherDouble(rows_.data(), survivors, dst->mutable_doubles());
           break;
         case PhysicalType::kString: {
           uint64_t* codes = dst->mutable_codes();
-          seg.GatherCodes(rows_.data(), active, codes);
-          seg.CodesToStrings(codes, active, dst->mutable_strings());
+          seg.GatherCodes(rows_.data(), survivors, codes);
+          seg.CodesToStrings(codes, survivors, dst->mutable_strings());
           dst->set_dictionary(LaneDictionary(seg));
           break;
         }
       }
-      seg.GatherValidity(rows_.data(), active, dst->mutable_validity());
+      seg.GatherValidity(rows_.data(), survivors, dst->mutable_validity());
     }
-    output_->set_num_rows(active);
+    output_->set_num_rows(survivors);
     output_->ActivateAll();
   }
 

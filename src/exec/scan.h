@@ -97,6 +97,9 @@ class ColumnStoreScanOperator final : public BatchOperator {
   // Advances to the next row group of the current range that survives
   // segment elimination. Returns false when its groups are exhausted.
   bool AdvanceGroup();
+  // Decides how each early column of row group `rg` is tested (slot_mode_)
+  // and maps its predicates to code ranges (slot_ranges_): once per group.
+  void PlanGroup(const RowGroup& rg);
   // Fills output_ from the current group starting at offset_.
   Status FillFromGroup();
   // Fills output_ from delta stores. Returns rows produced.
@@ -104,18 +107,8 @@ class ColumnStoreScanOperator final : public BatchOperator {
   // Applies `pred` against decoded vector `cv`, ANDing into the active mask.
   void ApplyPredicate(const ScanPredicate& pred, const ColumnVector& cv,
                       Batch* batch) const;
-  // Applies a string equality predicate directly on dictionary codes
-  // (paper §5: predicate evaluation on compressed data) — the strings are
-  // never materialized. `target_valid` is false when the value provably
-  // does not occur in this segment.
-  void ApplyCodePredicate(const ScanPredicate& pred, const uint64_t* codes,
-                          const uint8_t* validity, bool target_valid,
-                          uint64_t target_code, Batch* batch) const;
   void ApplyBloom(const BloomFilterSpec& spec, const ColumnVector& cv,
                   Batch* batch) const;
-  // True if this predicate slot can be evaluated on dictionary codes
-  // without materializing strings.
-  bool SlotUsesCodeEval(size_t slot) const;
 
   const ColumnStoreTable* table_;
   Options options_;
@@ -131,6 +124,18 @@ class ColumnStoreScanOperator final : public BatchOperator {
   // Slots needed to evaluate predicates/blooms; the rest are decoded
   // lazily, only for surviving rows (lazy materialization).
   std::vector<bool> early_slot_;
+  std::vector<bool> bloom_slot_;  // read by a Bloom filter: needs values
+
+  // How an early slot's predicates are decided in the current row group:
+  // on decoded values (ApplyPredicate), on its unpacked codes against
+  // slot_ranges_ (kernels::AndCodeRange; a projected one is widened in
+  // phase 2 with the late columns), or once per RLE run
+  // (EvalPredicateOnRuns; predicate-only RLE slots).
+  enum class SlotMode : uint8_t { kDecoded, kCodes, kRuns };
+  std::vector<SlotMode> slot_mode_;
+  // Per kCodes slot: the ranges a row's code must pass, all of them. The
+  // non-negated ones are intersected into one; each <> keeps its own.
+  std::vector<std::vector<CodeRange>> slot_ranges_;
 
   // The ranges of this execution and the pinned version of the current
   // one: the scan reads it lock-free; concurrent DML and tuple-mover passes
@@ -140,10 +145,7 @@ class ColumnStoreScanOperator final : public BatchOperator {
   const TableVersion* snapshot_ = nullptr;
   std::unique_ptr<Batch> output_;
   std::vector<std::unique_ptr<ColumnVector>> scratch_;
-  std::vector<uint64_t> code_scratch_;     // code-space predicate evaluation
-  std::vector<uint8_t> validity_scratch_;
-  // Per decode slot: predicates already decided on codes or RLE runs.
-  std::vector<bool> code_evaluated_;
+  std::vector<uint8_t> validity_scratch_;  // RLE run evaluation
   // A sparse window's survivors: segment rows (for the gathers) and window
   // positions (for packing the early projected columns), both ascending.
   std::vector<int64_t> rows_;

@@ -33,9 +33,21 @@ class DeleteBitmap {
 
   // Fills out[i] = 1 for live rows in [start, start+count).
   void DecodeLiveness(int64_t start, int64_t count, uint8_t* out) const {
-    for (int64_t i = 0; i < count; ++i) {
+    if (deleted_ == 0) {
+      std::memset(out, 1, static_cast<size_t>(count));
+      return;
+    }
+    // Row by row up to a byte boundary of the bitmap, then 8 rows per
+    // bitmap byte, then the rows of a partial last byte.
+    int64_t i = 0;
+    for (; i < count && ((start + i) & 7) != 0; ++i) {
       out[i] = bits_.Get(start + i) ? 0 : 1;
     }
+    const uint8_t* bytes = bits_.data();
+    for (; i + 8 <= count; i += 8) {
+      bit_util::BitsToBytes(~unsigned{bytes[(start + i) >> 3]}, out + i);
+    }
+    for (; i < count; ++i) out[i] = bits_.Get(start + i) ? 0 : 1;
   }
 
   int64_t MemoryBytes() const {

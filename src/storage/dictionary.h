@@ -61,6 +61,21 @@ class StringDictionary {
     return levels_[static_cast<size_t>(level)][static_cast<size_t>(offset)];
   }
 
+  // out[i] = Get(codes[i]), under Get's contract for every code. Codes
+  // below the first level's kBaseSlots index its one array directly; only
+  // larger codes pay Get's slot ladder.
+  void GetMany(const uint64_t* codes, int64_t count,
+               std::string_view* out) const {
+    const std::string_view* first = levels_[0].get();
+    for (int64_t i = 0; i < count; ++i) {
+      const uint64_t code = codes[i];
+      VSTORE_DCHECK(code < static_cast<uint64_t>(size()));
+      out[i] = code < static_cast<uint64_t>(kBaseSlots)
+                   ? first[code]
+                   : Get(static_cast<int64_t>(code));
+    }
+  }
+
   int64_t size() const { return size_.load(std::memory_order_acquire); }
 
   // Bytes used by payloads plus per-entry overhead — the dictionary's

@@ -80,40 +80,54 @@ void ColumnSegment::DecodeInt64(int64_t start, int64_t count,
                                 int64_t* out) const {
   VSTORE_DCHECK(PhysicalTypeOf(type_) == PhysicalType::kInt64);
   // Decode codes directly into the output buffer, then widen in place.
-  uint64_t* codes = reinterpret_cast<uint64_t*>(out);
-  DecodeCodes(start, count, codes);
-  const int64_t base = venc_.base;
-  const int64_t pow10 = venc_.int_pow10;
-  if (pow10 == 1) {
-    for (int64_t i = 0; i < count; ++i) {
-      out[i] = static_cast<int64_t>(codes[i]) + base;
-    }
-  } else {
-    for (int64_t i = 0; i < count; ++i) {
-      out[i] = (static_cast<int64_t>(codes[i]) + base) * pow10;
-    }
-  }
+  DecodeCodes(start, count, reinterpret_cast<uint64_t*>(out));
+  WidenInt64(count, out);
 }
 
 void ColumnSegment::DecodeDouble(int64_t start, int64_t count,
                                  double* out) const {
   VSTORE_DCHECK(type_ == DataType::kDouble);
-  uint64_t* codes = reinterpret_cast<uint64_t*>(out);
-  DecodeCodes(start, count, codes);
+  DecodeCodes(start, count, reinterpret_cast<uint64_t*>(out));
+  WidenDouble(count, out);
+}
+
+void ColumnSegment::WidenInt64(int64_t count, int64_t* values) const {
+  const uint64_t* codes = reinterpret_cast<const uint64_t*>(values);
+  const int64_t base = venc_.base;
+  const int64_t pow10 = venc_.int_pow10;
+  if (pow10 == 1) {
+    for (int64_t i = 0; i < count; ++i) {
+      values[i] = static_cast<int64_t>(codes[i]) + base;
+    }
+  } else {
+    for (int64_t i = 0; i < count; ++i) {
+      values[i] = (static_cast<int64_t>(codes[i]) + base) * pow10;
+    }
+  }
+}
+
+void ColumnSegment::WidenDouble(int64_t count, double* values) const {
   if (venc_.code_kind == CodeKind::kRawDouble) {
     return;  // codes are already the IEEE bit patterns, in place
   }
+  const uint64_t* codes = reinterpret_cast<const uint64_t*>(values);
   const int64_t base = venc_.base;
   const double factor = venc_.dbl_pow10;
   for (int64_t i = 0; i < count; ++i) {
-    out[i] = static_cast<double>(static_cast<int64_t>(codes[i]) + base) /
-             factor;
+    values[i] = static_cast<double>(static_cast<int64_t>(codes[i]) + base) /
+                factor;
   }
 }
 
 void ColumnSegment::CodesToStrings(const uint64_t* codes, int64_t count,
                                    std::string_view* out) const {
-  for (int64_t i = 0; i < count; ++i) out[i] = DictString(codes[i]);
+  if (!stats_.has_values) {
+    std::fill(out, out + count, std::string_view());
+  } else if (local_dict_ == nullptr) {
+    primary_dict_->GetMany(codes, count, out);
+  } else {
+    for (int64_t i = 0; i < count; ++i) out[i] = DictString(codes[i]);
+  }
 }
 
 void ColumnSegment::GatherCodes(const int64_t* rows, int64_t count,
@@ -341,6 +355,85 @@ void ColumnSegment::EvalPredicateOnRuns(CompareOp op, const Value& value,
     row = span_end;
     ++r;
   }
+}
+
+bool ColumnSegment::PredicateCodeRange(CompareOp op, const Value& value,
+                                       CodeRange* range) const {
+  if (value.is_null() || bit_width_ > 52) return false;
+  const bool ne = op == CompareOp::kNe;
+  if (venc_.code_kind == CodeKind::kDictionary) {
+    if (!ne && op != CompareOp::kEq) return false;
+    uint64_t code = 0;
+    *range = ValueToCode(value, &code) ? CodeRange{code, code + 1, ne}
+                                       : CodeRange{0, 0, ne};
+    return true;
+  }
+  if (venc_.code_kind == CodeKind::kRawDouble) return false;
+
+  // below(c): the decoded value of code c compares below the constant;
+  // above(c): above it, each by the decoded path's formula. The decoded
+  // value never decreases as the code grows, so below holds on a prefix of
+  // [0, end) and above on a suffix: b0 is the first code not below, b1 the
+  // first code above. Unpacked codes are < 2^bit_width_.
+  const uint64_t end = uint64_t{1} << bit_width_;
+  auto first = [end](auto holds) {  // first code in [0, end) where it holds
+    uint64_t lo = 0, hi = end;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (holds(mid)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  };
+  uint64_t b0 = 0, b1 = 0;
+  if (venc_.code_kind == CodeKind::kValueScaled) {
+    // CmpF64ConstMask's compares: a NaN constant is below and above no
+    // code, so b0 = 0 and b1 = end, and every row "equals" it.
+    const double t = value.AsDouble();
+    b0 = first([&](uint64_t c) { return !(DecodeDoubleCode(c, venc_) < t); });
+    b1 = first([&](uint64_t c) { return DecodeDoubleCode(c, venc_) > t; });
+  } else {
+    // DecodeIntCode in 128 bits, so codes above the segment's largest
+    // cannot wrap and break the order; for codes it holds the two agree.
+    auto decode = [&](uint64_t c) {
+      return (static_cast<__int128>(c) + venc_.base) * venc_.int_pow10;
+    };
+    if (value.type() == DataType::kDouble) {
+      // A double constant against an int column compares in double space.
+      const double t = value.AsDouble();
+      b0 = first([&](uint64_t c) {
+        return !(static_cast<double>(decode(c)) < t);
+      });
+      b1 = first(
+          [&](uint64_t c) { return static_cast<double>(decode(c)) > t; });
+    } else {
+      const int64_t t = value.int64();
+      b0 = first([&](uint64_t c) { return decode(c) >= t; });
+      b1 = first([&](uint64_t c) { return decode(c) > t; });
+    }
+  }
+  switch (op) {
+    case CompareOp::kLt:
+      *range = CodeRange{0, b0, false};
+      break;
+    case CompareOp::kGe:
+      *range = CodeRange{b0, end, false};
+      break;
+    case CompareOp::kLe:
+      *range = CodeRange{0, b1, false};
+      break;
+    case CompareOp::kGt:
+      *range = CodeRange{b1, end, false};
+      break;
+    case CompareOp::kEq:
+    case CompareOp::kNe:
+      *range = CodeRange{b0, b1, ne};
+      break;
+  }
+  return true;
 }
 
 bool ColumnSegment::ValueToCode(const Value& value, uint64_t* code) const {

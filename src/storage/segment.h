@@ -35,6 +35,14 @@ struct SegmentStats {
   std::string max_s;
 };
 
+// A pushed comparison `column OP constant` mapped onto one segment's codes:
+// a row passes when (lo <= code < hi) != negate.
+struct CodeRange {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  bool negate = false;
+};
+
 // One column's slice of a row group, fully encoded: value/dictionary codes,
 // then RLE or bit packing, optionally archival-compressed (LZSS). Immutable
 // after construction except for archival state transitions.
@@ -65,7 +73,13 @@ class ColumnSegment {
   void DecodeCodes(int64_t start, int64_t count, uint64_t* out) const;
   void DecodeInt64(int64_t start, int64_t count, int64_t* out) const;
   void DecodeDouble(int64_t start, int64_t count, double* out) const;
+  // Widens codes already unpacked into values[0, count) (DecodeCodes into
+  // the same buffer) to their values, in place.
+  void WidenInt64(int64_t count, int64_t* values) const;
+  void WidenDouble(int64_t count, double* values) const;
   // Maps already-decoded codes to their strings: out[i] = DictString(codes[i]).
+  // A segment with no non-NULL row writes empty views and looks nothing up
+  // (its null rows' code 0 may not exist in any dictionary yet).
   void CodesToStrings(const uint64_t* codes, int64_t count,
                       std::string_view* out) const;
   // out[i] = 1 if row start+i is non-null.
@@ -93,6 +107,16 @@ class ColumnSegment {
   // verdict; callers AND with DecodeValidity. Only valid for kRle segments.
   void EvalPredicateOnRuns(CompareOp op, const Value& value, int64_t start,
                            int64_t count, uint8_t* verdict) const;
+
+  // Maps `column op value` to a code range that decides it exactly for
+  // every code this segment holds, as the decoded compare would (null rows
+  // excepted: callers AND validity). The bounds come from binary searches
+  // over the decode, so rounding, scale, NaN and a double constant against
+  // an int column agree by construction. Returns false when there is none:
+  // raw-double codes, dictionary order compares (the dictionary is not
+  // sorted), code widths above 52 bits, or a NULL constant.
+  bool PredicateCodeRange(CompareOp op, const Value& value,
+                          CodeRange* range) const;
 
   // Maps an equality-comparable raw value to its code within this segment.
   // Returns false when the value provably does not occur (wrong scale,

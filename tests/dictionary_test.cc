@@ -80,5 +80,23 @@ TEST(DictionaryTest, ManyDistinctValuesRoundTrip) {
   }
 }
 
+TEST(DictionaryTest, GetManyEqualsGetAcrossSlotLevels) {
+  // Codes 0-8000 cross the slot levels' boundaries at 1024, 3072 and 7168.
+  StringDictionary dict;
+  std::vector<uint64_t> codes;
+  for (int64_t i = 0; i <= 8000; ++i) {
+    ASSERT_EQ(dict.GetOrInsert("v" + std::to_string(i), 1 << 20), i);
+    codes.push_back(static_cast<uint64_t>(i));
+  }
+  // Descending as well as ascending codes, so lookups jump between levels.
+  codes.insert(codes.end(), codes.rbegin(), codes.rend());
+  std::vector<std::string_view> out(codes.size());
+  dict.GetMany(codes.data(), static_cast<int64_t>(codes.size()), out.data());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    EXPECT_EQ(out[i], dict.Get(static_cast<int64_t>(codes[i])))
+        << "code " << codes[i];
+  }
+}
+
 }  // namespace
 }  // namespace vstore

@@ -6,7 +6,9 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "exec/hash_table.h"
+#include "exec/operator.h"
 #include "exec/scan.h"
+#include "query/executor.h"
 #include "storage/dictionary.h"
 #include "test_util.h"
 
@@ -726,6 +728,251 @@ TEST(ScanCompactTest, DenseWindowsKeepTheirWidthAndMask) {
   EXPECT_EQ(scan.active, ExpectedSurvivors(data, [&](int64_t i) {
               return data.column(1).GetInt64(i) != 0;
             }));
+}
+
+// --- Window bookkeeping ------------------------------------------------------
+
+TEST(ScanTest, DeletesAroundUnalignedWindowStarts) {
+  // 900-row windows start at bitmap bit 900, which is not a byte boundary;
+  // rows 16-23 fill one whole bitmap byte.
+  ScanFixture f(2000, /*batch_size=*/900);
+  std::vector<int64_t> deleted = {0, 7, 8, 899, 900, 901};
+  for (int64_t r = 16; r < 24; ++r) deleted.push_back(r);
+  for (int64_t r : deleted) {
+    f.table->Delete(MakeCompressedRowId(0, r)).CheckOK();
+  }
+  std::vector<std::vector<Value>> expected;
+  const TableData data = testing_util::MakeTestTable(2000);
+  for (int64_t i = 0; i < 2000; ++i) {
+    if (std::find(deleted.begin(), deleted.end(), i) == deleted.end()) {
+      expected.push_back(data.GetRow(i));
+    }
+  }
+  EXPECT_EQ(f.Drain({}), expected);
+
+  // Every start and length against the row-at-a-time bitmap.
+  const DeleteBitmap& bitmap = f.table->Snapshot()->delete_bitmap(0);
+  for (int64_t start = 0; start < 40; ++start) {
+    for (int64_t count = 0; count < 40; ++count) {
+      std::vector<uint8_t> live(static_cast<size_t>(count), 0xee);
+      bitmap.DecodeLiveness(start, count, live.data());
+      for (int64_t i = 0; i < count; ++i) {
+        EXPECT_EQ(live[static_cast<size_t>(i)],
+                  bitmap.IsDeleted(start + i) ? 0 : 1)
+            << "start " << start << " row " << start + i;
+      }
+    }
+  }
+}
+
+// --- All-NULL string columns -------------------------------------------------
+
+TEST(ScanTest, AllNullStringColumnScans) {
+  // While the column's primary dictionary is empty, the null rows' code 0
+  // resolves to no string; the scan must not look it up.
+  Schema schema({{"id", DataType::kInt64, false},
+                 {"s", DataType::kString, true}});
+  TableData data(schema);
+  for (int64_t i = 0; i < 500; ++i) {
+    data.AppendRow({Value::Int64(i), Value::Null(DataType::kString)});
+  }
+  auto table = std::make_unique<ColumnStoreTable>("t", schema, SmallGroups());
+  table->BulkLoad(data).CheckOK();
+  ASSERT_EQ(table->Snapshot()->num_row_groups(), 1);
+  ExecContext ctx;
+  int64_t rows = 0;
+  ForEachBatch(table.get(), {}, &ctx, [&](const Batch& batch) {
+    for (int64_t i = 0; i < batch.num_rows(); ++i) {
+      EXPECT_EQ(batch.column(1).validity()[i], 0);
+      ++rows;
+    }
+  });
+  EXPECT_EQ(rows, 500);
+
+  Catalog catalog;
+  catalog.AddColumnStore(std::move(table)).CheckOK();
+  PlanBuilder b = PlanBuilder::Scan(catalog, "t");
+  b.Aggregate({"s"}, {{AggFn::kCountStar, "", "cnt"}});
+  QueryOptions options;
+  options.mode = ExecutionMode::kBatch;
+  QueryExecutor exec(&catalog, options);
+  auto result = exec.Execute(b.Build());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->data.num_rows(), 1);
+  EXPECT_TRUE(result->data.GetRow(0)[0].is_null());
+  EXPECT_EQ(result->data.GetRow(0)[1], Value::Int64(500));
+}
+
+// --- Predicates decided on codes ---------------------------------------------
+
+Schema Q6Schema() {
+  return Schema({{"id", DataType::kInt64, false},
+                 {"shipdate", DataType::kDate32, true},
+                 {"discount", DataType::kDouble, true},
+                 {"quantity", DataType::kInt64, false},
+                 {"price", DataType::kDouble, false},
+                 {"flag", DataType::kString, false}});
+}
+
+// 4 groups of 1000 rows. A row's three predicate columns fall inside the
+// Q6 ranges with a probability that drops group by group, so group 0's
+// windows stay dense and group 3's turn sparse.
+TableData Q6Data() {
+  TableData data(Q6Schema());
+  Random rng(25);
+  const int64_t in_range_pct[] = {100, 95, 60, 30};
+  const char* flags[] = {"A", "N", "R"};
+  for (int64_t i = 0; i < 4000; ++i) {
+    const int64_t pct = in_range_pct[i / 1000];
+    auto inside = [&] { return rng.Uniform(0, 99) < pct; };
+    const int64_t date =
+        inside() ? rng.Uniform(8766, 9130) : rng.Uniform(8035, 10591);
+    const int64_t discount = inside() ? rng.Uniform(5, 7) : rng.Uniform(0, 10);
+    const int64_t quantity = inside() ? rng.Uniform(1, 23) : rng.Uniform(1, 50);
+    data.AppendRow(
+        {Value::Int64(i),
+         i % 41 == 5 ? Value::Null(DataType::kDate32)
+                     : Value::Date32(static_cast<int32_t>(date)),
+         i % 37 == 3 ? Value::Null(DataType::kDouble)
+                     : Value::Double(static_cast<double>(discount) / 100.0),
+         Value::Int64(quantity),
+         Value::Double(static_cast<double>(rng.Uniform(100, 99999)) / 100.0),
+         Value::String(flags[rng.Uniform(0, 2)])});
+  }
+  return data;
+}
+
+std::vector<ScanPredicate> Q6Predicates() {
+  return {{1, CompareOp::kGe, Value::Date32(8766)},
+          {1, CompareOp::kLt, Value::Date32(9131)},
+          {2, CompareOp::kGe, Value::Double(0.05)},
+          {2, CompareOp::kLe, Value::Double(0.07)},
+          {3, CompareOp::kLt, Value::Int64(24)}};
+}
+
+// The rows of a scan of `options` (active rows, in order), and the windows
+// it emitted dense (full width) and sparse (compacted).
+struct ScanRows {
+  std::vector<std::vector<Value>> rows;
+  int64_t dense = 0;
+  int64_t sparse = 0;
+};
+
+ScanRows DrainRows(const ColumnStoreTable* table,
+                   ColumnStoreScanOperator::Options options,
+                   int64_t batch_size) {
+  ExecContext ctx;
+  ctx.batch_size = batch_size;
+  ScanRows out;
+  ForEachBatch(table, std::move(options), &ctx, [&](const Batch& batch) {
+    if (batch.num_rows() == batch_size) ++out.dense;
+    if (batch.num_rows() <= batch_size * 3 / 4 &&
+        batch.active_count() == batch.num_rows()) {
+      ++out.sparse;
+    }
+    for (int64_t i = 0; i < batch.num_rows(); ++i) {
+      if (batch.active()[i]) out.rows.push_back(batch.GetActiveRow(i));
+    }
+  });
+  return out;
+}
+
+// The reference: an unfiltered scan of every column (keeping `options`'
+// Bloom filters) under a FilterOperator with the same predicates, cut to
+// `options.projection`.
+std::vector<std::vector<Value>> FilteredReference(
+    const ColumnStoreTable* table,
+    const ColumnStoreScanOperator::Options& options) {
+  const Schema& schema = table->schema();
+  ExecContext ctx;
+  ColumnStoreScanOperator::Options all;
+  all.bloom_filters = options.bloom_filters;
+  ExprPtr pred;
+  for (const ScanPredicate& p : options.predicates) {
+    ExprPtr cmp =
+        expr::Cmp(p.op, expr::ColumnAt(schema, p.column), expr::Lit(p.value));
+    pred = pred == nullptr ? cmp : expr::And(pred, cmp);
+  }
+  FilterOperator filter(
+      std::make_unique<ColumnStoreScanOperator>(table, all, &ctx), pred, &ctx);
+  filter.Open().CheckOK();
+  std::vector<std::vector<Value>> rows;
+  for (;;) {
+    Batch* batch = filter.Next().ValueOrDie();
+    if (batch == nullptr) break;
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      if (!batch->active()[i]) continue;
+      std::vector<Value> row;
+      for (int c : options.projection) {
+        row.push_back(batch->column(c).GetValue(i));
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  filter.Close();
+  return rows;
+}
+
+TEST(ScanCodeRangeTest, Q6ShapeMatchesAFilterAboveAnUnfilteredScan) {
+  const TableData data = Q6Data();
+  auto table =
+      std::make_unique<ColumnStoreTable>("t", data.schema(), SmallGroups());
+  table->BulkLoad(data).CheckOK();
+  {
+    const RowGroup& rg = table->Snapshot()->row_group(0);
+    ASSERT_EQ(rg.column(1).encoding(), EncodingKind::kBitPack);
+    ASSERT_EQ(rg.column(2).code_kind(), CodeKind::kValueScaled);
+  }
+  BloomFilter discount_bloom(16), quantity_bloom(16);
+  for (int64_t d = 4; d <= 6; ++d) {
+    discount_bloom.Insert(SingleKeyHash(HashInt64(
+        std::bit_cast<uint64_t>(static_cast<double>(d) / 100.0))));
+  }
+  for (int64_t q = 1; q <= 12; ++q) {
+    quantity_bloom.Insert(SingleKeyHash(HashInt64(static_cast<uint64_t>(q))));
+  }
+  auto check = [&](const char* what) {
+    SCOPED_TRACE(what);
+    ScanRows total;
+    for (int64_t batch_size : {int64_t{900}, int64_t{128}}) {
+      for (int bloom = 0; bloom < 3; ++bloom) {
+        ColumnStoreScanOperator::Options options;
+        // discount is projected and carries two predicates; shipdate and
+        // quantity are predicate-only; price and flag are late.
+        options.projection = {0, 2, 4, 5};
+        options.predicates = Q6Predicates();
+        if (bloom == 1) options.bloom_filters = {{2, &discount_bloom}};
+        if (bloom == 2) options.bloom_filters = {{3, &quantity_bloom}};
+        ScanRows scan = DrainRows(table.get(), options, batch_size);
+        EXPECT_EQ(scan.rows, FilteredReference(table.get(), options))
+            << "batch size " << batch_size << " bloom " << bloom;
+        EXPECT_FALSE(scan.rows.empty());
+        total.dense += scan.dense;
+        total.sparse += scan.sparse;
+      }
+    }
+    EXPECT_GT(total.dense, 0);
+    EXPECT_GT(total.sparse, 0);
+  };
+  check("bulk loaded");
+
+  // Deletes in the dense group and in a sparse one, and delta rows.
+  for (int64_t r = 0; r < 990; r += 9) {
+    table->Delete(MakeCompressedRowId(0, r)).CheckOK();
+    table->Delete(MakeCompressedRowId(3, r + 4)).CheckOK();
+  }
+  for (int64_t i = 0; i < 300; ++i) {
+    table
+        ->Insert({Value::Int64(10000 + i),
+                  Value::Date32(static_cast<int32_t>(8700 + i)),
+                  i % 7 == 0 ? Value::Null(DataType::kDouble)
+                             : Value::Double(static_cast<double>(i % 11) /
+                                             100.0),
+                  Value::Int64(i % 30), Value::Double(1.5),
+                  Value::String("D")})
+        .ValueOrDie();
+  }
+  check("with deletes and delta rows");
 }
 
 }  // namespace

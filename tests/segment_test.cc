@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
+#include "exec/expr_kernels.h"
 #include "storage/segment.h"
 #include "test_util.h"
 
@@ -378,6 +383,265 @@ TEST(SegmentGatherTest, GatherAfterArchiveEvict)
   EXPECT_EQ(out[1], 1);
   EXPECT_EQ(out[2], 10);
   EXPECT_EQ(out[3], 19);
+}
+
+// --- Code ranges for pushed predicates ---------------------------------------
+
+const CompareOp kAllOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                             CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+
+// The decoded path's verdicts: CmpI64ConstMask / CmpF64ConstMask over
+// DecodeInt64 / DecodeDouble, and an int column against a double constant
+// compared in double space.
+std::vector<uint8_t> DecodedVerdicts(const ColumnSegment& seg, CompareOp op,
+                                     const Value& constant) {
+  const int64_t n = seg.num_rows();
+  std::vector<uint8_t> verdict(static_cast<size_t>(n));
+  if (seg.type() == DataType::kDouble) {
+    std::vector<double> values(static_cast<size_t>(n));
+    seg.DecodeDouble(0, n, values.data());
+    kernels::CmpF64ConstMask(op, values.data(), constant.AsDouble(), n,
+                             verdict.data());
+    return verdict;
+  }
+  std::vector<int64_t> values(static_cast<size_t>(n));
+  seg.DecodeInt64(0, n, values.data());
+  if (constant.type() == DataType::kDouble) {
+    const double t = constant.AsDouble();
+    for (int64_t i = 0; i < n; ++i) {
+      const double v = static_cast<double>(values[static_cast<size_t>(i)]);
+      verdict[static_cast<size_t>(i)] = ApplyCompare(op, (v > t) - (v < t));
+    }
+  } else {
+    kernels::CmpI64ConstMask(op, values.data(), constant.int64(), n,
+                             verdict.data());
+  }
+  return verdict;
+}
+
+// For every operator and constant, the code range passes exactly the
+// non-NULL rows the decoded compare passes.
+void ExpectRangesMatchDecoded(const ColumnSegment& seg,
+                              const std::vector<Value>& constants) {
+  const int64_t n = seg.num_rows();
+  std::vector<uint64_t> codes(static_cast<size_t>(n));
+  std::vector<uint8_t> valid(static_cast<size_t>(n));
+  seg.DecodeCodes(0, n, codes.data());
+  seg.DecodeValidity(0, n, valid.data());
+  for (const Value& constant : constants) {
+    for (CompareOp op : kAllOps) {
+      CodeRange range;
+      ASSERT_TRUE(seg.PredicateCodeRange(op, constant, &range))
+          << CompareOpName(op) << " " << constant.ToString();
+      const std::vector<uint8_t> expect = DecodedVerdicts(seg, op, constant);
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t r = static_cast<size_t>(i);
+        if (!valid[r]) continue;
+        const bool pass =
+            (range.lo <= codes[r] && codes[r] < range.hi) != range.negate;
+        ASSERT_EQ(pass, expect[r] != 0)
+            << CompareOpName(op) << " " << constant.ToString() << " row " << i
+            << " code " << codes[r];
+      }
+    }
+  }
+}
+
+// Constants that probe an int column holding `present`: every value, its
+// neighbours, a value between two present ones, values below the minimum
+// and above the maximum, and double constants (NaN, infinities, fractions,
+// magnitudes beyond int64) compared in double space.
+std::vector<Value> IntProbes(std::vector<int64_t> present, DataType type) {
+  std::sort(present.begin(), present.end());
+  present.erase(std::unique(present.begin(), present.end()), present.end());
+  auto make = [type](int64_t v) {
+    return type == DataType::kDate32 ? Value::Date32(static_cast<int32_t>(v))
+                                     : Value::Int64(v);
+  };
+  std::vector<Value> probes;
+  for (size_t i = 0; i < present.size(); ++i) {
+    for (int64_t d : {-1, 0, 1}) probes.push_back(make(present[i] + d));
+    if (i + 1 < present.size()) {
+      probes.push_back(make(present[i] + (present[i + 1] - present[i]) / 2));
+    }
+  }
+  probes.push_back(make(present.front() - 1000));
+  probes.push_back(make(present.back() + 1000));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double d : {std::numeric_limits<double>::quiet_NaN(), inf, -inf, 2.5,
+                   -2.5, 1e300, -1e300,
+                   static_cast<double>(present.front()) + 0.5,
+                   static_cast<double>(present.back())}) {
+    probes.push_back(Value::Double(d));
+  }
+  return probes;
+}
+
+// Builds a segment of `values` with every `null_every`-th row NULL.
+std::unique_ptr<ColumnSegment> BuildWithNulls(DataType type,
+                                              const std::vector<double>& values,
+                                              int null_every) {
+  ColumnData col(type);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i % static_cast<size_t>(null_every) == 3) {
+      col.AppendNull();
+    } else if (type == DataType::kDouble) {
+      col.AppendDouble(values[i]);
+    } else {
+      col.AppendInt64(static_cast<int64_t>(values[i]));
+    }
+  }
+  return SegmentBuilder::Build(col, 0, col.size(), nullptr, nullptr,
+                               DefaultOptions());
+}
+
+TEST(SegmentCodeRangeTest, PredicateCodeRangeMatchesDecodedCompare) {
+  Random rng(2501);
+  {
+    SCOPED_TRACE("int64, common power of ten, negative base");
+    std::vector<double> values;
+    std::vector<int64_t> present;
+    for (int i = 0; i < 300; ++i) {
+      const int64_t v = rng.Uniform(-50, 150) * 1000;
+      values.push_back(static_cast<double>(v));
+      if (i % 7 != 3) present.push_back(v);
+    }
+    auto seg = BuildWithNulls(DataType::kInt64, values, 7);
+    ASSERT_EQ(seg->value_encoding().int_pow10, 1000);
+    ASSERT_LT(seg->value_encoding().base, 0);
+    ExpectRangesMatchDecoded(*seg, IntProbes(present, DataType::kInt64));
+  }
+  {
+    SCOPED_TRACE("DATE32");
+    std::vector<double> values;
+    std::vector<int64_t> present;
+    for (int i = 0; i < 300; ++i) {
+      const int64_t v = rng.Uniform(8035, 10591);
+      values.push_back(static_cast<double>(v));
+      if (i % 5 != 3) present.push_back(v);
+    }
+    auto seg = BuildWithNulls(DataType::kDate32, values, 5);
+    ASSERT_EQ(seg->value_encoding().int_pow10, 1);
+    ExpectRangesMatchDecoded(*seg, IntProbes(present, DataType::kDate32));
+  }
+  for (int scale = 0; scale <= 4; ++scale) {
+    SCOPED_TRACE("double at scale " + std::to_string(scale));
+    const double factor = std::pow(10.0, scale);
+    std::vector<double> values;
+    std::vector<double> present;
+    for (int i = 0; i < 200; ++i) {
+      // An odd numerator needs the full scale.
+      const double v = static_cast<double>(rng.Uniform(-2500, 2500) * 2 + 1) /
+                       factor;
+      values.push_back(v);
+      if (i % 6 != 3) present.push_back(v);
+    }
+    auto seg = BuildWithNulls(DataType::kDouble, values, 6);
+    ASSERT_EQ(seg->code_kind(), CodeKind::kValueScaled);
+    ASSERT_EQ(seg->value_encoding().scale, scale);
+    std::sort(present.begin(), present.end());
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<Value> probes;
+    for (size_t i = 0; i < present.size(); ++i) {
+      probes.push_back(Value::Double(present[i]));
+      probes.push_back(Value::Double(std::nextafter(present[i], inf)));
+      probes.push_back(Value::Double(std::nextafter(present[i], -inf)));
+      if (i + 1 < present.size()) {
+        probes.push_back(Value::Double((present[i] + present[i + 1]) / 2));
+      }
+    }
+    for (double d : {present.front() - 1, present.back() + 1,
+                     std::numeric_limits<double>::quiet_NaN(), inf, -inf,
+                     0.0, -0.0}) {
+      probes.push_back(Value::Double(d));
+    }
+    for (int64_t v : {int64_t{-3}, int64_t{0}, int64_t{1}}) {
+      probes.push_back(Value::Int64(v));
+    }
+    ExpectRangesMatchDecoded(*seg, probes);
+  }
+  {
+    SCOPED_TRACE("0-bit constant segment");
+    auto seg = BuildWithNulls(DataType::kInt64, std::vector<double>(50, 7.0),
+                              4);
+    ASSERT_EQ(seg->bit_width(), 0);
+    ExpectRangesMatchDecoded(*seg, IntProbes({7}, DataType::kInt64));
+  }
+}
+
+TEST(SegmentCodeRangeTest, DictionaryEqualityOnPrimaryLocalAndAbsentValues) {
+  auto dict = std::make_shared<StringDictionary>();
+  SegmentBuilder::Options options;
+  options.primary_dict_capacity = 2;  // "a" and "b" primary, the rest local
+  ColumnData col(DataType::kString);
+  const char* names[] = {"a", "b", "c", "d"};
+  for (int i = 0; i < 100; ++i) {
+    if (i % 9 == 4) {
+      col.AppendNull();
+    } else {
+      col.AppendString(names[(i * 7) % 4]);
+    }
+  }
+  auto seg = SegmentBuilder::Build(col, 0, col.size(), nullptr, dict, options);
+  ASSERT_NE(seg->local_dictionary(), nullptr);
+  const int64_t n = seg->num_rows();
+  std::vector<uint64_t> codes(static_cast<size_t>(n));
+  std::vector<std::string_view> strings(static_cast<size_t>(n));
+  std::vector<uint8_t> valid(static_cast<size_t>(n));
+  seg->DecodeCodes(0, n, codes.data());
+  seg->CodesToStrings(codes.data(), n, strings.data());
+  seg->DecodeValidity(0, n, valid.data());
+  for (const char* target : {"a", "c", "zzz"}) {
+    for (CompareOp op : {CompareOp::kEq, CompareOp::kNe}) {
+      CodeRange range;
+      ASSERT_TRUE(seg->PredicateCodeRange(op, Value::String(target), &range));
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t r = static_cast<size_t>(i);
+        if (!valid[r]) continue;
+        const int c = strings[r].compare(target);
+        EXPECT_EQ((range.lo <= codes[r] && codes[r] < range.hi) != range.negate,
+                  ApplyCompare(op, (c > 0) - (c < 0)))
+            << CompareOpName(op) << " " << target << " row " << i;
+      }
+    }
+  }
+  // The dictionary is not sorted, so order compares keep the decoded path.
+  CodeRange range;
+  EXPECT_FALSE(seg->PredicateCodeRange(CompareOp::kLt, Value::String("b"),
+                                       &range));
+}
+
+TEST(SegmentCodeRangeTest, NoRangeWhereCodesCannotDecide) {
+  CodeRange range;
+  // Raw IEEE doubles.
+  auto raw = SegmentBuilder::Build(DoubleColumn({0.1 / 3, 1e-300, 7.5}), 0, 3,
+                                   nullptr, nullptr, DefaultOptions());
+  ASSERT_EQ(raw->code_kind(), CodeKind::kRawDouble);
+  EXPECT_FALSE(raw->PredicateCodeRange(CompareOp::kLt, Value::Double(1.0),
+                                       &range));
+  // Codes wider than 52 bits.
+  auto wide = BuildInt({0, int64_t{1} << 60, 3});
+  ASSERT_GT(wide->bit_width(), 52);
+  EXPECT_FALSE(
+      wide->PredicateCodeRange(CompareOp::kEq, Value::Int64(3), &range));
+  // A NULL constant.
+  auto ints = BuildInt({1, 2, 3});
+  EXPECT_FALSE(ints->PredicateCodeRange(CompareOp::kEq,
+                                        Value::Null(DataType::kInt64), &range));
+}
+
+TEST(SegmentTest, AllNullStringSegmentMapsCodesToEmptyViews) {
+  // The null rows' code 0 is not in the still-empty primary dictionary.
+  auto dict = std::make_shared<StringDictionary>();
+  ColumnData col(DataType::kString);
+  for (int i = 0; i < 20; ++i) col.AppendNull();
+  auto seg = SegmentBuilder::Build(col, 0, 20, nullptr, dict, DefaultOptions());
+  ASSERT_EQ(dict->size(), 0);
+  std::vector<uint64_t> codes(20);
+  std::vector<std::string_view> out(20, std::string_view("x"));
+  seg->DecodeCodes(0, 20, codes.data());
+  seg->CodesToStrings(codes.data(), 20, out.data());
+  for (std::string_view s : out) EXPECT_TRUE(s.empty());
 }
 
 }  // namespace

@@ -228,6 +228,58 @@ TEST(SimdKernelsTest, ConstMaskKernelsBothPathsIdentical) {
   }
 }
 
+TEST(SimdKernelsTest, AndCodeRangeBothPathsMatchTheFormula) {
+  const uint64_t kMaxCode = (uint64_t{1} << 52) - 1;
+  struct Range {
+    uint64_t lo, hi;
+  };
+  // Ordinary, one-code, empty, inverted (empty) and full ranges, and
+  // ranges at the top of the 52-bit code space.
+  const Range ranges[] = {{5, 9},
+                          {0, 1},
+                          {7, 7},
+                          {9, 5},
+                          {0, kMaxCode + 1},
+                          {kMaxCode, kMaxCode + 1},
+                          {1, kMaxCode}};
+  Random rng(61);
+  std::vector<int64_t> lengths;
+  for (int64_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(900);
+  for (const Range& r : ranges) {
+    // Codes at and beside both bounds, the extremes, and random codes.
+    const uint64_t picks[] = {r.lo - 1, r.lo, r.hi - 1, r.hi, 0, kMaxCode, 3};
+    for (int64_t n : lengths) {
+      std::vector<uint64_t> codes(static_cast<size_t>(n));
+      std::vector<uint8_t> valid(static_cast<size_t>(n));
+      std::vector<uint8_t> active(static_cast<size_t>(n));
+      for (size_t i = 0; i < codes.size(); ++i) {
+        codes[i] = rng.Uniform(0, 3) == 0 ? rng.Next() & kMaxCode
+                                          : picks[rng.Uniform(0, 6)] & kMaxCode;
+        valid[i] = rng.Uniform(0, 4) != 0;  // some NULLs
+        active[i] = rng.Uniform(0, 5) != 0;
+      }
+      for (bool negate : {false, true}) {
+        std::vector<uint8_t> s = active, v = active;
+        simd::ForceLevelForTesting(simd::Level::kScalar);
+        kernels::AndCodeRange(codes.data(), valid.data(), r.lo, r.hi, negate,
+                              n, s.data());
+        simd::ForceLevelForTesting(HaveAvx2() ? simd::Level::kAVX2
+                                              : simd::Level::kScalar);
+        kernels::AndCodeRange(codes.data(), valid.data(), r.lo, r.hi, negate,
+                              n, v.data());
+        simd::ForceLevelForTesting(simd::Detected());
+        EXPECT_EQ(s, v) << "lo " << r.lo << " hi " << r.hi << " n " << n;
+        for (size_t i = 0; i < codes.size(); ++i) {
+          const bool inside = r.lo <= codes[i] && codes[i] < r.hi;
+          EXPECT_EQ(s[i], active[i] & valid[i] & (inside != negate))
+              << "lo " << r.lo << " hi " << r.hi << " code " << codes[i];
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelsTest, HashCombineColumnMatchesScalarFormulaAndBothPaths) {
   for (int64_t n = 1; n <= kMaxN; ++n) {
     auto a = EdgyInts(n, 59 * static_cast<uint64_t>(n));
