@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/metrics.h"
+
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
 #define VSTORE_X86_64 1
@@ -59,6 +61,16 @@ Level Active() {
   Level cap = Ceiling().load(std::memory_order_relaxed);
   Level hw = Detected();
   return static_cast<int>(cap) < static_cast<int>(hw) ? cap : hw;
+}
+
+Level Dispatch() {
+  static Counter* scalar = MetricsRegistry::Global().GetCounter(
+      "vstore_simd_dispatch_total", "level", "scalar");
+  static Counter* avx2 = MetricsRegistry::Global().GetCounter(
+      "vstore_simd_dispatch_total", "level", "avx2");
+  const Level level = Active();
+  (level == Level::kAVX2 ? avx2 : scalar)->Increment();
+  return level;
 }
 
 void ForceLevelForTesting(Level level) {

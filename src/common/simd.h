@@ -20,6 +20,11 @@ Level Detected();
 // VSTORE_SIMD environment variable ("scalar" | "avx2").
 Level Active();
 
+// Active(), counted per tier in the vstore_simd_dispatch_total metric so
+// benchmarks and sys.metrics can show how often the AVX2 bodies run. Batch
+// kernels call it once per dispatch.
+Level Dispatch();
+
 // Caps the active tier so tests can cover the scalar fallback on AVX2
 // machines (and assert AVX2 codepaths are exercised when available).
 // Passing Detected() (or higher) removes the cap.

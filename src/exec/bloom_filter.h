@@ -42,17 +42,17 @@ class BloomFilter {
     }
   }
 
+  // Branch-free: the probes' bit tests are ANDed, not exited early, so a
+  // scan probing a window of keys does not mispredict on each miss.
   bool MayContain(uint64_t hash) const {
     if (blocks_.empty()) return true;  // uninitialized: pass-through
     const Block& block = blocks_[BlockIndex(hash)];
     uint32_t h = static_cast<uint32_t>(hash);
+    uint64_t hit = 1;
     for (int i = 0; i < kProbes; ++i) {
-      if ((block.words[(h >> (i * 9)) & 7] &
-           (uint64_t{1} << ((h >> (i * 9 + 3)) & 63))) == 0) {
-        return false;
-      }
+      hit &= block.words[(h >> (i * 9)) & 7] >> ((h >> (i * 9 + 3)) & 63);
     }
-    return true;
+    return (hit & 1) != 0;
   }
 
   int64_t SizeBytes() const {

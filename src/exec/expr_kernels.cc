@@ -7,7 +7,6 @@
 #include "common/bit_util.h"
 #include "common/hash.h"
 #include "common/int_arith.h"
-#include "common/metrics.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -18,18 +17,6 @@ namespace vstore {
 namespace kernels {
 
 namespace {
-
-// Counts kernel dispatches per tier so benchmarks and sys.metrics can show
-// how often the AVX2 bodies actually run.
-simd::Level DispatchLevel() {
-  static Counter* scalar = MetricsRegistry::Global().GetCounter(
-      "vstore_simd_dispatch_total", "level", "scalar");
-  static Counter* avx2 = MetricsRegistry::Global().GetCounter(
-      "vstore_simd_dispatch_total", "level", "avx2");
-  simd::Level level = simd::Active();
-  (level == simd::Level::kAVX2 ? avx2 : scalar)->Increment();
-  return level;
-}
 
 // --- Scalar bodies --------------------------------------------------------
 // The scalar forms are the semantic reference: each comparison spells out
@@ -518,12 +505,12 @@ void ByteAnd(const uint8_t* a, const uint8_t* b, int64_t n, uint8_t* out) {
 void CmpI64(CompareOp op, const int64_t* a, const int64_t* b, int64_t n,
             int64_t* res) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     CmpI64Avx2(op, a, b, n, res);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   CmpI64Scalar(op, a, b, n, res);
 }
@@ -531,12 +518,12 @@ void CmpI64(CompareOp op, const int64_t* a, const int64_t* b, int64_t n,
 void CmpF64(CompareOp op, const double* a, const double* b, int64_t n,
             int64_t* res) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     CmpF64Avx2(op, a, b, n, res);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   CmpF64Scalar(op, a, b, n, res);
 }
@@ -552,12 +539,12 @@ void CmpStr(CompareOp op, const std::string_view* a, const std::string_view* b,
 void ArithI64(ArithOp op, const int64_t* a, const int64_t* b, int64_t n,
               int64_t* res, uint8_t* valid) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     ArithI64Avx2(op, a, b, n, res, valid);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   ArithI64Scalar(op, a, b, n, res, valid);
 }
@@ -565,12 +552,12 @@ void ArithI64(ArithOp op, const int64_t* a, const int64_t* b, int64_t n,
 void ArithF64(ArithOp op, const double* a, const double* b, int64_t n,
               double* res, uint8_t* valid) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     ArithF64Avx2(op, a, b, n, res, valid);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   ArithF64Scalar(op, a, b, n, res, valid);
 }
@@ -578,24 +565,24 @@ void ArithF64(ArithOp op, const double* a, const double* b, int64_t n,
 void BoolAndOr(BoolOp op, const int64_t* a, const int64_t* b, int64_t n,
                int64_t* res) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     BoolAndOrAvx2(op, a, b, n, res);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   BoolAndOrScalar(op, a, b, n, res);
 }
 
 void BoolNot(const int64_t* a, int64_t n, int64_t* res) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     BoolNotAvx2(a, n, res);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   BoolNotScalar(a, n, res);
 }
@@ -611,12 +598,12 @@ void YearFromDaysKernel(const int64_t* a, int64_t n, int64_t* res) {
 void CmpI64ConstMask(CompareOp op, const int64_t* a, int64_t b, int64_t n,
                      uint8_t* verdict) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     CmpI64ConstMaskAvx2(op, a, b, n, verdict);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   CmpI64ConstMaskScalar(op, a, b, n, verdict);
 }
@@ -624,12 +611,12 @@ void CmpI64ConstMask(CompareOp op, const int64_t* a, int64_t b, int64_t n,
 void CmpF64ConstMask(CompareOp op, const double* a, double b, int64_t n,
                      uint8_t* verdict) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     CmpF64ConstMaskAvx2(op, a, b, n, verdict);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   CmpF64ConstMaskScalar(op, a, b, n, verdict);
 }
@@ -637,12 +624,12 @@ void CmpF64ConstMask(CompareOp op, const double* a, double b, int64_t n,
 void AndCodeRange(const uint64_t* codes, const uint8_t* valid, uint64_t lo,
                   uint64_t hi, bool negate, int64_t n, uint8_t* active) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     AndCodeRangeAvx2(codes, valid, lo, hi, negate, n, active);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   AndCodeRangeScalar(codes, valid, lo, hi, negate, n, active);
 }
@@ -650,12 +637,12 @@ void AndCodeRange(const uint64_t* codes, const uint8_t* valid, uint64_t lo,
 void HashCombineColumn(const uint64_t* bits, const uint8_t* valid,
                        uint64_t null_tag, int64_t n, uint64_t* out) {
 #ifdef VSTORE_KERNELS_X86
-  if (DispatchLevel() == simd::Level::kAVX2) {
+  if (simd::Dispatch() == simd::Level::kAVX2) {
     HashCombineColumnAvx2(bits, valid, null_tag, n, out);
     return;
   }
 #else
-  DispatchLevel();
+  simd::Dispatch();
 #endif
   HashCombineColumnScalar(bits, valid, null_tag, n, out);
 }

@@ -125,30 +125,31 @@ void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
                    const uint8_t* active, uint64_t* out) {
   const int64_t n = batch.num_rows();
   kernels::FillU64(kKeyHashSeed, n, out);
-  for (int k : keys) {
-    const ColumnVector& cv = batch.column(k);
-    switch (cv.physical_type()) {
-      case PhysicalType::kInt64:
-        kernels::HashCombineColumn(
-            reinterpret_cast<const uint64_t*>(cv.ints()), cv.validity(),
-            kNullKeyHashTag, n, out);
-        break;
-      case PhysicalType::kDouble:
-        // Doubles hash their bit patterns, same as HashBatchSlot.
-        kernels::HashCombineColumn(
-            reinterpret_cast<const uint64_t*>(cv.doubles()), cv.validity(),
-            kNullKeyHashTag, n, out);
-        break;
-      case PhysicalType::kString: {
-        const std::string_view* sv = cv.strings();
-        const uint8_t* valid = cv.validity();
-        for (int64_t i = 0; i < n; ++i) {
-          if (active != nullptr && !active[i]) continue;
-          out[i] = HashCombine(out[i],
-                               valid[i] ? Hash64(sv[i]) : kNullKeyHashTag);
-        }
-        break;
+  for (int k : keys) CombineKeyColumnHashes(batch.column(k), active, n, out);
+}
+
+void CombineKeyColumnHashes(const ColumnVector& cv, const uint8_t* active,
+                            int64_t n, uint64_t* out) {
+  switch (cv.physical_type()) {
+    case PhysicalType::kInt64:
+      kernels::HashCombineColumn(reinterpret_cast<const uint64_t*>(cv.ints()),
+                                 cv.validity(), kNullKeyHashTag, n, out);
+      break;
+    case PhysicalType::kDouble:
+      // Doubles hash their bit patterns, same as HashBatchSlot.
+      kernels::HashCombineColumn(
+          reinterpret_cast<const uint64_t*>(cv.doubles()), cv.validity(),
+          kNullKeyHashTag, n, out);
+      break;
+    case PhysicalType::kString: {
+      const std::string_view* sv = cv.strings();
+      const uint8_t* valid = cv.validity();
+      for (int64_t i = 0; i < n; ++i) {
+        if (active != nullptr && !active[i]) continue;
+        out[i] =
+            HashCombine(out[i], valid[i] ? Hash64(sv[i]) : kNullKeyHashTag);
       }
+      break;
     }
   }
 }

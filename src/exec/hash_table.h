@@ -83,6 +83,13 @@ class RowFormat {
 void HashKeysBatch(const Batch& batch, const std::vector<int>& keys,
                    const uint8_t* active, uint64_t* out);
 
+// One key column's step of HashKeysBatch: folds rows [0, n) of `cv` into
+// the running hashes out[0, n), under the same `active` contract. After
+// kernels::FillU64(kKeyHashSeed, ...), one call gives the single-key hashes
+// that hash joins insert into their Bloom filters.
+void CombineKeyColumnHashes(const ColumnVector& cv, const uint8_t* active,
+                            int64_t n, uint64_t* out);
+
 // The key columns of one batch, resolved once per batch into raw arrays,
 // compared against and written into serialized rows. This holds the one
 // key-equality rule of joins and GROUP BY: fixed-width keys (int64 and

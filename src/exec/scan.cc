@@ -1,6 +1,7 @@
 #include "exec/scan.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/hash.h"
 #include "common/span_trace.h"
@@ -35,20 +36,6 @@ int CompareValueTo(const Value& a, const Value& b) {
   return 0;
 }
 
-// Single-key hashes matching RowFormat::HashKeysFromBatch for a one-column
-// key, so Bloom filters built by hash joins test positive here.
-uint64_t HashVectorValue(const ColumnVector& cv, int64_t i) {
-  switch (cv.physical_type()) {
-    case PhysicalType::kInt64:
-      return SingleKeyHash(HashInt64(static_cast<uint64_t>(cv.ints()[i])));
-    case PhysicalType::kDouble:
-      return SingleKeyHash(HashInt64(std::bit_cast<uint64_t>(cv.doubles()[i])));
-    case PhysicalType::kString:
-      return SingleKeyHash(Hash64(cv.strings()[i]));
-  }
-  return 0;
-}
-
 // The dictionary a string segment's codes can be handed upward with: the
 // shared primary dictionary when the segment has no local one, else null
 // (local codes mean nothing outside their row group).
@@ -69,6 +56,24 @@ uint64_t* CodeBuffer(ColumnVector* cv) {
       return cv->mutable_codes();
   }
   return nullptr;
+}
+
+// Widens codes already unpacked into dst's code buffer (rows [0, n)) to
+// values: ints and doubles in place, strings mapped from the code lane,
+// which is published when the codes are primary.
+void Widen(const ColumnSegment& seg, int64_t n, ColumnVector* dst) {
+  switch (PhysicalTypeOf(seg.type())) {
+    case PhysicalType::kInt64:
+      seg.WidenInt64(n, dst->mutable_ints());
+      break;
+    case PhysicalType::kDouble:
+      seg.WidenDouble(n, dst->mutable_doubles());
+      break;
+    case PhysicalType::kString:
+      seg.CodesToStrings(dst->codes(), n, dst->mutable_strings());
+      dst->set_dictionary(LaneDictionary(seg));
+      break;
+  }
 }
 
 uint64_t HashValue(const Value& v) {
@@ -145,6 +150,14 @@ Status ColumnStoreScanOperator::OpenImpl() {
       scratch_.push_back(nullptr);
     }
   }
+  // Per Bloom slot, the values of a window's runs (kRuns windows).
+  run_values_.clear();
+  run_values_.resize(decode_columns_.size());
+  for (size_t s = 0; s < decode_columns_.size(); ++s) {
+    if (!bloom_slot_[s]) continue;
+    run_values_[s] = std::make_unique<ColumnVector>(
+        table_->schema().field(decode_columns_[s]).type, ctx_->batch_size);
+  }
   StartRange(0);
   rows_scanned_ = 0;
   delta_rows_scanned_ = 0;
@@ -175,6 +188,7 @@ void ColumnStoreScanOperator::StartRange(size_t i) {
 void ColumnStoreScanOperator::CloseImpl() {
   output_.reset();
   scratch_.clear();
+  run_values_.clear();
   ranges_.clear();
   snapshot_ = nullptr;
 }
@@ -232,13 +246,14 @@ void ColumnStoreScanOperator::PlanGroup(const RowGroup& rg) {
     slot_mode_[s] = SlotMode::kDecoded;
     std::vector<CodeRange>& ranges = slot_ranges_[s];
     ranges.clear();
-    // A Bloom filter hashes values, so its column is decoded anyway.
-    if (!early_slot_[s] || bloom_slot_[s]) continue;
+    if (!early_slot_[s]) continue;
     const ColumnSegment& seg = rg.column(decode_columns_[s]);
-    if (decode_to_output_[s] < 0 && seg.encoding() == EncodingKind::kRle) {
+    if (seg.encoding() == EncodingKind::kRle) {
       slot_mode_[s] = SlotMode::kRuns;
       continue;
     }
+    // A Bloom filter hashes values, so a bit-packed Bloom column is decoded.
+    if (bloom_slot_[s]) continue;
     CodeRange both{0, ~uint64_t{0}, false};
     bool any_positive = false;
     bool exact = true;
@@ -323,18 +338,53 @@ void ColumnStoreScanOperator::ApplyPredicate(const ScanPredicate& pred,
 }
 
 void ColumnStoreScanOperator::ApplyBloom(const BloomFilterSpec& spec,
+                                         size_t slot, const ColumnSegment& seg,
                                          const ColumnVector& cv,
-                                         Batch* batch) const {
+                                         Batch* batch) {
   const int64_t n = batch->num_rows();
   uint8_t* active = batch->mutable_active();
+  // verdict[i]: row i's value may be in the filter. Single-key hashes, as
+  // the hash join computed them when it filled the filter.
+  verdict_scratch_.resize(static_cast<size_t>(n) + 8);
+  uint8_t* verdict = verdict_scratch_.data();
+  hashes_.resize(static_cast<size_t>(n));
+  if (slot_mode_[slot] == SlotMode::kRuns) {
+    // One probe per run, on its decoded value; the verdict is then fanned
+    // over the run's rows 8 bytes at a time (each store may run past the
+    // run: the next run, or the slack, takes the excess).
+    ColumnVector* values = run_values_[slot].get();
+    run_ends_.resize(static_cast<size_t>(n));
+    const int64_t runs =
+        seg.DecodeRuns(offset_, n, CodeBuffer(values), run_ends_.data());
+    Widen(seg, runs, values);
+    values->SetAllValid(runs);
+    kernels::FillU64(kKeyHashSeed, runs, hashes_.data());
+    CombineKeyColumnHashes(*values, nullptr, runs, hashes_.data());
+    int64_t i = 0;
+    for (int64_t r = 0; r < runs; ++r) {
+      const uint64_t word =
+          spec.filter->MayContain(hashes_[static_cast<size_t>(r)])
+              ? 0x0101010101010101ULL
+              : 0;
+      for (; i < run_ends_[static_cast<size_t>(r)]; i += 8) {
+        std::memcpy(verdict + i, &word, sizeof(word));
+      }
+      i = run_ends_[static_cast<size_t>(r)];
+    }
+  } else {
+    kernels::FillU64(kKeyHashSeed, n, hashes_.data());
+    CombineKeyColumnHashes(cv, active, n, hashes_.data());
+    for (int64_t i = 0; i < n; ++i) {
+      verdict[i] = active[i] && spec.filter->MayContain(hashes_[i]);
+    }
+  }
+  // Null rows never pass; a run may mix null and non-null rows.
   const uint8_t* valid = cv.validity();
   int64_t dropped = 0;
   for (int64_t i = 0; i < n; ++i) {
-    if (!active[i]) continue;
-    if (!valid[i] || !spec.filter->MayContain(HashVectorValue(cv, i))) {
-      active[i] = 0;
-      ++dropped;
-    }
+    const uint8_t keep = active[i] & valid[i] & verdict[i];
+    dropped += active[i] - keep;
+    active[i] = keep;
   }
   ctx_->stats.rows_bloom_filtered += dropped;
   bloom_rows_dropped_ += dropped;
@@ -379,22 +429,7 @@ Status ColumnStoreScanOperator::FillFromGroup() {
     seg.DecodeValidity(offset_, n, dst->mutable_validity());
   };
   auto widen = [&](size_t s) {
-    const ColumnSegment& seg = rg.column(decode_columns_[s]);
-    ColumnVector* dst = slot_dst(s);
-    switch (PhysicalTypeOf(seg.type())) {
-      case PhysicalType::kInt64:
-        seg.WidenInt64(n, dst->mutable_ints());
-        break;
-      case PhysicalType::kDouble:
-        seg.WidenDouble(n, dst->mutable_doubles());
-        break;
-      case PhysicalType::kString:
-        // Strings are mapped from the code lane; the lane is published
-        // when the codes are primary.
-        seg.CodesToStrings(dst->codes(), n, dst->mutable_strings());
-        dst->set_dictionary(LaneDictionary(seg));
-        break;
-    }
+    Widen(rg.column(decode_columns_[s]), n, slot_dst(s));
   };
 
   for (size_t s = 0; s < decode_columns_.size(); ++s) {
@@ -416,18 +451,19 @@ Status ColumnStoreScanOperator::FillFromGroup() {
       }
       case SlotMode::kRuns: {
         // Each predicate is decided once per run and its verdict fanned
-        // over the run's rows: O(runs), never decoding the run bodies.
+        // over the run's rows: O(runs), never decoding the run bodies. The
+        // validity stays in the slot's vector for its Bloom filters.
         const ColumnSegment& seg = rg.column(decode_columns_[s]);
-        validity_scratch_.resize(static_cast<size_t>(n));
+        uint8_t* valid = slot_dst(s)->mutable_validity();
+        seg.DecodeValidity(offset_, n, valid);
         verdict_scratch_.resize(static_cast<size_t>(n));
-        seg.DecodeValidity(offset_, n, validity_scratch_.data());
         for (size_t p = 0; p < options_.predicates.size(); ++p) {
           if (pred_decode_slot_[p] != static_cast<int>(s)) continue;
           seg.EvalPredicateOnRuns(options_.predicates[p].op,
                                   options_.predicates[p].value, offset_, n,
                                   verdict_scratch_.data());
           for (int64_t i = 0; i < n; ++i) {
-            active[i] &= validity_scratch_[i] & verdict_scratch_[i];
+            active[i] &= valid[i] & verdict_scratch_[i];
           }
         }
         break;
@@ -442,8 +478,9 @@ Status ColumnStoreScanOperator::FillFromGroup() {
     ApplyPredicate(options_.predicates[p], *slot_dst(slot), output_.get());
   }
   for (size_t b = 0; b < options_.bloom_filters.size(); ++b) {
-    ApplyBloom(options_.bloom_filters[b],
-               *slot_dst(static_cast<size_t>(bloom_decode_slot_[b])),
+    const size_t slot = static_cast<size_t>(bloom_decode_slot_[b]);
+    ApplyBloom(options_.bloom_filters[b], slot,
+               rg.column(decode_columns_[slot]), *slot_dst(slot),
                output_.get());
   }
   output_->RecountActive();
@@ -452,22 +489,24 @@ Status ColumnStoreScanOperator::FillFromGroup() {
   const int64_t survivors = output_->active_count();
   if (survivors == n || survivors > n - n / 4) {
     // Dense window: bulk decode is cheaper than gathering; the batch keeps
-    // its width and its mask.
+    // its width and its mask. Late columns and projected run columns are
+    // decoded here, columns decided on codes widened.
     for (size_t s = 0; s < decode_columns_.size(); ++s) {
-      if (!early_slot_[s]) {
+      if (decode_to_output_[s] < 0) continue;
+      if (!early_slot_[s] || slot_mode_[s] == SlotMode::kRuns) {
         unpack(s);
         widen(s);
-      } else if (slot_mode_[s] == SlotMode::kCodes &&
-                 decode_to_output_[s] >= 0) {
+      } else if (slot_mode_[s] == SlotMode::kCodes) {
         widen(s);
       }
     }
   } else if (survivors > 0) {
     // Sparse window: emit a compact batch of the survivors, so operators
     // above work per surviving row. Late columns and those decided on
-    // codes are gathered straight into rows [0, survivors); decoded early
-    // projected columns (predicate or Bloom columns that are also output)
-    // are packed forward through the same selection.
+    // codes or runs are gathered straight into rows [0, survivors);
+    // decoded early projected columns (bit-packed predicate or Bloom
+    // columns that are also output) are packed forward through the same
+    // selection.
     rows_.clear();
     sel_.clear();
     const uint8_t* mask = output_->active();

@@ -107,8 +107,12 @@ class ColumnStoreScanOperator final : public BatchOperator {
   // Applies `pred` against decoded vector `cv`, ANDing into the active mask.
   void ApplyPredicate(const ScanPredicate& pred, const ColumnVector& cv,
                       Batch* batch) const;
-  void ApplyBloom(const BloomFilterSpec& spec, const ColumnVector& cv,
-                  Batch* batch) const;
+  // Applies a Bloom filter on early slot `slot` (segment `seg`, validity
+  // and, when decoded, values in `cv`) to the active mask, after every
+  // predicate: once per run on a kRuns slot, per row otherwise.
+  void ApplyBloom(const BloomFilterSpec& spec, size_t slot,
+                  const ColumnSegment& seg, const ColumnVector& cv,
+                  Batch* batch);
 
   const ColumnStoreTable* table_;
   Options options_;
@@ -126,11 +130,14 @@ class ColumnStoreScanOperator final : public BatchOperator {
   std::vector<bool> early_slot_;
   std::vector<bool> bloom_slot_;  // read by a Bloom filter: needs values
 
-  // How an early slot's predicates are decided in the current row group:
-  // on decoded values (ApplyPredicate), on its unpacked codes against
-  // slot_ranges_ (kernels::AndCodeRange; a projected one is widened in
-  // phase 2 with the late columns), or once per RLE run
-  // (EvalPredicateOnRuns; predicate-only RLE slots).
+  // How an early slot's predicates and Bloom filters are decided in the
+  // current row group: on decoded values (ApplyPredicate; bit-packed
+  // columns without a code range, and bit-packed Bloom columns), on its
+  // unpacked codes against slot_ranges_ (kernels::AndCodeRange; a
+  // projected one is widened in phase 2 with the late columns), or once
+  // per run (every RLE column: EvalPredicateOnRuns, and one Bloom probe a
+  // run; a projected one is decoded or gathered in phase 2 like a late
+  // column).
   enum class SlotMode : uint8_t { kDecoded, kCodes, kRuns };
   std::vector<SlotMode> slot_mode_;
   // Per kCodes slot: the ranges a row's code must pass, all of them. The
@@ -145,13 +152,17 @@ class ColumnStoreScanOperator final : public BatchOperator {
   const TableVersion* snapshot_ = nullptr;
   std::unique_ptr<Batch> output_;
   std::vector<std::unique_ptr<ColumnVector>> scratch_;
-  std::vector<uint8_t> validity_scratch_;  // RLE run evaluation
+  // A kRuns Bloom slot's window runs: their values (per Bloom slot, else
+  // null) and window end offsets; and the Bloom probes' hashes.
+  std::vector<std::unique_ptr<ColumnVector>> run_values_;
+  std::vector<int64_t> run_ends_;
+  std::vector<uint64_t> hashes_;
   // A sparse window's survivors: segment rows (for the gathers) and window
   // positions (for packing the early projected columns), both ascending.
   std::vector<int64_t> rows_;
   std::vector<int32_t> sel_;
-  // Per-row 0/1 verdicts from the SIMD compare-against-constant kernels,
-  // ANDed into the active mask (mutable: ApplyPredicate is const).
+  // Per-row 0/1 verdicts (compare kernels, runs, Bloom probes), ANDed into
+  // the active mask (mutable: ApplyPredicate is const).
   mutable std::vector<uint8_t> verdict_scratch_;
 
   int64_t group_ = 0;       // current row group of the current range
@@ -165,12 +176,11 @@ class ColumnStoreScanOperator final : public BatchOperator {
   bool delta_loaded_ = false;
 
   // Per-operator profile counters mirroring the query-global ExecStats.
-  // Mutable: ApplyBloom/ApplyPredicate are const helpers.
   int64_t rows_scanned_ = 0;
   int64_t delta_rows_scanned_ = 0;
   int64_t groups_scanned_ = 0;
   int64_t groups_eliminated_ = 0;
-  mutable int64_t bloom_rows_dropped_ = 0;
+  int64_t bloom_rows_dropped_ = 0;
   int64_t shards_total_ = 0;  // 0: no pruning result to report
   int64_t shards_pruned_ = 0;
 };

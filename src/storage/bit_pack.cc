@@ -4,7 +4,6 @@
 
 #include "common/bit_util.h"
 #include "common/macros.h"
-#include "common/metrics.h"
 #include "common/simd.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -15,18 +14,6 @@
 namespace vstore {
 
 namespace {
-
-// Records the SIMD-vs-scalar dispatch decision (shared metric with the
-// expression kernels) and returns the active level.
-simd::Level UnpackDispatchLevel() {
-  static Counter* scalar = MetricsRegistry::Global().GetCounter(
-      "vstore_simd_dispatch_total", "level", "scalar");
-  static Counter* avx2 = MetricsRegistry::Global().GetCounter(
-      "vstore_simd_dispatch_total", "level", "avx2");
-  simd::Level level = simd::Active();
-  (level == simd::Level::kAVX2 ? avx2 : scalar)->Increment();
-  return level;
-}
 
 #ifdef VSTORE_BITPACK_X86
 
@@ -60,6 +47,36 @@ __attribute__((target("avx2"))) void UnpackAvx2(const uint8_t* data,
     std::memcpy(&word, data + (bit_pos >> 3), sizeof(word));
     out[i] = (word >> (bit_pos & 7)) & mask;
   }
+}
+
+// Gather form of UnpackAvx2: value indices[i] starts at bit indices[i] *
+// bit_width. The product is formed from the index's 32-bit halves, each
+// times the width (< 2^32), so it is exact for every index a buffer can
+// hold; the same one-word read and +7 byte slack apply (bit_width <= 57).
+__attribute__((target("avx2"))) void GatherAvx2(const uint8_t* data,
+                                                int bit_width,
+                                                const int64_t* indices,
+                                                int64_t n, uint64_t* out) {
+  const uint64_t mask = (uint64_t{1} << bit_width) - 1;
+  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
+  const __m256i vseven = _mm256_set1_epi64x(7);
+  const __m256i vwidth = _mm256_set1_epi64x(bit_width);
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i index =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(indices + i));
+    const __m256i lo = _mm256_mul_epu32(index, vwidth);
+    const __m256i hi =
+        _mm256_mul_epu32(_mm256_srli_epi64(index, 32), vwidth);
+    const __m256i bits = _mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32));
+    const __m256i words = _mm256_i64gather_epi64(
+        reinterpret_cast<const long long*>(data), _mm256_srli_epi64(bits, 3),
+        1);
+    const __m256i vals = _mm256_and_si256(
+        _mm256_srlv_epi64(words, _mm256_and_si256(bits, vseven)), vmask);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), vals);
+  }
+  for (; i < n; ++i) out[i] = BitPacker::Get(data, bit_width, indices[i]);
 }
 
 #endif  // VSTORE_BITPACK_X86
@@ -99,23 +116,6 @@ std::vector<uint8_t> BitPacker::Pack(const uint64_t* values, int64_t n,
   return out;
 }
 
-uint64_t BitPacker::Get(const uint8_t* data, int bit_width, int64_t index) {
-  if (bit_width == 0) return 0;
-  int64_t bit_pos = index * bit_width;
-  int64_t byte_pos = bit_pos >> 3;
-  int shift = static_cast<int>(bit_pos & 7);
-  uint64_t word;
-  std::memcpy(&word, data + byte_pos, sizeof(word));
-  uint64_t v = word >> shift;
-  if (shift + bit_width > 64) {
-    uint64_t hi;
-    std::memcpy(&hi, data + byte_pos + 8, sizeof(hi));
-    v |= hi << (64 - shift);
-  }
-  if (bit_width < 64) v &= (uint64_t{1} << bit_width) - 1;
-  return v;
-}
-
 void BitPacker::Unpack(const uint8_t* data, int bit_width, int64_t start,
                        int64_t n, uint64_t* out) {
   if (bit_width == 0) {
@@ -126,7 +126,7 @@ void BitPacker::Unpack(const uint8_t* data, int bit_width, int64_t start,
   // Widths up to 57 fit entirely in one gathered word per value (see
   // UnpackAvx2); wider values need the two-word scalar path below.
   if (bit_width <= 57 && n >= 8 &&
-      UnpackDispatchLevel() == simd::Level::kAVX2) {
+      simd::Dispatch() == simd::Level::kAVX2) {
     UnpackAvx2(data, bit_width, start, n, out);
     return;
   }
@@ -152,6 +152,18 @@ void BitPacker::Unpack(const uint8_t* data, int bit_width, int64_t start,
     p += shift >> 3;
     shift &= 7;
   }
+}
+
+void BitPacker::Gather(const uint8_t* data, int bit_width,
+                       const int64_t* indices, int64_t n, uint64_t* out) {
+#ifdef VSTORE_BITPACK_X86
+  if (bit_width > 0 && bit_width <= 57 && n >= 4 &&
+      simd::Dispatch() == simd::Level::kAVX2) {
+    GatherAvx2(data, bit_width, indices, n, out);
+    return;
+  }
+#endif
+  for (int64_t i = 0; i < n; ++i) out[i] = Get(data, bit_width, indices[i]);
 }
 
 }  // namespace vstore

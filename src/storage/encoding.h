@@ -70,6 +70,14 @@ inline double DecodeDoubleCode(uint64_t code, const ValueEncoding& venc) {
          venc.dbl_pow10;
 }
 
+// Batch DecodeDoubleCode for value-scaled codes, each below 2^bit_width,
+// held in the bytes of values[0, count) and widened in place. Results are
+// bit-identical to DecodeDoubleCode; an AVX2 body runs when every such code
+// c has |c + base| < 2^51 (checked once per call), the scalar loop
+// otherwise.
+void WidenScaledCodes(const ValueEncoding& venc, int bit_width, int64_t count,
+                      double* values);
+
 // Forward-maps a raw value to its code; returns false if the value is not
 // representable under this encoding (then it cannot occur in the segment).
 bool EncodeIntValue(int64_t value, const ValueEncoding& venc, uint64_t* code);

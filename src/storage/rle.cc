@@ -8,6 +8,22 @@
 
 namespace vstore {
 
+RleRunWalker::RleRunWalker(const RleEncoded& enc, int64_t row)
+    : values_(enc.values_data()),
+      starts_(enc.run_starts.data()),
+      value_bits_(enc.value_bits),
+      num_runs_(enc.num_runs),
+      num_rows_(enc.num_rows) {
+  VSTORE_DCHECK(row >= 0 && row < enc.num_rows);
+  VSTORE_DCHECK(static_cast<int64_t>(enc.run_starts.size()) == enc.num_runs);
+  // The last run starting at or before `row`.
+  run_ = static_cast<int64_t>(std::upper_bound(enc.run_starts.begin(),
+                                               enc.run_starts.end(), row) -
+                              enc.run_starts.begin()) -
+         1;
+  end_ = run_ + 1 < num_runs_ ? starts_[run_ + 1] : num_rows_;
+}
+
 int64_t RleCodec::CountRuns(const uint64_t* codes, int64_t n) {
   if (n == 0) return 0;
   int64_t runs = 1;
@@ -75,30 +91,15 @@ void RleCodec::BuildIndex(RleEncoded* enc) {
 
 void RleCodec::Decode(const RleEncoded& enc, int64_t start, int64_t count,
                       uint64_t* out) {
-  VSTORE_DCHECK(start + count <= enc.num_rows);
+  VSTORE_DCHECK(start >= 0 && start + count <= enc.num_rows);
   if (count == 0) return;
-  VSTORE_DCHECK(static_cast<int64_t>(enc.run_starts.size()) == enc.num_runs);
-  // Binary-search the first run covering `start`, then walk forward.
-  int64_t r = static_cast<int64_t>(
-                  std::upper_bound(enc.run_starts.begin(),
-                                   enc.run_starts.end(), start) -
-                  enc.run_starts.begin()) -
-              1;
-  int64_t row = enc.run_starts[static_cast<size_t>(r)];
-  int64_t produced = 0;
-  for (; r < enc.num_runs && produced < count; ++r) {
-    uint64_t value = BitPacker::Get(enc.values_data(), enc.value_bits, r);
-    int64_t length = static_cast<int64_t>(
-        BitPacker::Get(enc.lengths_data(), enc.length_bits, r));
-    int64_t run_end = row + length;
-    int64_t from = std::max(row, start);
-    int64_t to = std::min(run_end, start + count);
-    for (int64_t i = from; i < to; ++i) {
-      out[produced++] = value;
-    }
-    row = run_end;
+  RleRunWalker walker(enc, start);
+  for (int64_t i = 0;; walker.Next()) {
+    const uint64_t code = walker.code();
+    const int64_t to = std::min(walker.end(), start + count) - start;
+    for (; i < to; ++i) out[i] = code;
+    if (i == count) return;
   }
-  VSTORE_DCHECK(produced == count);
 }
 
 std::vector<uint64_t> RleCodec::DecodeAll(const RleEncoded& enc) {

@@ -5,6 +5,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/macros.h"
+#include "storage/bit_pack.h"
+
 namespace vstore {
 
 // Run-length encoding of a code stream, stored as two bit-packed arrays:
@@ -50,6 +53,44 @@ struct RleEncoded {
   }
 };
 
+// Walks the runs of an RLE stream by row, over the in-memory run_starts
+// index: a run's code costs one BitPacker::Get and its bounds come from
+// run_starts, so run lengths are never unpacked. Every reader of an RLE
+// stream (decode, gathers, predicates decided per run) goes through it.
+class RleRunWalker {
+ public:
+  // Positions on the run holding `row` (0 <= row < enc.num_rows).
+  RleRunWalker(const RleEncoded& enc, int64_t row);
+
+  // The current run's code.
+  uint64_t code() const {
+    return BitPacker::Get(values_, value_bits_, run_);
+  }
+  // The first row after the current run.
+  int64_t end() const { return end_; }
+
+  // Moves to the next run; the current one must not be the last.
+  void Next() {
+    ++run_;
+    VSTORE_DCHECK(run_ < num_runs_);
+    end_ = run_ + 1 < num_runs_ ? starts_[run_ + 1] : num_rows_;
+  }
+  // Moves forward to the run holding `row`, which must not lie before the
+  // current run, reading no code on the way.
+  void SkipTo(int64_t row) {
+    while (end_ <= row) Next();
+  }
+
+ private:
+  const uint8_t* values_;
+  const int64_t* starts_;
+  int value_bits_;
+  int64_t num_runs_;
+  int64_t num_rows_;
+  int64_t run_ = 0;
+  int64_t end_ = 0;
+};
+
 class RleCodec {
  public:
   // Counts the runs in codes[0, n) without encoding — used by the encoding
@@ -64,7 +105,7 @@ class RleCodec {
   // Recomputes run_starts from the packed lengths.
   static void BuildIndex(RleEncoded* enc);
 
-  // Decodes rows [start, start+count) into out.
+  // Decodes rows [start, start+count) into out, one code read per run.
   static void Decode(const RleEncoded& enc, int64_t start, int64_t count,
                      uint64_t* out);
 

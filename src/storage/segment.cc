@@ -35,6 +35,23 @@ Status DecompressBlob(const std::vector<uint8_t>& compressed,
                           original_size);
 }
 
+// Whether some value x in [min, max] can satisfy `x op constant`, given
+// the three-way signs of min and max against the constant: every sign
+// between them is taken as reachable, which keeps the answer conservative.
+// A NaN constant compares "equal" (sign 0) with everything, as it does row
+// by row.
+bool SignsMayMatch(CompareOp op, int min_sign, int max_sign) {
+  for (int sign = min_sign; sign <= max_sign; ++sign) {
+    if (ApplyCompare(op, sign)) return true;
+  }
+  return false;
+}
+
+template <typename T>
+int Sign(const T& a, const T& b) {
+  return (a > b) - (a < b);
+}
+
 }  // namespace
 
 int64_t ColumnSegment::EncodedBytes() const {
@@ -110,13 +127,7 @@ void ColumnSegment::WidenDouble(int64_t count, double* values) const {
   if (venc_.code_kind == CodeKind::kRawDouble) {
     return;  // codes are already the IEEE bit patterns, in place
   }
-  const uint64_t* codes = reinterpret_cast<const uint64_t*>(values);
-  const int64_t base = venc_.base;
-  const double factor = venc_.dbl_pow10;
-  for (int64_t i = 0; i < count; ++i) {
-    values[i] = static_cast<double>(static_cast<int64_t>(codes[i]) + base) /
-                factor;
-  }
+  WidenScaledCodes(venc_, bit_width_, count, values);
 }
 
 void ColumnSegment::CodesToStrings(const uint64_t* codes, int64_t count,
@@ -135,49 +146,47 @@ void ColumnSegment::GatherCodes(const int64_t* rows, int64_t count,
   if (count == 0) return;
   EnsureResident().CheckOK();
   if (encoding_ == EncodingKind::kBitPack) {
-    for (int64_t i = 0; i < count; ++i) {
-      out[i] = BitPacker::Get(packed_data(), bit_width_, rows[i]);
-    }
+    BitPacker::Gather(packed_data(), bit_width_, rows, count, out);
     return;
   }
-  // Binary-search the first run, then one merge walk; rows must ascend.
-  int64_t r = static_cast<int64_t>(
-                  std::upper_bound(rle_.run_starts.begin(),
-                                   rle_.run_starts.end(), rows[0]) -
-                  rle_.run_starts.begin()) -
-              1;
-  int64_t run_end = rle_.run_starts[static_cast<size_t>(r)];
-  uint64_t value = 0;
-  bool have_value = false;
+  // One walk over the runs; rows must ascend. The runs between two
+  // survivors are stepped over through run_starts, their codes unread.
+  RleRunWalker walker(rle_, rows[0]);
+  uint64_t code = walker.code();
   for (int64_t i = 0; i < count; ++i) {
     VSTORE_DCHECK(i == 0 || rows[i] >= rows[i - 1]);
-    while (rows[i] >= run_end || !have_value) {
-      VSTORE_DCHECK(r < rle_.num_runs);
-      value = BitPacker::Get(rle_.values_data(), rle_.value_bits, r);
-      run_end = (r + 1 < rle_.num_runs
-                     ? rle_.run_starts[static_cast<size_t>(r + 1)]
-                     : rle_.num_rows);
-      ++r;
-      have_value = true;
+    if (rows[i] >= walker.end()) {
+      walker.SkipTo(rows[i]);
+      code = walker.code();
     }
-    out[i] = value;
+    out[i] = code;
   }
 }
 
 void ColumnSegment::GatherInt64(const int64_t* rows, int64_t count,
                                 int64_t* out) const {
   // Gather codes into the output buffer, then widen in place.
-  uint64_t* codes = reinterpret_cast<uint64_t*>(out);
-  GatherCodes(rows, count, codes);
-  for (int64_t i = 0; i < count; ++i) out[i] = DecodeIntCode(codes[i], venc_);
+  GatherCodes(rows, count, reinterpret_cast<uint64_t*>(out));
+  WidenInt64(count, out);
 }
 
 void ColumnSegment::GatherDouble(const int64_t* rows, int64_t count,
                                  double* out) const {
-  uint64_t* codes = reinterpret_cast<uint64_t*>(out);
-  GatherCodes(rows, count, codes);
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = DecodeDoubleCode(codes[i], venc_);
+  GatherCodes(rows, count, reinterpret_cast<uint64_t*>(out));
+  WidenDouble(count, out);
+}
+
+int64_t ColumnSegment::DecodeRuns(int64_t start, int64_t count,
+                                  uint64_t* codes, int64_t* ends) const {
+  VSTORE_DCHECK(encoding_ == EncodingKind::kRle);
+  VSTORE_DCHECK(start >= 0 && start + count <= num_rows());
+  if (count == 0) return 0;
+  EnsureResident().CheckOK();
+  RleRunWalker walker(rle_, start);
+  for (int64_t k = 0;; walker.Next()) {
+    codes[k] = walker.code();
+    ends[k] = std::min(walker.end() - start, count);
+    if (ends[k++] == count) return k;
   }
 }
 
@@ -238,62 +247,26 @@ std::string_view ColumnSegment::DictString(uint64_t code) const {
 bool ColumnSegment::MayMatch(CompareOp op, const Value& value) const {
   if (value.is_null()) return false;  // SQL comparisons with NULL never match
   if (!stats_.has_values) return false;
-  // kNe can only be eliminated when min == max == value; handle via cmp
-  // bounds below.
   switch (PhysicalTypeOf(type_)) {
     case PhysicalType::kInt64: {
-      int64_t v = value.int64();
-      switch (op) {
-        case CompareOp::kEq:
-          return v >= stats_.min_i64 && v <= stats_.max_i64;
-        case CompareOp::kNe:
-          return !(stats_.min_i64 == v && stats_.max_i64 == v);
-        case CompareOp::kLt:
-          return stats_.min_i64 < v;
-        case CompareOp::kLe:
-          return stats_.min_i64 <= v;
-        case CompareOp::kGt:
-          return stats_.max_i64 > v;
-        case CompareOp::kGe:
-          return stats_.max_i64 >= v;
+      if (value.type() == DataType::kDouble) {
+        // A double constant against an int column compares in double
+        // space, as the row-by-row compares do.
+        const double v = value.AsDouble();
+        return SignsMayMatch(op, Sign(static_cast<double>(stats_.min_i64), v),
+                             Sign(static_cast<double>(stats_.max_i64), v));
       }
-      return true;
+      const int64_t v = value.int64();
+      return SignsMayMatch(op, Sign(stats_.min_i64, v),
+                           Sign(stats_.max_i64, v));
     }
     case PhysicalType::kDouble: {
-      double v = value.AsDouble();
-      switch (op) {
-        case CompareOp::kEq:
-          return v >= stats_.min_d && v <= stats_.max_d;
-        case CompareOp::kNe:
-          return !(stats_.min_d == v && stats_.max_d == v);
-        case CompareOp::kLt:
-          return stats_.min_d < v;
-        case CompareOp::kLe:
-          return stats_.min_d <= v;
-        case CompareOp::kGt:
-          return stats_.max_d > v;
-        case CompareOp::kGe:
-          return stats_.max_d >= v;
-      }
-      return true;
+      const double v = value.AsDouble();
+      return SignsMayMatch(op, Sign(stats_.min_d, v), Sign(stats_.max_d, v));
     }
     case PhysicalType::kString: {
       const std::string& v = value.str();
-      switch (op) {
-        case CompareOp::kEq:
-          return v >= stats_.min_s && v <= stats_.max_s;
-        case CompareOp::kNe:
-          return !(stats_.min_s == v && stats_.max_s == v);
-        case CompareOp::kLt:
-          return stats_.min_s < v;
-        case CompareOp::kLe:
-          return stats_.min_s <= v;
-        case CompareOp::kGt:
-          return stats_.max_s > v;
-        case CompareOp::kGe:
-          return stats_.max_s >= v;
-      }
-      return true;
+      return SignsMayMatch(op, Sign(stats_.min_s, v), Sign(stats_.max_s, v));
     }
   }
   return true;
@@ -304,24 +277,14 @@ void ColumnSegment::EvalPredicateOnRuns(CompareOp op, const Value& value,
                                         uint8_t* verdict) const {
   VSTORE_DCHECK(encoding_ == EncodingKind::kRle);
   VSTORE_DCHECK(start >= 0 && start + count <= num_rows());
+  if (count == 0) return;
   EnsureResident().CheckOK();
-  // Position on the run containing `start`, then walk forward, deciding
-  // each run once and fanning the verdict out over its row span. The sign
-  // expressions mirror the scan's branchless ApplyPredicate exactly.
-  int64_t r = static_cast<int64_t>(
-                  std::upper_bound(rle_.run_starts.begin(),
-                                   rle_.run_starts.end(), start) -
-                  rle_.run_starts.begin()) -
-              1;
-  int64_t row = start;
-  const int64_t end = start + count;
-  while (row < end) {
-    VSTORE_DCHECK(r < rle_.num_runs);
-    const uint64_t code =
-        BitPacker::Get(rle_.values_data(), rle_.value_bits, r);
-    const int64_t run_end = r + 1 < rle_.num_runs
-                                ? rle_.run_starts[static_cast<size_t>(r + 1)]
-                                : rle_.num_rows;
+  // Walk the runs from the one holding `start`, deciding each once and
+  // fanning its verdict over its rows in the window. The sign expressions
+  // mirror the scan's branchless ApplyPredicate exactly.
+  RleRunWalker walker(rle_, start);
+  for (int64_t i = 0;; walker.Next()) {
+    const uint64_t code = walker.code();
     uint8_t v = 0;
     switch (PhysicalTypeOf(type_)) {
       case PhysicalType::kString: {
@@ -349,11 +312,10 @@ void ColumnSegment::EvalPredicateOnRuns(CompareOp op, const Value& value,
         break;
       }
     }
-    const int64_t span_end = std::min(run_end, end);
-    std::memset(verdict + (row - start), v,
-                static_cast<size_t>(span_end - row));
-    row = span_end;
-    ++r;
+    const int64_t to = std::min(walker.end() - start, count);
+    std::memset(verdict + i, v, static_cast<size_t>(to - i));
+    i = to;
+    if (i == count) return;
   }
 }
 

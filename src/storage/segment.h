@@ -74,7 +74,8 @@ class ColumnSegment {
   void DecodeInt64(int64_t start, int64_t count, int64_t* out) const;
   void DecodeDouble(int64_t start, int64_t count, double* out) const;
   // Widens codes already unpacked into values[0, count) (DecodeCodes into
-  // the same buffer) to their values, in place.
+  // the same buffer) to their values, in place. WidenDouble runs
+  // WidenScaledCodes (an AVX2 body, bit-identical to the scalar divide).
   void WidenInt64(int64_t count, int64_t* values) const;
   void WidenDouble(int64_t count, double* values) const;
   // Maps already-decoded codes to their strings: out[i] = DictString(codes[i]).
@@ -86,10 +87,11 @@ class ColumnSegment {
   void DecodeValidity(int64_t start, int64_t count, uint8_t* out) const;
 
   // Sparse decode for lazy materialization: fetches only rows[0..count)
-  // (ascending segment row indices) into out[0..count). Bit-packed
-  // segments use random access; RLE segments use one merge walk over the
-  // runs. The scan uses this to decode payload columns only for rows that
-  // survived predicates and bitmap filters.
+  // (ascending segment row indices, repeats allowed) into out[0..count).
+  // Bit-packed segments gather (BitPacker::Gather); RLE segments walk the
+  // runs once, reading a code only for the runs that hold a row. The scan
+  // uses this to decode payload columns only for rows that survived
+  // predicates and bitmap filters.
   void GatherCodes(const int64_t* rows, int64_t count, uint64_t* out) const;
   void GatherInt64(const int64_t* rows, int64_t count, int64_t* out) const;
   void GatherDouble(const int64_t* rows, int64_t count, double* out) const;
@@ -100,6 +102,14 @@ class ColumnSegment {
   // --- Predicate support ----------------------------------------------
   // Conservative check from stats only: can any row match `op value`?
   bool MayMatch(CompareOp op, const Value& value) const;
+
+  // The runs of an RLE segment over rows [start, start+count), in order:
+  // run k has code codes[k] and ends at window offset ends[k] (exclusive;
+  // clipped to the window, so the last end is count). Returns the number
+  // of runs, at most count. One code read per run; run lengths are never
+  // unpacked. Only valid for kRle segments.
+  int64_t DecodeRuns(int64_t start, int64_t count, uint64_t* codes,
+                     int64_t* ends) const;
 
   // Evaluates `op value` once per RLE run over rows [start, start+count),
   // writing per-row 0/1 verdicts without decompressing the run bodies —

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "storage/rle.h"
 
@@ -77,6 +81,108 @@ TEST(RleTest, ZeroDecodeCountIsNoop) {
   std::vector<uint64_t> codes(10, 1);
   RleEncoded enc = RleCodec::Encode(codes.data(), 10);
   RleCodec::Decode(enc, 5, 0, nullptr);  // must not crash
+}
+
+// Runs of 1-7 rows over random codes; the walker and Decode must agree
+// with DecodeAll wherever a window starts or ends.
+std::vector<uint64_t> ShortRuns(uint64_t seed, int64_t runs) {
+  Random rng(seed);
+  std::vector<uint64_t> codes;
+  for (int64_t r = 0; r < runs; ++r) {
+    const uint64_t value = rng.Next() % 1000;
+    codes.insert(codes.end(), static_cast<size_t>(rng.Uniform(1, 7)), value);
+  }
+  return codes;
+}
+
+// The (code, end) pairs a walk over rows [start, end) yields, ends clipped
+// to the window, as the scan reads them.
+std::vector<std::pair<uint64_t, int64_t>> Walk(const RleEncoded& enc,
+                                               int64_t start, int64_t end) {
+  std::vector<std::pair<uint64_t, int64_t>> runs;
+  RleRunWalker walker(enc, start);
+  for (;; walker.Next()) {
+    runs.emplace_back(walker.code(), std::min(walker.end(), end));
+    if (walker.end() >= end) return runs;
+  }
+}
+
+// The same pairs from the plain code stream.
+std::vector<std::pair<uint64_t, int64_t>> ExpectedRuns(
+    const std::vector<uint64_t>& codes, int64_t start, int64_t end) {
+  std::vector<std::pair<uint64_t, int64_t>> runs;
+  for (int64_t i = start; i < end; ++i) {
+    const uint64_t c = codes[static_cast<size_t>(i)];
+    if (i + 1 == end || codes[static_cast<size_t>(i + 1)] != c) {
+      runs.emplace_back(c, i + 1);
+    }
+  }
+  return runs;
+}
+
+TEST(RleRunWalkerTest, WindowsStartingAndEndingMidRun) {
+  // Runs: 3x5, 4x9, 2x5, 6x1 (rows 0-2, 3-6, 7-8, 9-14).
+  std::vector<uint64_t> codes = {5, 5, 5, 9, 9, 9, 9, 5, 5, 1, 1, 1, 1, 1, 1};
+  const int64_t n = static_cast<int64_t>(codes.size());
+  RleEncoded enc = RleCodec::Encode(codes.data(), n);
+  ASSERT_EQ(enc.num_runs, 4);
+  for (int64_t start = 0; start < n; ++start) {
+    for (int64_t end = start + 1; end <= n; ++end) {
+      EXPECT_EQ(Walk(enc, start, end), ExpectedRuns(codes, start, end))
+          << "window [" << start << ", " << end << ")";
+    }
+  }
+  // Mid-run start: row 4 lies in the 9-run, which ends at row 7.
+  RleRunWalker walker(enc, 4);
+  EXPECT_EQ(walker.code(), 9u);
+  EXPECT_EQ(walker.end(), 7);
+}
+
+TEST(RleRunWalkerTest, OneRunSegment) {
+  std::vector<uint64_t> codes(37, 12);
+  RleEncoded enc = RleCodec::Encode(codes.data(), 37);
+  ASSERT_EQ(enc.num_runs, 1);
+  for (int64_t row : {int64_t{0}, int64_t{18}, int64_t{36}}) {
+    RleRunWalker walker(enc, row);
+    EXPECT_EQ(walker.code(), 12u);
+    EXPECT_EQ(walker.end(), 37);
+    walker.SkipTo(36);  // stays on the only run
+    EXPECT_EQ(walker.end(), 37);
+  }
+}
+
+TEST(RleRunWalkerTest, LastRunEndsAtTheRowCount) {
+  const std::vector<uint64_t> codes = ShortRuns(11, 40);
+  const int64_t n = static_cast<int64_t>(codes.size());
+  RleEncoded enc = RleCodec::Encode(codes.data(), n);
+  RleRunWalker walker(enc, 0);
+  walker.SkipTo(n - 1);
+  EXPECT_EQ(walker.code(), codes.back());
+  EXPECT_EQ(walker.end(), n);
+  // SkipTo steps over runs without moving past the one holding the row.
+  RleRunWalker skipper(enc, 0);
+  for (int64_t row = 0; row < n; row += 5) {
+    skipper.SkipTo(row);
+    EXPECT_EQ(skipper.code(), codes[static_cast<size_t>(row)]) << row;
+    EXPECT_GT(skipper.end(), row);
+    EXPECT_LE(skipper.end(), n);
+  }
+}
+
+TEST(RleTest, DecodeEqualsDecodeAllOnRandomWindows) {
+  const std::vector<uint64_t> codes = ShortRuns(12, 500);
+  const int64_t n = static_cast<int64_t>(codes.size());
+  RleEncoded enc = RleCodec::Encode(codes.data(), n);
+  EXPECT_EQ(RleCodec::DecodeAll(enc), codes);
+  Random rng(13);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int64_t start = rng.Uniform(0, n - 1);
+    const int64_t count = rng.Uniform(1, n - start);
+    std::vector<uint64_t> out(static_cast<size_t>(count));
+    RleCodec::Decode(enc, start, count, out.data());
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), codes.begin() + start))
+        << "window [" << start << ", " << start + count << ")";
+  }
 }
 
 // Property sweep over run-length structure.

@@ -975,5 +975,243 @@ TEST(ScanCodeRangeTest, Q6ShapeMatchesAFilterAboveAnUnfilteredScan) {
   check("with deletes and delta rows");
 }
 
+TEST(ScanTest, DoubleConstantAgainstIntColumnKeepsMatchingGroups) {
+  // 2,000 rows of 10..49 in 1,000-row groups: every group holds rows below
+  // 24.5, so segment elimination must keep both.
+  Schema schema({{"q", DataType::kInt64, false}});
+  TableData data(schema);
+  for (int64_t i = 0; i < 2000; ++i) data.column(0).AppendInt64(10 + i % 40);
+  ColumnStoreTable table("t", schema, SmallGroups());
+  table.BulkLoad(data).CheckOK();
+  ExecContext ctx;
+  ColumnStoreScanOperator::Options options;
+  options.predicates = {{0, CompareOp::kLt, Value::Double(24.5)}};
+  int64_t rows = 0;
+  ForEachBatch(&table, options, &ctx,
+               [&](const Batch& batch) { rows += batch.active_count(); });
+  EXPECT_EQ(rows, 750);
+  EXPECT_EQ(ctx.stats.row_groups_eliminated, 0);
+  EXPECT_EQ(ctx.stats.row_groups_scanned, 2);
+}
+
+// --- RLE columns decided once per run ------------------------------------
+
+Schema RunSchema() {
+  return Schema({{"id", DataType::kInt64, false},
+                 {"key", DataType::kInt64, true},
+                 {"name", DataType::kString, true},
+                 {"price", DataType::kDouble, true},
+                 {"payload", DataType::kInt64, false}});
+}
+
+// 4 groups of 1000 rows sorted on `key`, in runs of 1-7 rows; `name` and
+// `price` follow the key, so all three encode as RLE. Every ninth run has
+// a NULL key inside it (its code may merge with a neighbouring run's, so
+// runs mix NULL and non-NULL rows); `name` and `price` have NULLs too.
+TableData RunData() {
+  TableData data(RunSchema());
+  Random rng(26);
+  int64_t key = 100;
+  for (int64_t run = 0; data.num_rows() < 4000; ++run) {
+    key += rng.Uniform(1, 3);
+    const int64_t length =
+        std::min<int64_t>(rng.Uniform(1, 7), 4000 - data.num_rows());
+    for (int64_t i = 0; i < length; ++i) {
+      const int64_t row = data.num_rows();
+      data.AppendRow(
+          {Value::Int64(row),
+           run % 9 == 0 && i == length / 2 ? Value::Null(DataType::kInt64)
+                                           : Value::Int64(key),
+           run % 11 == 4 && i == 0
+               ? Value::Null(DataType::kString)
+               : Value::String("s" + std::to_string(key % 500)),
+           run % 13 == 6 ? Value::Null(DataType::kDouble)
+                         : Value::Double(static_cast<double>(key) / 4.0),
+           Value::Int64(rng.Uniform(0, 1000000))});
+    }
+  }
+  return data;
+}
+
+uint64_t BloomHash(const Value& v) {
+  switch (PhysicalTypeOf(v.type())) {
+    case PhysicalType::kInt64:
+      return SingleKeyHash(HashInt64(static_cast<uint64_t>(v.int64())));
+    case PhysicalType::kDouble:
+      return SingleKeyHash(HashInt64(std::bit_cast<uint64_t>(v.dbl())));
+    case PhysicalType::kString:
+      return SingleKeyHash(Hash64(v.str()));
+  }
+  return 0;
+}
+
+// The reference for a scan with Bloom filters: an unfiltered scan of every
+// column under a FilterOperator with the scan's predicates, then each
+// filter in order, row by row (a NULL never passes). *dropped counts the
+// rows that passed the predicates and failed a filter.
+std::vector<std::vector<Value>> BloomReference(
+    const ColumnStoreTable* table,
+    const ColumnStoreScanOperator::Options& options, int64_t* dropped) {
+  const Schema& schema = table->schema();
+  ExecContext ctx;
+  ExprPtr pred = expr::Lit(Value::Bool(true));
+  for (const ScanPredicate& p : options.predicates) {
+    pred = expr::And(pred, expr::Cmp(p.op, expr::ColumnAt(schema, p.column),
+                                     expr::Lit(p.value)));
+  }
+  FilterOperator filter(
+      std::make_unique<ColumnStoreScanOperator>(
+          table, ColumnStoreScanOperator::Options{}, &ctx),
+      pred, &ctx);
+  filter.Open().CheckOK();
+  std::vector<std::vector<Value>> rows;
+  *dropped = 0;
+  for (;;) {
+    Batch* batch = filter.Next().ValueOrDie();
+    if (batch == nullptr) break;
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      if (!batch->active()[i]) continue;
+      bool pass = true;
+      for (const BloomFilterSpec& spec : options.bloom_filters) {
+        const Value v = batch->column(spec.column).GetValue(i);
+        if (v.is_null() || !spec.filter->MayContain(BloomHash(v))) {
+          pass = false;
+          break;
+        }
+      }
+      if (!pass) {
+        ++*dropped;
+        continue;
+      }
+      std::vector<Value> row;
+      for (int c : options.projection) {
+        row.push_back(batch->column(c).GetValue(i));
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  filter.Close();
+  return rows;
+}
+
+TEST(ScanRunsTest, BloomFiltersOnRleColumnsMatchARowByRowReference) {
+  const TableData data = RunData();
+  auto table =
+      std::make_unique<ColumnStoreTable>("t", data.schema(), SmallGroups());
+  table->BulkLoad(data).CheckOK();
+  for (int64_t g = 0; g < 4; ++g) {
+    const RowGroup& rg = table->Snapshot()->row_group(g);
+    for (int c = 1; c <= 3; ++c) {
+      ASSERT_EQ(rg.column(c).encoding(), EncodingKind::kRle)
+          << "group " << g << " column " << c;
+    }
+    ASSERT_EQ(rg.column(3).code_kind(), CodeKind::kValueScaled);
+  }
+
+  // Per column, a filter that passes most distinct values (dense windows)
+  // and one that passes about a fifth of them (sparse windows).
+  std::vector<Value> distinct[4];
+  for (int c = 1; c <= 3; ++c) {
+    for (int64_t row = 0; row < data.num_rows(); ++row) {
+      const Value v = data.column(c).GetValue(row);
+      if (!v.is_null() &&
+          (distinct[c].empty() || !(distinct[c].back() == v))) {
+        distinct[c].push_back(v);
+      }
+    }
+  }
+  std::vector<std::unique_ptr<BloomFilter>> dense(4), sparse(4);
+  for (int c = 1; c <= 3; ++c) {
+    dense[c] = std::make_unique<BloomFilter>(
+        static_cast<int64_t>(distinct[c].size()));
+    sparse[c] = std::make_unique<BloomFilter>(
+        static_cast<int64_t>(distinct[c].size()));
+    for (size_t k = 0; k < distinct[c].size(); ++k) {
+      if (k % 16 != 3) dense[c]->Insert(BloomHash(distinct[c][k]));
+      if (k % 5 == 1) sparse[c]->Insert(BloomHash(distinct[c][k]));
+    }
+  }
+  const ScanPredicate same_column[4] = {
+      {},
+      {1, CompareOp::kGe, Value::Int64(600)},
+      {2, CompareOp::kLt, Value::String("s3")},
+      {3, CompareOp::kGt, Value::Double(150.0)}};
+
+  auto check = [&](const char* what) {
+    SCOPED_TRACE(what);
+    for (int c = 1; c <= 3; ++c) {
+      int64_t dense_windows = 0, sparse_windows = 0;
+      for (bool projected : {false, true}) {
+        for (int shape = 0; shape < 4; ++shape) {
+          ColumnStoreScanOperator::Options options;
+          options.projection = projected ? std::vector<int>{0, c, 4}
+                                         : std::vector<int>{0, 4};
+          switch (shape) {
+            case 0:  // a Bloom filter alone, passing most runs
+              options.bloom_filters = {{c, dense[c].get()}};
+              break;
+            case 1:  // a Bloom filter alone, passing few
+              options.bloom_filters = {{c, sparse[c].get()}};
+              break;
+            case 2:  // a predicate and a Bloom filter on the same column
+              options.predicates = {same_column[c]};
+              options.bloom_filters = {{c, dense[c].get()}};
+              break;
+            case 3:  // two Bloom filters
+              options.bloom_filters = {{c, dense[c].get()},
+                                       {c, sparse[c].get()}};
+              break;
+          }
+          int64_t expect_dropped = 0;
+          const auto expect =
+              BloomReference(table.get(), options, &expect_dropped);
+          for (int64_t batch_size : {int64_t{900}, int64_t{100}}) {
+            ExecContext ctx;
+            ctx.batch_size = batch_size;
+            ColumnStoreScanOperator scan(table.get(), options, &ctx);
+            scan.Open().CheckOK();
+            std::vector<std::vector<Value>> rows;
+            for (;;) {
+              Batch* batch = scan.Next().ValueOrDie();
+              if (batch == nullptr) break;
+              if (batch->num_rows() == batch_size) ++dense_windows;
+              if (batch->num_rows() <= batch_size * 3 / 4 &&
+                  batch->active_count() == batch->num_rows()) {
+                ++sparse_windows;
+              }
+              for (int64_t i = 0; i < batch->num_rows(); ++i) {
+                if (batch->active()[i]) rows.push_back(batch->GetActiveRow(i));
+              }
+            }
+            scan.Close();
+            const std::string label =
+                "column " + std::to_string(c) + " projected " +
+                std::to_string(projected) + " shape " +
+                std::to_string(shape) + " batch " + std::to_string(batch_size);
+            EXPECT_EQ(rows, expect) << label;
+            EXPECT_FALSE(rows.empty()) << label;
+            EXPECT_EQ(ctx.stats.rows_bloom_filtered, expect_dropped) << label;
+            int64_t counter = -1;
+            for (const auto& [name, value] : scan.BuildProfile().counters) {
+              if (name == "bloom_rows_dropped") counter = value;
+            }
+            EXPECT_EQ(counter, expect_dropped) << label;
+          }
+        }
+      }
+      EXPECT_GT(dense_windows, 0) << "column " << c;
+      EXPECT_GT(sparse_windows, 0) << "column " << c;
+    }
+  };
+  check("bulk loaded");
+
+  // Deletes in two groups, one of them in the middle of runs.
+  for (int64_t r = 0; r < 1000; r += 7) {
+    table->Delete(MakeCompressedRowId(1, r)).CheckOK();
+    table->Delete(MakeCompressedRowId(3, (r * 3) % 1000)).CheckOK();
+  }
+  check("with deletes");
+}
+
 }  // namespace
 }  // namespace vstore

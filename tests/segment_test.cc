@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/random.h"
 #include "exec/expr_kernels.h"
@@ -223,6 +224,33 @@ TEST(SegmentTest, MayMatchEliminationMatrix) {
   EXPECT_FALSE(seg->MayMatch(CompareOp::kEq, Value::Null(DataType::kInt64)));
 }
 
+TEST(SegmentTest, MayMatchIntColumnAgainstDoubleConstant) {
+  // Every integer 10..49. A DOUBLE constant compares in double space, as
+  // the row-by-row compares do, never as a truncated integer.
+  std::vector<int64_t> values;
+  for (int64_t v = 10; v <= 49; ++v) values.push_back(v);
+  auto seg = BuildInt(values);
+  const std::vector<CompareOp> ops = {CompareOp::kEq, CompareOp::kNe,
+                                      CompareOp::kLt, CompareOp::kLe,
+                                      CompareOp::kGt, CompareOp::kGe};
+  // Below, at the minimum, inside between two values, equal to an inner
+  // integer, at the maximum and above.
+  for (double t : {-3.5, 0.0, 5.5, 10.0, 24.5, 24.0, 49.0, 49.5, 60.0}) {
+    for (CompareOp op : ops) {
+      bool any = false;
+      for (int64_t v : values) {
+        const double d = static_cast<double>(v);
+        any = any || ApplyCompare(op, (d > t) - (d < t));
+      }
+      // Equality on a value between two integers is the one case the
+      // min/max bounds cannot rule out.
+      const bool conservative = op == CompareOp::kEq && t == 24.5;
+      EXPECT_EQ(seg->MayMatch(op, Value::Double(t)), any || conservative)
+          << CompareOpName(op) << " " << t;
+    }
+  }
+}
+
 TEST(SegmentTest, MayMatchStrings) {
   auto dict = std::make_shared<StringDictionary>();
   ColumnData col = StringColumn({"banana", "cherry", "date"});
@@ -335,6 +363,102 @@ TEST(SegmentGatherTest, RleGatherMatchesDecode) {
   seg->GatherInt64(rows.data(), static_cast<int64_t>(rows.size()), out.data());
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(out[i], values[static_cast<size_t>(rows[i])]) << rows[i];
+  }
+}
+
+// Runs of 1-7 rows over 0..2999, with a NULL (nullopt) inside some runs.
+std::vector<std::optional<int64_t>> ShortRunValues(uint64_t seed,
+                                                   int64_t runs) {
+  Random rng(seed);
+  std::vector<std::optional<int64_t>> values;
+  for (int64_t r = 0; r < runs; ++r) {
+    const int64_t value = rng.Uniform(0, 2999);
+    for (int64_t i = rng.Uniform(1, 7); i > 0; --i) {
+      values.push_back(rng.Uniform(0, 19) == 0 ? std::nullopt
+                                               : std::optional(value));
+    }
+  }
+  return values;
+}
+
+std::unique_ptr<ColumnSegment> BuildNullableInt(
+    const std::vector<std::optional<int64_t>>& values) {
+  ColumnData col(DataType::kInt64);
+  for (const auto& v : values) {
+    if (v.has_value()) {
+      col.AppendInt64(*v);
+    } else {
+      col.AppendNull();
+    }
+  }
+  return SegmentBuilder::Build(col, 0, col.size(), nullptr, nullptr,
+                               DefaultOptions());
+}
+
+TEST(SegmentGatherTest, RleGatherEqualsDecodeOnRandomRowSets) {
+  const auto values = ShortRunValues(31, 2000);
+  auto seg = BuildNullableInt(values);
+  ASSERT_EQ(seg->encoding(), EncodingKind::kRle);
+  ASSERT_TRUE(seg->has_nulls());
+  const int64_t n = seg->num_rows();
+  std::vector<uint64_t> all(static_cast<size_t>(n));
+  seg->DecodeCodes(0, n, all.data());
+  Random rng(32);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Ascending rows with repeats; sparse sets step over whole runs.
+    const int64_t step = rng.Uniform(0, 3) == 0 ? 40 : 6;
+    std::vector<int64_t> rows;
+    for (int64_t r = rng.Uniform(0, 20); r < n; r += rng.Uniform(0, step)) {
+      rows.push_back(r);
+    }
+    std::vector<uint64_t> codes(rows.size());
+    seg->GatherCodes(rows.data(), static_cast<int64_t>(rows.size()),
+                     codes.data());
+    std::vector<int64_t> ints(rows.size());
+    seg->GatherInt64(rows.data(), static_cast<int64_t>(rows.size()),
+                     ints.data());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const size_t row = static_cast<size_t>(rows[i]);
+      ASSERT_EQ(codes[i], all[row]) << "trial " << trial << " row " << row;
+      if (values[row].has_value()) {
+        ASSERT_EQ(ints[i], *values[row]) << "row " << row;
+      }
+    }
+  }
+}
+
+TEST(SegmentGatherTest, DecodeRunsGivesTheRunsOfAWindow) {
+  auto seg = BuildNullableInt(ShortRunValues(33, 300));
+  ASSERT_EQ(seg->encoding(), EncodingKind::kRle);
+  const int64_t n = seg->num_rows();
+  std::vector<uint64_t> all(static_cast<size_t>(n));
+  seg->DecodeCodes(0, n, all.data());
+  Random rng(34);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int64_t start = rng.Uniform(0, n - 1);
+    const int64_t count = rng.Uniform(1, std::min<int64_t>(n - start, 300));
+    std::vector<uint64_t> codes(static_cast<size_t>(count));
+    std::vector<int64_t> ends(static_cast<size_t>(count));
+    const int64_t runs =
+        seg->DecodeRuns(start, count, codes.data(), ends.data());
+    ASSERT_GE(runs, 1);
+    ASSERT_EQ(ends[static_cast<size_t>(runs - 1)], count);
+    int64_t from = 0;
+    for (int64_t r = 0; r < runs; ++r) {
+      const int64_t end = ends[static_cast<size_t>(r)];
+      ASSERT_GT(end, from);
+      for (int64_t i = from; i < end; ++i) {
+        ASSERT_EQ(all[static_cast<size_t>(start + i)],
+                  codes[static_cast<size_t>(r)]);
+      }
+      // Adjacent runs hold different codes (one run of the stream each),
+      // so every run boundary inside the window is a code change.
+      if (r > 0) {
+        ASSERT_NE(codes[static_cast<size_t>(r)],
+                  codes[static_cast<size_t>(r - 1)]);
+      }
+      from = end;
+    }
   }
 }
 

@@ -20,6 +20,7 @@
 #include "common/simd.h"
 #include "exec/expr_kernels.h"
 #include "storage/bit_pack.h"
+#include "storage/encoding.h"
 #include "storage/segment.h"
 #include "test_util.h"
 
@@ -338,6 +339,89 @@ TEST(SimdKernelsTest, BitUnpackBothPathsMatchRandomAccessAllWidths) {
             << "bw " << bw << " start " << start << " i " << i;
         EXPECT_EQ(s[static_cast<size_t>(i)],
                   values[static_cast<size_t>(start + i)]);
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, BitGatherBothPathsMatchRandomAccessAllWidths) {
+  Random rng(9);
+  for (int bw = 0; bw <= 64; ++bw) {
+    const int64_t n = 301;
+    std::vector<uint64_t> values(static_cast<size_t>(n));
+    const uint64_t mask =
+        bw == 64 ? ~uint64_t{0} : (uint64_t{1} << bw) - 1;
+    for (auto& v : values) v = rng.Next() & mask;
+    auto packed = BitPacker::Pack(values.data(), n, bw);
+    // Ascending with repeats, then random order, with the last value (read
+    // through the buffer's slack) in both; odd counts leave a scalar tail.
+    std::vector<int64_t> indices;
+    for (int64_t i = 0; i < n; i += rng.Uniform(0, 3)) indices.push_back(i);
+    for (int i = 0; i < 99; ++i) indices.push_back(rng.Uniform(0, n - 1));
+    indices.push_back(n - 1);
+    const int64_t m = static_cast<int64_t>(indices.size());
+    std::vector<uint64_t> s, v;
+    ForBothLevels<uint64_t>(
+        m,
+        [&](uint64_t* out) {
+          BitPacker::Gather(packed.data(), bw, indices.data(), m, out);
+        },
+        &s, &v);
+    EXPECT_EQ(s, v) << "bw " << bw;
+    for (int64_t i = 0; i < m; ++i) {
+      const int64_t index = indices[static_cast<size_t>(i)];
+      ASSERT_EQ(s[static_cast<size_t>(i)],
+                BitPacker::Get(packed.data(), bw, index))
+          << "bw " << bw << " index " << index;
+      ASSERT_EQ(s[static_cast<size_t>(i)], values[static_cast<size_t>(index)]);
+    }
+  }
+}
+
+TEST(SimdKernelsTest, WidenScaledCodesBothPathsBitIdentical) {
+  // Each code widens to DecodeDoubleCode's double, bit for bit, on both
+  // paths: scales 10^0-10^6, negative and positive bases, and bases at
+  // +-2^51, where some codes leave the AVX2 body's exact range and the
+  // whole call must fall back to the scalar loop.
+  constexpr int64_t k51 = int64_t{1} << 51;
+  struct Case {
+    int64_t base;
+    int bit_width;
+  };
+  const Case cases[] = {{0, 20},          {-1000000, 24}, {-7, 3},
+                        {123456789, 30},  {-k51 + 1, 12}, {k51 - 4096, 12},
+                        {k51 - 4095, 12}, {-k51, 12},     {k51, 8},
+                        {-k51 - 5, 40},   {0, 51},        {1, 51},
+                        {-(k51 >> 1), 50}};
+  Random rng(10);
+  for (int scale = 0; scale <= 6; ++scale) {
+    for (const Case& c : cases) {
+      ValueEncoding venc;
+      venc.code_kind = CodeKind::kValueScaled;
+      venc.scale = scale;
+      venc.base = c.base;
+      venc.dbl_pow10 = std::pow(10.0, scale);
+      const int64_t n = 203;
+      const uint64_t mask = (uint64_t{1} << c.bit_width) - 1;
+      std::vector<uint64_t> codes(static_cast<size_t>(n));
+      for (auto& code : codes) code = rng.Next() & mask;
+      codes[0] = 0;
+      codes[1] = mask;  // the largest code the width holds
+      std::vector<uint64_t> s, v;
+      ForBothLevels<uint64_t>(
+          n,
+          [&](uint64_t* out) {
+            std::copy(codes.begin(), codes.end(), out);
+            WidenScaledCodes(venc, c.bit_width, n,
+                             reinterpret_cast<double*>(out));
+          },
+          &s, &v);
+      EXPECT_EQ(s, v) << "scale " << scale << " base " << c.base;
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(s[static_cast<size_t>(i)],
+                  std::bit_cast<uint64_t>(DecodeDoubleCode(
+                      codes[static_cast<size_t>(i)], venc)))
+            << "scale " << scale << " base " << c.base << " i " << i;
       }
     }
   }

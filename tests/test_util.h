@@ -10,7 +10,7 @@
 namespace vstore {
 namespace testing_util {
 
-// Builds an int64 column from a literal list; INT64_MIN entries become NULL.
+// Builds an int64 column from a literal list (no NULLs).
 inline ColumnData IntColumn(const std::vector<int64_t>& values,
                             DataType type = DataType::kInt64) {
   ColumnData col(type);
